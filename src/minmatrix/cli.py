@@ -2,7 +2,8 @@
 machine-readable output.
 
 Exit codes: 0 success, 1 verification failure or cross-method
-disagreement, 2 usage error. Payloads go to stdout, diagnostics to
+disagreement, 2 usage error, 3 internal error (any other exception,
+reported as one line on stderr). Payloads go to stdout, diagnostics to
 stderr. Big integers are rendered as full decimal strings in JSON and
 CSV so downstream consumers never overflow.
 """
@@ -44,6 +45,7 @@ from .verification import SUITES, run_suites
 EXIT_OK = 0
 EXIT_DISAGREE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _metadata(seed=None):
@@ -381,6 +383,9 @@ def main(argv=None):
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ generalizations parameterized by an increment list (i_1, ..., i_n).
 """
 
 from itertools import accumulate
+from operator import index
 
 
 class ExactMatrix:
@@ -13,12 +14,14 @@ class ExactMatrix:
 
     Public entry access is 1-based to match the usual mathematical
     indexing of these matrices. Instances are treated as immutable.
+    Entries must be integers (anything operator.index accepts, such as
+    numpy integers); floats, strings and fractions raise TypeError.
     """
 
     __slots__ = ("dim", "_rows")
 
     def __init__(self, rows):
-        rows = [list(map(int, row)) for row in rows]
+        rows = [list(map(index, row)) for row in rows]
         if not rows:
             raise ValueError("matrix must have at least one row")
         if any(len(row) != len(rows) for row in rows):
@@ -67,7 +70,7 @@ class ExactMatrix:
 
 
 def _check_increments(inc, minimum_length=1):
-    values = [int(v) for v in inc]
+    values = [index(v) for v in inc]
     if len(values) < minimum_length:
         raise ValueError(
             f"increment list needs at least {minimum_length} entries, got {len(values)}"

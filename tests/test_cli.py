@@ -3,6 +3,7 @@ import json
 import pytest
 
 from minmatrix import build_delta_matrix, build_min_matrix
+from minmatrix import cli
 from minmatrix.cli import main
 
 
@@ -128,6 +129,14 @@ class TestVerifyCommand:
         assert code == 0
         assert "vacuous" in out
 
+    def test_symfun_vacuous_checks_noted(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "symfun", "--n-max", "1")
+        assert code == 0
+        lines = out.splitlines()
+        for name in ("polynomial-method agreement up to n=1", "strict growth in n for fixed k"):
+            at = lines.index(f"[pass] {name}")
+            assert lines[at + 1] == "       note: vacuous: no cases"
+
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "binomial", "--n-max", "10", "--format", "json")
         assert code == 0
@@ -166,3 +175,21 @@ class TestBenchCommand:
 
     def test_bad_k(self, capsys):
         assert run(capsys, "bench", "--n-list", "4", "--k-list", "9")[0] == 2
+
+
+class TestInternalErrors:
+    def test_recursion_limit_is_internal_error(self, capsys):
+        code, out, err = run(capsys, "symfun", "--n", "1000", "--k", "2", "--method", "rec7")
+        assert code == cli.EXIT_INTERNAL == 3
+        assert out == ""
+        assert err.startswith("error: internal: RecursionError: ")
+        assert err.count("\n") == 1
+
+    def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("wires crossed")
+
+        monkeypatch.setattr(cli, "cmd_matrix", broken)
+        code, _, err = run(capsys, "matrix", "min", "--n", "3")
+        assert code == 3
+        assert err == "error: internal: RuntimeError: wires crossed\n"

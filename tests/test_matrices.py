@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,8 +11,10 @@ from minmatrix import (
     build_delta_matrix,
     build_min_matrix,
     build_theta_matrix,
+    delta_det_closed,
     det_bareiss,
     prefix_sums,
+    theta_det_closed,
 )
 
 increments = st.lists(st.integers(-50, 50), min_size=1, max_size=10)
@@ -153,3 +158,25 @@ class TestExactMatrix:
     def test_submatrix(self):
         m = build_min_matrix(4)
         assert m.submatrix([2, 4]).to_lists() == [[2, 2], [2, 4]]
+
+
+class TestStrictIntegers:
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "3", Fraction(3, 2)])
+    def test_matrix_rejects_non_integer_entries(self, bad):
+        with pytest.raises(TypeError):
+            ExactMatrix([[1, bad], [bad, 1]])
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "3", Fraction(3, 2)])
+    @pytest.mark.parametrize(
+        "consumer",
+        [prefix_sums, build_delta_matrix, build_theta_matrix, delta_det_closed, theta_det_closed],
+    )
+    def test_increments_reject_non_integers(self, consumer, bad):
+        with pytest.raises(TypeError):
+            consumer([bad, 2, 3])
+
+    def test_numpy_integers_become_python_ints(self):
+        matrix = ExactMatrix(np.array([[2, 1], [1, 3]], dtype=np.int64))
+        assert matrix.to_lists() == [[2, 1], [1, 3]]
+        assert all(type(x) is int for row in matrix.to_lists() for x in row)
+        assert delta_det_closed(np.array([2, 3, 4], dtype=np.int32)) == 24
