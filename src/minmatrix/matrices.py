@@ -9,19 +9,33 @@ from itertools import accumulate
 from operator import index
 
 
+def _integers(values):
+    """The values as a new list of Python ints, through operator.index.
+    bool passes operator.index but is refused: True is not the integer
+    entry 1. A list of plain ints, what the constructors pass, is only
+    copied: the type scan that finds a bool already shows it needs no
+    conversion."""
+    values = list(values)
+    kinds = set(map(type, values))
+    if bool in kinds:
+        raise TypeError("entries must be integers, not bool")
+    return values if kinds <= {int} else list(map(index, values))
+
+
 class ExactMatrix:
     """Dense square matrix of arbitrary-precision integers.
 
     Public entry access is 1-based to match the usual mathematical
     indexing of these matrices. Instances are treated as immutable.
     Entries must be integers (anything operator.index accepts, such as
-    numpy integers); floats, strings and fractions raise TypeError.
+    numpy integers, except bool); floats, strings, fractions and bools
+    raise TypeError.
     """
 
     __slots__ = ("dim", "_rows")
 
     def __init__(self, rows):
-        rows = [list(map(index, row)) for row in rows]
+        rows = [_integers(row) for row in rows]
         if not rows:
             raise ValueError("matrix must have at least one row")
         if any(len(row) != len(rows) for row in rows):
@@ -70,7 +84,7 @@ class ExactMatrix:
 
 
 def _check_increments(inc, minimum_length=1):
-    values = [index(v) for v in inc]
+    values = _integers(inc)
     if len(values) < minimum_length:
         raise ValueError(
             f"increment list needs at least {minimum_length} entries, got {len(values)}"

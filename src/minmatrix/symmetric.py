@@ -5,7 +5,9 @@ eigenvalues equals C(n+k, n-k). This module computes it six independent
 ways and assembles the exact characteristic polynomial from the values:
 
   closed   the binomial closed form C(n+k, n-k)
-  minors   brute-force sum of all k x k principal minors (exponential)
+  minors   sum of all k x k principal minors, each by fraction-free
+           (Bareiss) elimination shared along common index prefixes;
+           exponential in n
   nested   sum of products over compositions of total <= n into k parts
   rec6     weighted recurrence over the first part of the composition
   rec7     difference recurrence, one step down in n
@@ -16,11 +18,9 @@ functions have closed forms here.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
-from .determinants import det_bareiss
 from .matrices import ExactMatrix, build_min_matrix
 
 #: Largest n accepted by the brute-force minor enumeration by default.
@@ -60,23 +60,72 @@ def symfun_closed(n, k):
     return binomial(n + k, n - k)
 
 
-def symfun_minor_sum(n, k, cap=BRUTE_FORCE_CAP):
-    """Sum of all C(n, k) principal k x k minors of the min matrix.
+def _minor_sums(n, k_max):
+    """Principal-minor sums of the n x n min matrix A by one depth-first
+    walk over its index sets of size <= k_max (see symfun_minor_sum).
 
-    Exponential in n; refuses n above `cap`.
+    Returns sums with sums[j][m] the sum of det A[S, S] over the j-subsets
+    S of {1, ..., n} whose largest index is m (sums[0][0] = 1 for the
+    empty set). A minor does not depend on n once n >= max(S), so
+    S(n', k) for every n' <= n is a prefix sum of sums[k].
     """
-    _check_nk(n, k)
+    sums = [[0] * (n + 1) for _ in range(k_max + 1)]
+    sums[0][0] = 1
+
+    def visit(block, prev, top, depth):
+        # Node S: block is its upper triangle over the indices top+1..n
+        # (top = max(S)), prev its own minor det A[S, S], depth = |S| + 1.
+        level = sums[depth]
+        leaves = depth == k_max
+        for i, row in enumerate(block):
+            pivot = row[0]
+            if pivot <= 0:
+                raise ArithmeticError(
+                    f"non-positive principal minor {pivot} at index {top + 1 + i}"
+                )
+            level[top + 1 + i] += pivot
+            if leaves or i + 1 == len(block):
+                continue
+            tail = row[1:]
+            child = [
+                [(pivot * x - lead * y) // prev for x, y in zip(block[i + 1 + a], tail[a:])]
+                for a, lead in enumerate(tail)
+            ]
+            visit(child, pivot, top + 1 + i, depth + 1)
+
+    if k_max:
+        rows = build_min_matrix(n).to_lists()
+        visit([row[i:] for i, row in enumerate(rows)], 1, 0, 1)
+    return sums
+
+
+def _check_cap(n, cap):
     if n > cap:
         raise BruteForceCapExceeded(
             f"minor enumeration capped at n={cap} (got n={n}); raise `cap` to override"
         )
-    if k == 0:
-        return 1
-    matrix = build_min_matrix(n)
-    return sum(
-        det_bareiss(matrix.submatrix(subset))
-        for subset in itertools.combinations(range(1, n + 1), k)
-    )
+
+
+def symfun_minor_sum(n, k, cap=BRUTE_FORCE_CAP):
+    """Sum of all C(n, k) principal k x k minors of the min matrix A.
+
+    Each minor comes from fraction-free (Bareiss) elimination, shared
+    along common index prefixes. One depth-first walk visits the index
+    sets in increasing order. A node S carries the Bareiss-reduced block
+    over the indices t, u > max(S); by Sylvester's identity its entry
+    (t, u) is the bordered minor det A[S+t, S+u], so its diagonal entry t
+    is the principal minor det A[S+t, S+t], and the child S+t costs one
+    fraction-free update (pivot*x - lead*y) // prev of the block, every
+    division exact. The block is symmetric, so only its upper triangle is
+    kept. A is positive definite, so every pivot is a positive principal
+    minor and no row swap is needed; a swap would change the principal
+    set. A pivot <= 0 raises ArithmeticError.
+
+    Exponential in n; refuses n above `cap`.
+    """
+    _check_nk(n, k)
+    _check_cap(n, cap)
+    return sum(_minor_sums(n, k)[k])
 
 
 def symfun_nested(n, k):
@@ -198,9 +247,15 @@ def build_sym_table(n_max, method="closed", cap=BRUTE_FORCE_CAP):
             for k in range(n + 1):
                 values[n, k] = binomial(n + k, n - k)
     elif method == "minors":
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                values[n, k] = symfun_minor_sum(n, k, cap=cap)
+        # One walk over A_{n_max}; S(n, k) sums the k-minors whose
+        # largest index is at most n.
+        _check_cap(n_max, cap)
+        for k, by_top in enumerate(_minor_sums(n_max, n_max)):
+            total = 0
+            for n, part in enumerate(by_top):
+                total += part
+                if n >= k:
+                    values[n, k] = total
     elif method == "nested":
         # One shared composition-sum cache serves every (n, k): the value
         # at (n, k) is the k-part sum with budget n.

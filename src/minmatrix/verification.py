@@ -28,7 +28,6 @@ from .symmetric import (
     binomial_identity_check,
     build_sym_table,
     symfun_closed,
-    symfun_minor_sum,
 )
 
 SUITES = ("dets", "symfun", "binomial", "fibonacci")
@@ -119,13 +118,14 @@ def suite_symfun(n_max, brute_cap=BRUTE_FORCE_CAP):
         method: build_sym_table(n_max, method)
         for method in ("closed", "nested", "rec6", "rec7", "ratio")
     }
+    tables["minors"] = build_sym_table(brute_max, "minors")
     six_way = [(n, k) for n in range(1, brute_max + 1) for k in range(1, n + 1)]
 
     def agree_all_six(nk):
         expected = tables["closed"][nk]
-        if symfun_minor_sum(*nk) != expected:
-            return False
-        return all(tables[m][nk] == expected for m in ("nested", "rec6", "rec7", "ratio"))
+        return all(
+            tables[m][nk] == expected for m in ("minors", "nested", "rec6", "rec7", "ratio")
+        )
 
     results.append(
         _sweep(

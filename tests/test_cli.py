@@ -3,7 +3,7 @@ import json
 import pytest
 
 from minmatrix import build_delta_matrix, build_min_matrix
-from minmatrix import cli
+from minmatrix import cli, verification
 from minmatrix.cli import main
 
 
@@ -142,6 +142,43 @@ class TestVerifyCommand:
         assert code == 0
         document = json.loads(out)
         assert document["payload"]["all_passed"] is True
+
+
+class TestSixWayAgreement:
+    @pytest.mark.parametrize("n_max", ["8", "12", "16"])
+    def test_verify_reports_six_way_check(self, capsys, n_max):
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--n-max", n_max)
+        assert code == 0
+        brute_max = min(int(n_max), 12)
+        assert f"[pass] six-way agreement up to n={brute_max}" in out.splitlines()
+        assert out.endswith("all checks passed\n")
+
+    @pytest.mark.parametrize("method", ["minors", "nested", "rec6", "rec7", "ratio"])
+    def test_verify_fails_when_one_table_is_wrong(self, capsys, monkeypatch, method):
+        real = verification.build_sym_table
+
+        def corrupted(n_max, name="closed"):
+            table = real(n_max, name)
+            if name == method:
+                table.values[4, 2] += 1
+            return table
+
+        monkeypatch.setattr(verification, "build_sym_table", corrupted)
+        code, out, _ = run(capsys, "verify", "--suite", "symfun", "--n-max", "8")
+        assert code == 1
+        assert "[FAIL] six-way agreement up to n=8 (counterexample: n=4, k=2)" in out
+
+    @pytest.mark.parametrize("k", ["5", "7", "all"])
+    def test_symfun_all_methods_agree(self, capsys, k):
+        code, out, _ = run(capsys, "symfun", "--n", "12", "--k", k, "--method", "all",
+                           "--format", "json")
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["agree"] is True
+        ks = range(13) if k == "all" else [int(k)]
+        assert {(v["k"], v["method"]) for v in payload["values"]} == {
+            (j, m) for j in ks for m in ("closed", "minors", "nested", "rec6", "rec7", "ratio")
+        }
 
 
 class TestSimulateCommand:

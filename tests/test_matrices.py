@@ -161,12 +161,12 @@ class TestExactMatrix:
 
 
 class TestStrictIntegers:
-    @pytest.mark.parametrize("bad", [1.5, 2.0, "3", Fraction(3, 2)])
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "3", Fraction(3, 2), True, False])
     def test_matrix_rejects_non_integer_entries(self, bad):
         with pytest.raises(TypeError):
             ExactMatrix([[1, bad], [bad, 1]])
 
-    @pytest.mark.parametrize("bad", [1.5, 2.0, "3", Fraction(3, 2)])
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "3", Fraction(3, 2), True, False])
     @pytest.mark.parametrize(
         "consumer",
         [prefix_sums, build_delta_matrix, build_theta_matrix, delta_det_closed, theta_det_closed],
@@ -174,6 +174,24 @@ class TestStrictIntegers:
     def test_increments_reject_non_integers(self, consumer, bad):
         with pytest.raises(TypeError):
             consumer([bad, 2, 3])
+
+    def test_numpy_bools_rejected(self):
+        with pytest.raises(TypeError):
+            ExactMatrix(np.array([[1, 0], [0, 1]], dtype=np.bool_))
+        with pytest.raises(TypeError):
+            delta_det_closed(np.array([True, True]))
+
+    @given(
+        st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=3, max_size=3),
+        st.integers(0, 8),
+        st.booleans(),
+    )
+    def test_one_bool_anywhere_is_rejected(self, rows, at, flag):
+        rows[at // 3][at % 3] = flag
+        with pytest.raises(TypeError):
+            ExactMatrix(rows)
+        with pytest.raises(TypeError):
+            delta_det_closed(rows[at // 3])
 
     def test_numpy_integers_become_python_ints(self):
         matrix = ExactMatrix(np.array([[2, 1], [1, 3]], dtype=np.int64))

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 
@@ -6,6 +7,7 @@ from minmatrix import (
     BruteForceCapExceeded,
     binomial,
     binomial_identity_check,
+    build_min_matrix,
     build_sym_table,
     char_matrix,
     charpoly,
@@ -98,6 +100,55 @@ class TestMinorSum:
 
     def test_cap_overridable(self):
         assert symfun_minor_sum(15, 1, cap=15) == 15 * 16 // 2
+
+
+def enumerated_minor_sum(n, k):
+    """Reference: one fresh elimination per k-subset of {1, ..., n}."""
+    if k == 0:
+        return 1
+    matrix = build_min_matrix(n)
+    return sum(
+        det_bareiss(matrix.submatrix(subset))
+        for subset in combinations(range(1, n + 1), k)
+    )
+
+
+class TestMinorWalk:
+    @pytest.mark.parametrize("n", range(10))
+    def test_matches_subset_enumeration(self, n):
+        for k in range(n + 1):
+            assert symfun_minor_sum(n, k) == enumerated_minor_sum(n, k)
+
+    @pytest.mark.parametrize("n_max", range(15))
+    def test_table_matches_closed_table(self, n_max):
+        minors = build_sym_table(n_max, "minors")
+        assert minors.values == build_sym_table(n_max, "closed").values
+
+    def test_table_cap_enforced(self):
+        with pytest.raises(BruteForceCapExceeded):
+            build_sym_table(15, "minors")
+
+    def test_table_cap_overridable(self):
+        table = build_sym_table(15, "minors", cap=15)
+        assert table[15, 1] == 15 * 16 // 2 and table[15, 15] == 1
+
+    def test_independent_of_other_methods(self, monkeypatch):
+        # The walk is the six-way check's elimination route: it must reach
+        # its values without det_bareiss or any other method's formula.
+        import minmatrix.determinants as determinants
+        import minmatrix.symmetric as symmetric
+
+        expected = {(n, k): symfun_closed(n, k) for n in range(9) for k in range(n + 1)}
+
+        def forbidden(*args):
+            raise AssertionError("the minor walk must compute its own minors")
+
+        monkeypatch.setattr(determinants, "det_bareiss", forbidden)
+        for name in ("binomial", "symfun_closed", "symfun_nested", "symfun_rec6",
+                     "symfun_rec7", "symfun_ratio"):
+            monkeypatch.setattr(symmetric, name, forbidden)
+        assert symfun_minor_sum(8, 4) == expected[8, 4]
+        assert build_sym_table(8, "minors").values == expected
 
 
 class TestNested:
