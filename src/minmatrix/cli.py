@@ -38,6 +38,7 @@ from .symmetric import (
     BRUTE_FORCE_CAP,
     METHODS,
     BruteForceCapExceeded,
+    build_sym_table,
     symfun,
 )
 from .verification import SUITES, run_suites
@@ -150,29 +151,29 @@ def cmd_det(args):
     return EXIT_OK if agree else EXIT_DISAGREE
 
 
+def _symfun_values(n, ks, method):
+    if len(ks) > 1:
+        # One table gives every k; for a single k one call is far cheaper
+        # than a table at large n.
+        table = build_sym_table(n, method)
+        return [table[n, k] for k in ks]
+    return [symfun(n, k, method=method) for k in ks]
+
+
 def cmd_symfun(args):
     ks = range(args.n + 1) if args.k == "all" else [int(args.k)]
     methods = list(METHODS) if args.method == "all" else [args.method]
-    rows = []
+    columns = {}
     notes = []
-    disagreement = False
-    for k in ks:
-        seen = {}
-        for method in methods:
-            try:
-                value = symfun(args.n, k, method=method)
-            except BruteForceCapExceeded:
-                if args.method == "all":
-                    if not notes:
-                        notes.append(
-                            f"minors skipped: n={args.n} above brute-force cap {BRUTE_FORCE_CAP}"
-                        )
-                    continue
+    for method in methods:
+        try:
+            columns[method] = _symfun_values(args.n, ks, method)
+        except BruteForceCapExceeded:
+            if args.method != "all":
                 raise
-            seen[method] = value
-            rows.append((k, method, value))
-        if len(set(seen.values())) > 1:
-            disagreement = True
+            notes.append(f"minors skipped: n={args.n} above brute-force cap {BRUTE_FORCE_CAP}")
+    rows = [(k, m, values[i]) for i, k in enumerate(ks) for m, values in columns.items()]
+    disagreement = any(len(set(values)) > 1 for values in zip(*columns.values()))
     payload = {
         "n": args.n,
         "values": [{"k": k, "method": m, "value": str(v)} for k, m, v in rows],

@@ -13,13 +13,20 @@ ways and assembles the exact characteristic polynomial from the values:
   rec7     difference recurrence, one step down in n
   ratio    multiplicative recurrence (n+k)/(n-k), every division exact
 
+Each of the four polynomial methods has one iterative fill over plain
+lists, column j holding S(., j); a single value fills only the columns
+and rows it needs, a table the whole triangle, and no method recurses.
+nested builds the sums over compositions of each exact total and takes
+their prefix sums, so it shares no recurrence on S with rec6.
+
 The eigenvalues themselves are never computed; only their symmetric
 functions have closed forms here.
 """
 
-import functools
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .matrices import ExactMatrix, build_min_matrix
 
@@ -128,35 +135,80 @@ def symfun_minor_sum(n, k, cap=BRUTE_FORCE_CAP):
     return sum(_minor_sums(n, k)[k])
 
 
+def _trapezoid(n, k):
+    """Column lengths for S(n, k) alone: columns 0..k down to offset n - k.
+
+    A column fill takes such lengths and returns the columns, column j
+    holding S(j + d, j) for 0 <= d < lengths[j]. Entry d of a column needs
+    the previous column down to offset d, so lengths must not increase.
+    """
+    return [n - k + 1] * (k + 1)
+
+
+def _nested_columns(lengths):
+    """Column fill by exact totals. exact[e] sums i_1 * ... * i_j over the
+    compositions of exactly j + e into j parts; splitting off the last
+    part i makes it the sum of i * (previous exact)[e + 1 - i]. Column j
+    holds the prefix sums of exact: S(j + e, j), totals at most j + e."""
+    exact = [1] + [0] * (lengths[0] - 1)
+    columns = [list(accumulate(exact))]
+    for length in lengths[1:]:
+        exact = [
+            sum(map(operator.mul, range(e + 1, 0, -1), exact)) for e in range(length)
+        ]
+        columns.append(list(accumulate(exact)))
+    return columns
+
+
+def _rec6_columns(lengths):
+    """Column fill by S(m, j) = sum_{i=1}^{m-j+1} i * S(m-i, j-1); at
+    m = j + d the weight i pairs with prev[d + 1 - i]."""
+    columns = [[1] * lengths[0]]
+    for length in lengths[1:]:
+        prev = columns[-1]
+        columns.append(
+            [sum(map(operator.mul, range(d + 1, 0, -1), prev)) for d in range(length)]
+        )
+    return columns
+
+
+def _rec7_columns(lengths):
+    """Column fill by S(m, j) = S(m-1, j) + sum_{i=1}^{m-j+1} S(m-i, j-1)
+    from the diagonal S(j, j) = 1."""
+    columns = [[1] * lengths[0]]
+    for length in lengths[1:]:
+        prev = columns[-1]
+        column = [1]
+        for d in range(1, length):
+            column.append(column[-1] + sum(prev[: d + 1]))
+        columns.append(column)
+    return columns
+
+
+def _ratio_column(k, n):
+    """S(k, k), ..., S(n, k) by the ratio recurrence (see symfun_ratio)."""
+    column = [1]
+    for m in range(k + 1, n + 1):
+        quotient, remainder = divmod(column[-1] * (m + k), m - k)
+        if remainder:
+            raise ArithmeticError(
+                f"inexact division in ratio recurrence at m={m}, k={k}"
+            )
+        column.append(quotient)
+    return column
+
+
 def symfun_nested(n, k):
     """Sum of products i_1 * ... * i_k over all compositions with each
     part >= 1 and total at most n."""
     _check_nk(n, k)
-
-    @functools.lru_cache(maxsize=None)
-    def tail(parts, budget):
-        if parts == 0:
-            return 1
-        return sum(i * tail(parts - 1, budget - i) for i in range(1, budget - parts + 2))
-
-    result = tail(k, n)
-    tail.cache_clear()
-    return result
+    return _nested_columns(_trapezoid(n, k))[k][-1]
 
 
 def symfun_rec6(n, k):
     """Weighted recurrence S(n, k) = sum_i i * S(n-i, k-1), i = 1..n-k+1."""
     _check_nk(n, k)
-    table = {}
-
-    def value(m, j):
-        if j == 0:
-            return 1
-        if (m, j) not in table:
-            table[m, j] = sum(i * value(m - i, j - 1) for i in range(1, m - j + 2))
-        return table[m, j]
-
-    return value(n, k)
+    return _rec6_columns(_trapezoid(n, k))[k][-1]
 
 
 def symfun_rec7(n, k):
@@ -166,18 +218,7 @@ def symfun_rec7(n, k):
     determinant of the full matrix) serves as its base instead.
     """
     _check_nk(n, k)
-    table = {}
-
-    def value(m, j):
-        if j == 0 or j == m:
-            return 1
-        if (m, j) not in table:
-            table[m, j] = value(m - 1, j) + sum(
-                value(m - i, j - 1) for i in range(1, m - j + 2)
-            )
-        return table[m, j]
-
-    return value(n, k)
+    return _rec7_columns(_trapezoid(n, k))[k][-1]
 
 
 def symfun_ratio(n, k):
@@ -185,18 +226,7 @@ def symfun_ratio(n, k):
     base S(k, k) = 1. Every division must be exact; a remainder signals an
     implementation bug, not bad input."""
     _check_nk(n, k)
-    if k == 0 or k == n:
-        return 1
-    value = 1
-    for m in range(k + 1, n + 1):
-        numerator = value * (m + k)
-        quotient, remainder = divmod(numerator, m - k)
-        if remainder:
-            raise ArithmeticError(
-                f"inexact division in ratio recurrence at m={m}, k={k}"
-            )
-        value = quotient
-    return value
+    return _ratio_column(k, n)[-1]
 
 
 _DISPATCH = {
@@ -207,6 +237,9 @@ _DISPATCH = {
     "rec7": symfun_rec7,
     "ratio": symfun_ratio,
 }
+
+
+_COLUMNS = {"nested": _nested_columns, "rec6": _rec6_columns, "rec7": _rec7_columns}
 
 
 def symfun(n, k, method="closed"):
@@ -232,10 +265,12 @@ class SymTable:
 
 
 def build_sym_table(n_max, method="closed", cap=BRUTE_FORCE_CAP):
-    """Fill a SymTable bottom-up for the given method.
+    """Fill a SymTable for the given method.
 
-    Much cheaper than repeated single-value calls when sweeping a whole
-    (n, k) range: the per-method work is shared across entries.
+    The polynomial methods run the same column fill as their single-value
+    functions over the whole triangle 0 <= k <= n <= n_max; minors takes
+    every entry from one walk. Much cheaper than repeated single-value
+    calls when sweeping a whole (n, k) range.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -256,54 +291,15 @@ def build_sym_table(n_max, method="closed", cap=BRUTE_FORCE_CAP):
                 total += part
                 if n >= k:
                     values[n, k] = total
-    elif method == "nested":
-        # One shared composition-sum cache serves every (n, k): the value
-        # at (n, k) is the k-part sum with budget n.
-        @functools.lru_cache(maxsize=None)
-        def tail(parts, budget):
-            if parts == 0:
-                return 1
-            return sum(
-                i * tail(parts - 1, budget - i) for i in range(1, budget - parts + 2)
-            )
-
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                values[n, k] = tail(k, n)
-        tail.cache_clear()
-    elif method == "rec6":
-        for n in range(n_max + 1):
-            values[n, 0] = 1
-        for k in range(1, n_max + 1):
-            for n in range(k, n_max + 1):
-                values[n, k] = sum(
-                    i * values[n - i, k - 1] for i in range(1, n - k + 2)
-                )
-    elif method == "rec7":
-        for n in range(n_max + 1):
-            values[n, 0] = 1
-            if n > 0:
-                values[n, n] = 1
-        for k in range(1, n_max + 1):
-            for n in range(k + 1, n_max + 1):
-                values[n, k] = values[n - 1, k] + sum(
-                    values[n - i, k - 1] for i in range(1, n - k + 2)
-                )
-    else:  # ratio
-        for n in range(n_max + 1):
-            values[n, 0] = 1
-        for k in range(1, n_max + 1):
-            value = 1
-            values[k, k] = 1
-            for m in range(k + 1, n_max + 1):
-                numerator = value * (m + k)
-                quotient, remainder = divmod(numerator, m - k)
-                if remainder:
-                    raise ArithmeticError(
-                        f"inexact division in ratio recurrence at m={m}, k={k}"
-                    )
-                value = quotient
-                values[m, k] = value
+    else:
+        if method == "ratio":
+            columns = [_ratio_column(k, n_max) for k in range(n_max + 1)]
+        else:
+            # Column k holds rows k..n_max.
+            columns = _COLUMNS[method](range(n_max + 1, 0, -1))
+        for k, column in enumerate(columns):
+            for d, value in enumerate(column):
+                values[k + d, k] = value
     return SymTable(n_max=n_max, method=method, values=values)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -106,6 +107,24 @@ class TestSymfunCommand:
 
     def test_explicit_minors_above_cap_is_usage_error(self, capsys):
         assert run(capsys, "symfun", "--n", "20", "--k", "3", "--method", "minors")[0] == 2
+
+    def test_k_all_reads_one_table_per_method(self, capsys, monkeypatch):
+        real = cli.build_sym_table
+        built = []
+
+        def counted(n_max, method="closed"):
+            built.append((n_max, method))
+            return real(n_max, method)
+
+        def per_k(n, k, method="closed"):
+            raise AssertionError("--k all must read its values from tables")
+
+        monkeypatch.setattr(cli, "build_sym_table", counted)
+        monkeypatch.setattr(cli, "symfun", per_k)
+        code, out, _ = run(capsys, "symfun", "--n", "12", "--k", "all", "--method", "all",
+                           "--format", "json")
+        assert code == 0 and json.loads(out)["payload"]["agree"] is True
+        assert built == [(12, m) for m in cli.METHODS]
 
     def test_csv_header(self, capsys):
         code, out, _ = run(capsys, "symfun", "--n", "3", "--k", "2", "--format", "csv")
@@ -215,7 +234,16 @@ class TestBenchCommand:
 
 
 class TestInternalErrors:
-    def test_recursion_limit_is_internal_error(self, capsys):
+    def test_rec7_at_n1000_is_exact(self, capsys):
+        code, out, _ = run(capsys, "symfun", "--n", "1000", "--k", "2", "--method", "rec7")
+        assert code == 0
+        assert out == f"k=2 rec7: {math.comb(1002, 4)}\n"
+
+    def test_recursion_error_is_internal_error(self, capsys, monkeypatch):
+        def too_deep(n, k, method="closed"):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "symfun", too_deep)
         code, out, err = run(capsys, "symfun", "--n", "1000", "--k", "2", "--method", "rec7")
         assert code == cli.EXIT_INTERNAL == 3
         assert out == ""

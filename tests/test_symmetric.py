@@ -214,6 +214,49 @@ class TestCrossMethodAgreement:
             symfun(3, 2, method="magic")
 
 
+POLYNOMIAL_METHODS = ("nested", "rec6", "rec7", "ratio")
+
+
+class TestIterativeEngines:
+    @pytest.mark.parametrize("method", POLYNOMIAL_METHODS)
+    @pytest.mark.parametrize("n,k", [(2000, 2), (2000, 1995)])
+    def test_large_n_has_no_recursion_limit(self, method, n, k):
+        assert symfun(n, k, method=method) == math.comb(n + k, n - k)
+
+    @pytest.mark.parametrize("method", POLYNOMIAL_METHODS)
+    def test_single_values_match_table(self, method):
+        table = build_sym_table(40, method)
+        for n in range(41):
+            for k in range(n + 1):
+                assert symfun(n, k, method=method) == table[n, k]
+
+    @pytest.mark.parametrize("method", POLYNOMIAL_METHODS)
+    def test_independent_of_other_methods(self, monkeypatch, method):
+        import minmatrix.symmetric as symmetric
+
+        expected = {(n, k): math.comb(n + k, n - k) for n in range(13) for k in range(n + 1)}
+        single = getattr(symmetric, f"symfun_{method}")
+        engines = {
+            "nested": ("symfun_nested", "_nested_columns"),
+            "rec6": ("symfun_rec6", "_rec6_columns"),
+            "rec7": ("symfun_rec7", "_rec7_columns"),
+            "ratio": ("symfun_ratio", "_ratio_column"),
+            "minors": ("symfun_minor_sum", "_minor_sums"),
+        }
+
+        def forbidden(*args):
+            raise AssertionError(f"{method} must not call another method")
+
+        others = ["binomial", "symfun_closed"]
+        for name, names in engines.items():
+            if name != method:
+                others.extend(names)
+        for name in others:
+            monkeypatch.setattr(symmetric, name, forbidden)
+        assert single(12, 5) == expected[12, 5]
+        assert build_sym_table(12, method).values == expected
+
+
 class TestBinomialIdentity:
     @pytest.mark.parametrize("n", range(8))
     def test_degenerate_diagonal(self, n):
