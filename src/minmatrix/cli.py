@@ -75,11 +75,11 @@ def _matrix_payload(kind, matrix):
     }
 
 
-def _parse_increments(text):
+def _parse_increments(text, name="increment list"):
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ValueError(f"increment list must be comma-separated integers, got {text!r}")
+        raise ValueError(f"{name} must be comma-separated integers, got {text!r}")
 
 
 def _build_matrix(kind, args):
@@ -261,13 +261,6 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _parse_int_list(text, flag):
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ValueError(f"{flag} must be comma-separated integers, got {text!r}")
-
-
 _BENCH_METHODS = METHODS + ("bareiss",)
 
 
@@ -276,8 +269,8 @@ def cmd_bench(args):
     unknown = [m for m in methods if m not in _BENCH_METHODS]
     if unknown:
         raise ValueError(f"unknown bench methods {unknown}; choose from {_BENCH_METHODS}")
-    n_list = _parse_int_list(args.n_list, "--n-list")
-    k_list = _parse_int_list(args.k_list, "--k-list") if args.k_list else None
+    n_list = _parse_increments(args.n_list, "--n-list")
+    k_list = _parse_increments(args.k_list, "--k-list") if args.k_list else None
     rows = []
     for n in n_list:
         ks = k_list if k_list is not None else [max(n // 2, 1)]

@@ -1,11 +1,22 @@
 """Exact determinants: closed forms and a fraction-free elimination oracle.
 
-The closed forms cost O(n) multiplications; the Bareiss elimination is the
-independent O(n^3) check. Both stay in integer arithmetic throughout, so
-every comparison is an exact equality.
+The closed forms cost O(n) multiplications; the elimination in
+``det_bareiss`` is the independent check. Everything stays in integer
+arithmetic, so every comparison is an exact equality.
+
+``det_bareiss`` takes one of three routes, chosen from the matrix alone:
+
+- dimension below 24: the Python-int Bareiss loop ``_eliminate``, which
+  is also the reference the other two routes are tested against;
+- rows much longer than the dimension alone gives (Hadamard bits per row
+  above 1.5*log2(n) + 6): elimination modulo many word-size primes at
+  once and Chinese remaindering (``_det_crt``), certified by Hadamard's
+  bound;
+- otherwise: Bareiss in int64 for as long as an overflow certificate
+  holds, then an exact hand-off of the active block to ``_eliminate``.
 """
 
-from math import prod
+from math import isqrt, prod
 
 from .matrices import _check_increments
 
@@ -17,18 +28,62 @@ _INT64_MIN_DIM = 24
 
 _INT64_LIMIT = 1 << 63
 
+# The multi-modular route is taken when the Hadamard bound H exceeds
+# (2**_CRT_EXCESS_BITS * n**1.5)**n: Hadamard bits per row above
+# 1.5*log2(n) + 6, rows 2**6 times longer than those of an n x n matrix
+# with entries of order n. Bits per row alone cannot tell a matrix whose
+# minors stay small, which the int64 phase finishes without hand-off,
+# from one whose minors grow: A_n, C_{n,k} and lam*I - A_n sit at about
+# 1.5*log2(n) - 2 to 1.5*log2(n) + 1 bits per row at every n, so any
+# fixed threshold would catch them at some dimension, and there the
+# modular route is 3-27x slower (A_48 to A_200, C_{219,70}; its prime
+# count grows with n). C_{d+k-1,k} has about log2(k/d) excess bits and
+# was 2.7-21x slower for k from 2d to 16d; it stays in int64 up to about
+# k = 2**6 * d.
+# Matrices whose minors grow were 1.3-14x faster under the modular route
+# at 6 and more excess bits: random entries of 13-28 bits and delta
+# matrices of 12-64-bit increments, dimension 24-96. (2-vCPU x86-64 host,
+# Python 3.11, numpy 2.4.)
+_CRT_EXCESS_BITS = 6
+
+# Primes of the multi-modular route stay below 2**28. A product of two
+# residues is then below 2**56, and the block can absorb 127 updates
+# before an int64 could overflow, so the block is reduced mod p only
+# every 127 steps while the pivot row and column are reduced at every
+# step. Primes below 2**31 would need a full `%` of the block at every
+# step, which in a prototype was about 1.6x slower on dimension-48 delta
+# matrices of 64-bit increments.
+_CRT_PRIME_BITS = 28
+_CRT_REDUCE_EVERY = ((1 << 63) - (1 << _CRT_PRIME_BITS)) >> (2 * _CRT_PRIME_BITS)
+# Primes per numpy pass: bounds the working set of one pass.
+_CRT_CHUNK = 32
+
 
 def det_bareiss(matrix):
     """Exact determinant by fraction-free (Bareiss) elimination.
 
     Every intermediate division is exact over the integers. Zero pivots
     are handled by row swap with sign tracking; if no nonzero pivot
-    exists the determinant is 0.
+    exists the determinant is 0. The route depends on the matrix; every
+    route returns the same integer as the Python-int loop alone.
 
-    Matrices of dimension at least 24 (_INT64_MIN_DIM) whose entries all
-    satisfy |x| < 2**63 start in a vectorised numpy int64 phase. Before
-    each step it certifies that the update pivot*x - lead*y cannot
-    overflow:
+    Dimension below 24 (_INT64_MIN_DIM): the Python-int loop.
+
+    Big entries: when Hadamard's bound H = prod(isqrt(sum_j x_ij**2) + 1)
+    exceeds (2**6 * n**1.5)**n, the determinant is computed modulo the
+    fewest primes p < 2**28 whose product M exceeds 2*H + 1, by Gaussian
+    elimination for all primes at once in numpy int64, and rebuilt by the
+    Chinese remainder theorem in the symmetric range (-M/2, M/2). Since
+    |det| <= H, the result is certified, not probabilistic (Abbott,
+    Bronstein & Mulders, ISSAC 1999; von zur Gathen & Gerhard, Modern
+    Computer Algebra, 5.5). With p < 2**28 each product of two residues is
+    below 2**56, so the int64 block takes 127 updates before it must be
+    reduced. H is computed only when some |x| >= 2**6 * n: without such an
+    entry no Hadamard factor can pass 2**6 * n**1.5.
+
+    Otherwise, entries all satisfying |x| < 2**63 start in a vectorised
+    numpy int64 phase. Before each step it certifies that the update
+    pivot*x - lead*y cannot overflow:
 
         |pivot| * max|block| + max|lead column| * max|pivot row| < 2**63,
 
@@ -37,15 +92,21 @@ def det_bareiss(matrix):
     The hand-off loses nothing: by Sylvester's identity every Bareiss
     intermediate is a minor of the input, so each int64 value is that
     minor exactly and the quotient by the previous pivot stays exact
-    (Bareiss 1968, Math. Comp. 22). The result is the same integer the
-    Python-int loop alone would give.
+    (Bareiss 1968, Math. Comp. 22).
     """
     rows = matrix.to_lists()
-    if (
-        len(rows) >= _INT64_MIN_DIM
-        and -_INT64_LIMIT < min(map(min, rows))
-        and max(map(max, rows)) < _INT64_LIMIT
-    ):
+    n = len(rows)
+    if n < _INT64_MIN_DIM:
+        return _eliminate(rows, 1, 1)
+    low = min(map(min, rows))
+    high = max(map(max, rows))
+    # Every Hadamard factor is at most sqrt(n) * max|x| + 1, so the bound
+    # can pass the threshold only if max|x| >= 2**_CRT_EXCESS_BITS * n.
+    if max(high, -low) >= n << _CRT_EXCESS_BITS:
+        bound = _hadamard(rows)
+        if bound * bound > (n**3 << 2 * _CRT_EXCESS_BITS) ** n:
+            return _det_crt(rows, bound)
+    if -_INT64_LIMIT < low and high < _INT64_LIMIT:
         return _det_int64(rows)
     return _eliminate(rows, 1, 1)
 
@@ -119,6 +180,148 @@ def _det_int64(rows):
             block //= prev
         prev = pivot
     return sign * int(a[n - 1, n - 1])
+
+
+# Primes below 2**_CRT_PRIME_BITS in descending order, found on first use.
+# A tuple replaced whole: a concurrent caller sees a complete prefix.
+_crt_prime_table = ()
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin for odd n > 7: bases 2, 3, 5 and 7 have
+    no common strong pseudoprime below 3,215,031,751."""
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _crt_primes(bound):
+    """The fewest of the largest primes below 2**_CRT_PRIME_BITS whose
+    product exceeds ``bound``, and that product."""
+    global _crt_prime_table
+    table = list(_crt_prime_table)
+    modulus = 1
+    count = 0
+    while modulus <= bound:
+        if count == len(table):
+            candidate = table[-1] - 2 if table else (1 << _CRT_PRIME_BITS) - 1
+            while not _is_prime(candidate):
+                candidate -= 2
+            table.append(candidate)
+        modulus *= table[count]
+        count += 1
+    if len(table) > len(_crt_prime_table):
+        _crt_prime_table = tuple(table)
+    return table[:count], modulus
+
+
+def _hadamard(rows):
+    """Hadamard's bound on |det|: the product of the row norms, each
+    rounded up to an integer."""
+    return prod(isqrt(sum(x * x for x in row)) + 1 for row in rows)
+
+
+def _det_crt(rows, bound):
+    """Exact determinant of an integer matrix with |det| <= ``bound`` by
+    elimination modulo word-size primes and Chinese remaindering.
+
+    The primes' product M exceeds 2*bound + 1, so the determinant is the
+    unique residue mod M in the symmetric range. A prime never has to be
+    dropped: a zero pivot mod p is swapped within that prime's slice, and
+    a column that is all zero mod p means the determinant is 0 mod p.
+    """
+    import numpy as np
+
+    primes, modulus = _crt_primes(2 * bound + 1)
+    n = len(rows)
+    flat = [x for row in rows for x in row]
+    # |x| as 32-bit limbs, most significant first. Horner's rule mod p
+    # keeps acc < 2**28, so acc * 2**32 + limb < 2**61.
+    width = max(1, -(-max(map(abs, flat)).bit_length() // 32))
+    limbs = np.frombuffer(
+        b"".join(abs(x).to_bytes(4 * width, "big") for x in flat), dtype=">u4"
+    ).astype(np.int64).reshape(n, n, width, 1)
+    negative = np.array([x < 0 for x in flat]).reshape(n, n, 1)
+    # One working array and one outer-product scratch serve every chunk.
+    work = np.empty(n * n * _CRT_CHUNK, dtype=np.int64)
+    outer = np.empty((n - 1) * (n - 1) * _CRT_CHUNK, dtype=np.int64)
+    residues = []
+    for start in range(0, len(primes), _CRT_CHUNK):
+        p = np.array(primes[start : start + _CRT_CHUNK], dtype=np.int64)
+        a = work[: n * n * len(p)].reshape(n, n, len(p))
+        a[...] = 0
+        for limb in range(width):
+            a <<= 32
+            a += limbs[:, :, limb]
+            a %= p
+        # Residues of x, in (-p, p).
+        np.negative(a, out=a, where=negative)
+        residues += _det_mod(a, p, outer)
+    total = 0
+    for r, q in zip(residues, primes):
+        share = modulus // q
+        total += r * pow(share % q, -1, q) % q * share
+    total %= modulus
+    return total - modulus if 2 * total > modulus else total
+
+
+def _det_mod(a, p, outer):
+    """Determinants mod p[i] of the slices a[:, :, i] by Gaussian
+    elimination, as a list of residues in [0, p[i]). ``a`` is consumed;
+    ``outer`` is scratch space for the update's outer product.
+
+    Entries of ``a`` start in (-p, p). Each step reduces the pivot column
+    and row, so every factor of an update is in [0, p) and each update
+    subtracts less than 2**56 from a block entry; the block itself is
+    reduced every _CRT_REDUCE_EVERY steps, before it could leave int64.
+    """
+    import numpy as np
+
+    n = a.shape[0]
+    moduli = p.tolist()
+    dets = [1] * len(moduli)
+    for step in range(n):
+        column = a[step:, step]
+        column %= p
+        for i in np.flatnonzero(column[0] == 0):
+            below = np.flatnonzero(column[1:, i])
+            if below.size:
+                r = step + 1 + int(below[0])
+                a[[step, r], step:, i] = a[[r, step], step:, i]
+                dets[i] = -dets[i]
+        pivots = column[0].tolist()
+        dets = [d * v % q for d, v, q in zip(dets, pivots, moduli)]
+        if step == n - 1:
+            return dets
+        # A slice whose column is zero mod p has pivot 0: its determinant
+        # is already 0, and a zero inverse leaves its block alone.
+        inverse = np.array(
+            [pow(v, -1, q) if v else 0 for v, q in zip(pivots, moduli)], dtype=np.int64
+        )
+        factor = column[1:] * inverse
+        factor %= p
+        pivot_row = a[step, step + 1 :]
+        pivot_row %= p
+        size = n - 1 - step
+        product = outer[: size * size * len(moduli)].reshape(size, size, len(moduli))
+        np.multiply(factor[:, None, :], pivot_row[None, :, :], out=product)
+        block = a[step + 1 :, step + 1 :]
+        block -= product
+        if (step + 1) % _CRT_REDUCE_EVERY == 0:
+            block %= p
 
 
 def delta_det_closed(inc):

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 
@@ -79,6 +80,19 @@ class TestDetCommand:
 
     def test_bad_increments(self, capsys):
         assert run(capsys, "det", "delta", "--inc", "2,x,4")[0] == 2
+
+    def test_bad_increments_message(self, capsys):
+        code, out, err = run(capsys, "det", "delta", "--inc", "2,x,4")
+        assert (code, out) == (2, "")
+        assert err == "error: increment list must be comma-separated integers, got '2,x,4'\n"
+
+    @pytest.mark.parametrize("kind,count", [("delta", 48), ("theta", 49)])
+    def test_64_bit_increments_agree(self, capsys, kind, count):
+        rng = random.Random(count)
+        inc = [rng.choice((-1, 1)) * rng.randrange(2**63, 2**64) for _ in range(count)]
+        code, out, _ = run(capsys, "det", kind, f"--inc={','.join(map(str, inc))}", "--method", "both")
+        assert code == 0
+        assert out.splitlines()[-1] == "agree"
 
 
 class TestSymfunCommand:
@@ -231,6 +245,16 @@ class TestBenchCommand:
 
     def test_bad_k(self, capsys):
         assert run(capsys, "bench", "--n-list", "4", "--k-list", "9")[0] == 2
+
+    def test_bad_n_list_message(self, capsys):
+        code, out, err = run(capsys, "bench", "--n-list", "6,y")
+        assert (code, out) == (2, "")
+        assert err == "error: --n-list must be comma-separated integers, got '6,y'\n"
+
+    def test_bad_k_list_message(self, capsys):
+        code, out, err = run(capsys, "bench", "--n-list", "6", "--k-list", "2,z")
+        assert (code, out) == (2, "")
+        assert err == "error: --k-list must be comma-separated integers, got '2,z'\n"
 
 
 class TestInternalErrors:

@@ -1,4 +1,8 @@
 import random
+import subprocess
+import sys
+import threading
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +22,7 @@ from minmatrix import (
 )
 from minmatrix import determinants
 from minmatrix.determinants import _INT64_MIN_DIM, _eliminate
-from minmatrix.symmetric import char_matrix
+from minmatrix.symmetric import char_matrix, charpoly
 
 
 def det_cofactor(rows):
@@ -281,3 +285,272 @@ class TestInt64Phase:
         for e, sign in planted:
             rows[rng.randrange(n)][rng.randrange(n)] = sign * 2**e
         assert det_bareiss(ExactMatrix(rows)) == reference(rows)
+
+
+def crt(rows, det_crt=determinants._det_crt):
+    """The multi-modular route on its own, certified by the Hadamard bound.
+    Bound at import, so the routing spy does not see these calls."""
+    return det_crt([row[:] for row in rows], determinants._hadamard(rows))
+
+
+def residues_by_slice(rows, primes):
+    """_det_mod on a matrix reduced entry by entry in Python ints."""
+    import numpy as np
+
+    n = len(rows)
+    p = np.array(primes, dtype=np.int64)
+    a = np.array([[[x % q for q in primes] for x in row] for row in rows], dtype=np.int64)
+    outer = np.empty(max(n - 1, 1) ** 2 * len(primes), dtype=np.int64)
+    return determinants._det_mod(a, p, outer)
+
+
+def is_prime_by_trial(q):
+    return q > 1 and all(q % d for d in range(2, isqrt(q) + 1))
+
+
+def unimodular_mix(rng, rows):
+    """L @ rows for a random unit lower-triangular integer L: the same
+    determinant, entries of every size mixed into every row."""
+    n = len(rows)
+    mixed = [row[:] for row in rows]
+    for r in range(1, n):
+        for t in range(r):
+            c = rng.randint(-3, 3)
+            mixed[r] = [x + c * y for x, y in zip(mixed[r], mixed[t])]
+    return mixed
+
+
+@pytest.fixture
+def crt_calls(monkeypatch):
+    """Record the dimension of every matrix that det_bareiss sends to the
+    multi-modular route."""
+    calls = []
+    det_crt = determinants._det_crt
+
+    def spy(rows, bound):
+        calls.append(len(rows))
+        return det_crt(rows, bound)
+
+    monkeypatch.setattr(determinants, "_det_crt", spy)
+    return calls
+
+
+class TestMultiModular:
+    def test_primes_are_the_largest_below_the_limit(self, monkeypatch):
+        monkeypatch.setattr(determinants, "_crt_prime_table", ())
+        primes, modulus = determinants._crt_primes(2**3000)
+        assert modulus == prod(primes) > 2**3000 >= prod(primes[:-1])
+        top = 2**determinants._CRT_PRIME_BITS
+        assert primes == [q for q in range(top - 1, primes[-1] - 1, -2) if is_prime_by_trial(q)]
+        # Found once: a shorter request reads a prefix of the same table.
+        fewer, _ = determinants._crt_primes(2**100)
+        assert fewer == primes[: len(fewer)]
+        assert determinants._crt_prime_table == tuple(primes)
+
+    def test_prime_table_under_concurrent_first_use(self, monkeypatch):
+        expected, _ = determinants._crt_primes(2**2000)
+        monkeypatch.setattr(determinants, "_crt_prime_table", ())
+        results = []
+        threads = [
+            threading.Thread(target=lambda b=b: results.append(determinants._crt_primes(2**b)[0]))
+            for b in range(500, 2001, 300)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == len(threads)
+        for primes in results:
+            assert primes == expected[: len(primes)]
+        table = determinants._crt_prime_table
+        assert table == tuple(expected[: len(table)])
+
+    def test_miller_rabin_rejects_strong_pseudoprimes(self):
+        # Strong pseudoprimes to base 2, to bases 2 and 3, and to 2, 3 and 5.
+        for n in (2047, 3277, 4033, 1373653, 25326001):
+            assert not determinants._is_prime(n)
+        assert [n for n in range(9, 2000, 2) if determinants._is_prime(n)] == [
+            n for n in range(9, 2000, 2) if is_prime_by_trial(n)
+        ]
+
+    def test_no_prime_search_at_import(self):
+        code = "import minmatrix.determinants as d; print(len(d._crt_prime_table))"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0"
+
+    @pytest.mark.parametrize("n", [1, 2, 3, _INT64_MIN_DIM])
+    @pytest.mark.parametrize("bits", [1, 30, 64, 200])
+    def test_small_and_threshold_dimensions(self, n, bits):
+        rng = random.Random(n * 1000 + bits)
+        for _ in range(4):
+            rows = random_rows(rng, n, -(2**bits), 2**bits)
+            assert crt(rows) == reference(rows)
+            assert det_bareiss(ExactMatrix(rows)) == reference(rows)
+
+    @pytest.mark.parametrize("big", [2**63 - 1, 2**64, 2**200], ids=["2**63-1", "2**64", "2**200"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_extreme_entries(self, big, sign):
+        rng = random.Random(big % 1000 + sign)
+        n = _INT64_MIN_DIM + 6
+        for planted in (1, 5, n * n):
+            rows = random_rows(rng, n)
+            for _ in range(planted):
+                rows[rng.randrange(n)][rng.randrange(n)] = rng.choice((sign, -sign)) * big
+            assert crt(rows) == reference(rows)
+            assert det_bareiss(ExactMatrix(rows)) == reference(rows)
+
+    def test_singular(self, crt_calls):
+        rng = random.Random(21)
+        n = 30
+        big = 2**70
+        duplicate = random_rows(rng, n, -big, big)
+        duplicate[17] = duplicate[4][:]
+        zero_column = random_rows(rng, n, -big, big)
+        for row in zero_column:
+            row[9] = 0
+        left = random_rows(rng, n, -big, big)
+        low_rank = [[sum(left[r][t] * left[t][c] for t in range(7)) for c in range(n)] for r in range(n)]
+        zero = [[0] * n for _ in range(n)]
+        for rows in (duplicate, zero_column, low_rank, zero):
+            assert reference(rows) == 0
+            assert crt(rows) == 0
+            assert det_bareiss(ExactMatrix(rows)) == 0
+        # The all-zero matrix has no large entry, so it stays in int64.
+        assert crt_calls == [n, n, n]
+
+    @pytest.mark.parametrize("n", [2, 5, _INT64_MIN_DIM])
+    def test_pivot_multiple_of_first_prime_swaps_in_one_slice(self, n):
+        rng = random.Random(n)
+        primes = determinants._crt_primes(2**200)[0][:3]
+        first = primes[0]
+        # At n = 2 the second pivot is the last one: the determinant itself.
+        for step in (0, 1) if n > 2 else (0,):
+            rows = random_rows(rng, n, -(2**40), 2**40)
+            if step == 0:
+                rows[0][0] = first * rng.randint(1, 2**20)
+            else:
+                # The second pivot is the leading 2x2 minor.
+                rows[0][:2] = [1, 0]
+                rows[1][:2] = [0, first * 7]
+            expected = reference(rows)
+            assert expected % first != 0
+            assert residues_by_slice(rows, primes) == [expected % q for q in primes]
+            assert crt(rows) == expected
+            assert det_bareiss(ExactMatrix(rows)) == expected
+
+    @pytest.mark.parametrize("n", [2, _INT64_MIN_DIM + 1])
+    def test_column_zero_mod_one_prime_only(self, n):
+        rng = random.Random(n + 50)
+        primes = determinants._crt_primes(2**200)[0][:3]
+        first = primes[0]
+        rows = random_rows(rng, n, -(2**40), 2**40)
+        for row in rows:
+            row[n // 2] = first * rng.randint(-(2**20), 2**20)
+        expected = reference(rows)
+        assert expected != 0
+        residues = residues_by_slice(rows, primes)
+        assert residues[0] == 0
+        assert all(residues[1:])
+        assert residues == [expected % q for q in primes]
+        assert crt(rows) == expected
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    @pytest.mark.parametrize("n", [1, 3, _INT64_MIN_DIM])
+    def test_results_near_half_the_modulus(self, count, n):
+        # M is the product of the first ``count`` primes and m of one
+        # fewer. With bound (M - 3) / 2 or (m + 1) / 2, exactly those
+        # primes are used: +-(M - 3) / 2 are the residues farthest from 0
+        # that the symmetric range holds, and +-(m + 1) / 2 would come
+        # back wrong with one prime fewer.
+        primes = determinants._crt_primes(2**1000)[0][:count]
+        modulus = prod(primes)
+        rng = random.Random(count * 100 + n)
+        for value in ((modulus - 3) // 2, (modulus // primes[-1] + 1) // 2):
+            assert determinants._crt_primes(2 * value + 1) == (primes, modulus)
+            for target in (value, -value):
+                diagonal = [[target if r == c == 0 else int(r == c) for c in range(n)] for r in range(n)]
+                rows = unimodular_mix(rng, diagonal)
+                assert reference(rows) == target
+                assert determinants._det_crt(rows, value) == target
+
+    def test_block_reduction_keeps_int64_past_the_reduction_interval(self):
+        # L @ U with -1 in every off-diagonal entry of the unit triangular
+        # factors L and U: elimination mod p recovers L and U, so every
+        # update subtracts (p - 1)**2 from each entry below and right of
+        # the pivot, the most the bound allows. Without the periodic
+        # reduction int64 would overflow after 128 steps.
+        n = determinants._CRT_REDUCE_EVERY + 13
+        rows = [
+            [sum((1 if t == r else -1) * (1 if t == c else -1) for t in range(min(r, c) + 1)) for c in range(n)]
+            for r in range(n)
+        ]
+        assert crt(rows) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, _INT64_MIN_DIM + 8),
+        st.randoms(use_true_random=False),
+        st.lists(
+            st.tuples(st.integers(30, 130), st.sampled_from([1, -1])), min_size=1, max_size=12
+        ),
+    )
+    def test_planted_large_entries_match_reference(self, n, rng, planted):
+        rows = random_rows(rng, n, -9, 9)
+        for e, sign in planted:
+            rows[rng.randrange(n)][rng.randrange(n)] = sign * (2**e + rng.randrange(2**e))
+        assert crt(rows) == reference(rows)
+        assert det_bareiss(ExactMatrix(rows)) == reference(rows)
+
+
+def increments(rng, count):
+    return [rng.choice((-1, 1)) * rng.randrange(2**63, 2**64) for _ in range(count)]
+
+
+class TestRouting:
+    def test_64_bit_delta_and_theta_go_to_crt(self, crt_calls):
+        rng = random.Random(48)
+        inc = increments(rng, 48)
+        assert det_bareiss(build_delta_matrix(inc)) == delta_det_closed(inc)
+        inc = increments(rng, 49)
+        assert det_bareiss(build_theta_matrix(inc)) == theta_det_closed(inc)
+        assert crt_calls == [48, 48]
+
+    def test_paper_matrices_never_go_to_crt(self, crt_calls, monkeypatch):
+        def no_hadamard(rows):
+            raise AssertionError("Hadamard bound computed")
+
+        # The entry scan alone keeps them off the route.
+        monkeypatch.setattr(determinants, "_hadamard", no_hadamard)
+        poly = charpoly(120)
+        for lam in range(-3, 6):
+            assert det_bareiss(char_matrix(120, lam)) == poly(lam)
+        assert det_bareiss(build_min_matrix(200)) == 1
+        assert det_bareiss(build_c_matrix(219, 70)) == 70
+        assert crt_calls == []
+
+    def test_route_follows_the_threshold(self, crt_calls):
+        # The route is CRT exactly when H > (2**e * n**1.5)**n. c*I + J
+        # crosses near c = 2**e * n**1.5, about 7526 at n = 24 and e = 6;
+        # t*J + I crosses at t = 2**e * n, where the entry scan's gate
+        # max|x| >= 2**e * n is tight.
+        n = _INT64_MIN_DIM
+        e = determinants._CRT_EXCESS_BITS
+        cases = [(scaled_identity_plus_ones(n, c), c ** (n - 1) * (c + n)) for c in range(7400, 7700, 25)]
+        for t in range((n << e) - 3, (n << e) + 4):
+            cases.append(([[t + (r == c) for c in range(n)] for r in range(n)], 1 + n * t))
+        routed = []
+        for rows, expected in cases:
+            before = len(crt_calls)
+            assert det_bareiss(ExactMatrix(rows)) == expected
+            bound = determinants._hadamard(rows)
+            routed.append(len(crt_calls) > before)
+            assert routed[-1] == (bound * bound > (n**3 << 2 * e) ** n)
+        assert routed[0] is False and routed[11] is True
+        assert routed[12:] == [False] * 3 + [True] * 4
