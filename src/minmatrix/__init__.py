@@ -15,7 +15,7 @@ from .determinants import (
     det_min_matrix,
     theta_det_closed,
 )
-from .fibonacci import fib, fib_sequence, fibonacci_identity
+from .fibonacci import fib, fibonacci_identity
 from .matrices import (
     ExactMatrix,
     build_c_matrix,
@@ -82,7 +82,6 @@ __all__ = [
     "BRUTE_FORCE_CAP",
     "METHODS",
     "fib",
-    "fib_sequence",
     "fibonacci_identity",
     "SimConfig",
     "CovEstimate",

@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import sys
-import time
 
 from . import __version__
 from .determinants import (
@@ -56,98 +55,94 @@ def _metadata(seed=None):
     return meta
 
 
-def _emit_json(payload, seed=None):
-    document = {"payload": payload, "metadata": _metadata(seed)}
-    print(json.dumps(document, indent=2))
+def _emit(args, payload, header, rows, lines, seed=None, notes=(), csv_tail=()):
+    """Print the output --format selects: the JSON document of payload,
+    the CSV table of header and rows followed by the csv_tail lines, or
+    the plain lines with each note on stderr."""
+    if args.format == "json":
+        print(json.dumps({"payload": payload, "metadata": _metadata(seed)}, indent=2))
+    elif args.format == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(header)
+        writer.writerows(rows)
+        for line in csv_tail:
+            print(line)
+    else:
+        for line in lines:
+            print(line)
+        for note in notes:
+            print(f"note: {note}", file=sys.stderr)
 
 
-def _emit_csv(header, rows):
-    writer = csv.writer(sys.stdout)
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _matrix_payload(kind, matrix):
-    return {
-        "kind": kind,
-        "dim": matrix.dim,
-        "rows": [[str(v) for v in row] for row in matrix.to_lists()],
-    }
-
-
-def _parse_increments(text, name="increment list"):
+def _parse_increments(text):
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ValueError(f"{name} must be comma-separated integers, got {text!r}")
+        raise ValueError(f"increment list must be comma-separated integers, got {text!r}")
 
 
-def _build_matrix(kind, args):
-    if kind == "min":
-        if args.n is None:
-            raise ValueError("matrix min requires --n")
-        return build_min_matrix(args.n)
-    if kind == "c":
-        if args.n is None or args.k is None:
-            raise ValueError("matrix c requires --n and --k")
-        return build_c_matrix(args.n, args.k)
-    if args.inc is None:
-        raise ValueError(f"matrix {kind} requires --inc")
-    inc = _parse_increments(args.inc)
-    return build_delta_matrix(inc) if kind == "delta" else build_theta_matrix(inc)
+# Each matrix kind: the options it needs, its builder and its closed-form
+# determinant. The lambdas look the layer functions up when called, so a
+# function patched into this module's globals is the one that runs.
+_KINDS = {
+    "min": (("n",), lambda a: build_min_matrix(a.n), lambda a: det_min_matrix(a.n)),
+    "c": (("n", "k"), lambda a: build_c_matrix(a.n, a.k), lambda a: det_c_matrix(a.n, a.k)),
+    "delta": (
+        ("inc",),
+        lambda a: build_delta_matrix(_parse_increments(a.inc)),
+        lambda a: delta_det_closed(_parse_increments(a.inc)),
+    ),
+    "theta": (
+        ("inc",),
+        lambda a: build_theta_matrix(_parse_increments(a.inc)),
+        lambda a: theta_det_closed(_parse_increments(a.inc)),
+    ),
+}
+
+
+def _kind(args):
+    """The builder and closed-form determinant of args.kind, once every
+    option the kind needs is given."""
+    options, build, closed = _KINDS[args.kind]
+    if any(getattr(args, name) is None for name in options):
+        needed = " and ".join(f"--{name}" for name in options)
+        raise ValueError(f"{args.command} {args.kind} requires {needed}")
+    return build, closed
 
 
 def cmd_matrix(args):
-    matrix = _build_matrix(args.kind, args)
-    if args.format == "json":
-        _emit_json(_matrix_payload(args.kind, matrix))
-    elif args.format == "csv":
-        _emit_csv(
-            [f"c{j}" for j in range(1, matrix.dim + 1)],
-            [[str(v) for v in row] for row in matrix.to_lists()],
-        )
-    else:
-        for row in matrix.to_lists():
-            print(" ".join(str(v) for v in row))
+    build, _ = _kind(args)
+    matrix = build(args)
+    rows = [[str(v) for v in row] for row in matrix.to_lists()]
+    _emit(
+        args,
+        {"kind": args.kind, "dim": matrix.dim, "rows": rows},
+        [f"c{j}" for j in range(1, matrix.dim + 1)],
+        rows,
+        (" ".join(row) for row in rows),
+    )
     return EXIT_OK
 
 
-def _closed_det(kind, args):
-    if kind == "min":
-        if args.n is None:
-            raise ValueError("det min requires --n")
-        return det_min_matrix(args.n)
-    if kind == "c":
-        if args.n is None or args.k is None:
-            raise ValueError("det c requires --n and --k")
-        return det_c_matrix(args.n, args.k)
-    if args.inc is None:
-        raise ValueError(f"det {kind} requires --inc")
-    inc = _parse_increments(args.inc)
-    return delta_det_closed(inc) if kind == "delta" else theta_det_closed(inc)
-
-
 def cmd_det(args):
+    build, closed = _kind(args)
     values = {}
     if args.method in ("closed", "both"):
-        values["closed"] = _closed_det(args.kind, args)
+        values["closed"] = closed(args)
     if args.method in ("bareiss", "both"):
-        values["bareiss"] = det_bareiss(_build_matrix(args.kind, args))
+        values["bareiss"] = det_bareiss(build(args))
     agree = len(set(values.values())) == 1
-    payload = {
-        "kind": args.kind,
-        "values": {name: str(v) for name, v in values.items()},
-        "agree": agree,
-    }
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        _emit_csv(["method", "value"], [[name, str(v)] for name, v in values.items()])
-    else:
-        for name, v in values.items():
-            print(f"{name}: {v}")
-        if args.method == "both":
-            print("agree" if agree else "DISAGREE")
+    values = {name: str(v) for name, v in values.items()}
+    lines = [f"{name}: {v}" for name, v in values.items()]
+    if args.method == "both":
+        lines.append("agree" if agree else "DISAGREE")
+    _emit(
+        args,
+        {"kind": args.kind, "values": values, "agree": agree},
+        ["method", "value"],
+        values.items(),
+        lines,
+    )
     return EXIT_OK if agree else EXIT_DISAGREE
 
 
@@ -161,6 +156,8 @@ def _symfun_values(n, ks, method):
 
 
 def cmd_symfun(args):
+    if args.n < 0:
+        raise ValueError(f"symfun requires --n >= 0, got {args.n}")
     ks = range(args.n + 1) if args.k == "all" else [int(args.k)]
     methods = list(METHODS) if args.method == "all" else [args.method]
     columns = {}
@@ -172,57 +169,52 @@ def cmd_symfun(args):
             if args.method != "all":
                 raise
             notes.append(f"minors skipped: n={args.n} above brute-force cap {BRUTE_FORCE_CAP}")
-    rows = [(k, m, values[i]) for i, k in enumerate(ks) for m, values in columns.items()]
+    rows = [(k, m, str(values[i])) for i, k in enumerate(ks) for m, values in columns.items()]
     disagreement = any(len(set(values)) > 1 for values in zip(*columns.values()))
-    payload = {
-        "n": args.n,
-        "values": [{"k": k, "method": m, "value": str(v)} for k, m, v in rows],
-        "agree": not disagreement,
-        "notes": notes,
-    }
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        _emit_csv(["k", "method", "value"], [[k, m, str(v)] for k, m, v in rows])
-    else:
-        for k, m, v in rows:
-            print(f"k={k} {m}: {v}")
-        for note in notes:
-            print(f"note: {note}", file=sys.stderr)
-        if disagreement:
-            print("DISAGREE")
+    lines = [f"k={k} {m}: {v}" for k, m, v in rows]
+    if disagreement:
+        lines.append("DISAGREE")
+    _emit(
+        args,
+        {
+            "n": args.n,
+            "values": [{"k": k, "method": m, "value": v} for k, m, v in rows],
+            "agree": not disagreement,
+            "notes": notes,
+        },
+        ["k", "method", "value"],
+        rows,
+        lines,
+        notes=notes,
+    )
     return EXIT_DISAGREE if disagreement else EXIT_OK
 
 
 def cmd_verify(args):
     results = run_suites([args.suite], args.n_max, seed=args.seed)
     all_passed = all(r.passed for r in results)
-    payload = {
-        "suite": args.suite,
-        "n_max": args.n_max,
-        "checks": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail, "notes": r.notes}
-            for r in results
-        ],
-        "all_passed": all_passed,
-    }
-    if args.format == "json":
-        _emit_json(payload, seed=args.seed)
-    elif args.format == "csv":
-        _emit_csv(
-            ["name", "passed", "detail"],
-            [[r.name, "pass" if r.passed else "fail", r.detail] for r in results],
-        )
-    else:
-        for r in results:
-            status = "pass" if r.passed else "FAIL"
-            line = f"[{status}] {r.name}"
-            if r.detail:
-                line += f" ({r.detail})"
-            print(line)
-            for note in r.notes:
-                print(f"       note: {note}")
-        print("all checks passed" if all_passed else "FAILURES PRESENT")
+    lines = []
+    for r in results:
+        status = "pass" if r.passed else "FAIL"
+        lines.append(f"[{status}] {r.name}" + (f" ({r.detail})" if r.detail else ""))
+        lines.extend(f"       note: {note}" for note in r.notes)
+    lines.append("all checks passed" if all_passed else "FAILURES PRESENT")
+    _emit(
+        args,
+        {
+            "suite": args.suite,
+            "n_max": args.n_max,
+            "checks": [
+                {"name": r.name, "passed": r.passed, "detail": r.detail, "notes": r.notes}
+                for r in results
+            ],
+            "all_passed": all_passed,
+        },
+        ["name", "passed", "detail"],
+        ([r.name, "pass" if r.passed else "fail", r.detail] for r in results),
+        lines,
+        seed=args.seed,
+    )
     return EXIT_OK if all_passed else EXIT_DISAGREE
 
 
@@ -237,69 +229,24 @@ def cmd_simulate(args):
     )
     estimate = simulate_covariance(cfg)
     deviation = covariance_deviation(estimate)
-    payload = {
-        "n": cfg.n,
-        "m": cfg.m,
-        "sigma": cfg.sigma,
-        "dist": cfg.dist,
-        "chunks": cfg.chunks,
-        "covariance": [[float(v) for v in row] for row in estimate.matrix],
-        "deviation": deviation,
-    }
-    if args.format == "json":
-        _emit_json(payload, seed=cfg.seed)
-    elif args.format == "csv":
-        _emit_csv(
-            [f"c{j}" for j in range(1, cfg.n + 1)],
-            [[repr(float(v)) for v in row] for row in estimate.matrix],
-        )
-        print(f"# deviation,{deviation}")
-    else:
-        for row in estimate.matrix:
-            print(" ".join(f"{v:10.4f}" for v in row))
-        print(f"deviation: {deviation:.6f}")
-    return EXIT_OK
-
-
-_BENCH_METHODS = METHODS + ("bareiss",)
-
-
-def cmd_bench(args):
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    unknown = [m for m in methods if m not in _BENCH_METHODS]
-    if unknown:
-        raise ValueError(f"unknown bench methods {unknown}; choose from {_BENCH_METHODS}")
-    n_list = _parse_increments(args.n_list, "--n-list")
-    k_list = _parse_increments(args.k_list, "--k-list") if args.k_list else None
-    rows = []
-    for n in n_list:
-        ks = k_list if k_list is not None else [max(n // 2, 1)]
-        for k in ks:
-            if not 1 <= k <= n:
-                raise ValueError(f"bench requires 1 <= k <= n, got n={n}, k={k}")
-            for method in methods:
-                start = time.perf_counter()
-                if method == "bareiss":
-                    value = det_bareiss(build_min_matrix(n))
-                else:
-                    value = symfun(n, k, method=method)
-                elapsed = time.perf_counter() - start
-                rows.append((n, k, method, elapsed, value))
-    if args.format == "json":
-        _emit_json(
-            [
-                {"n": n, "k": k, "method": m, "seconds": s, "value": str(v)}
-                for n, k, m, s, v in rows
-            ]
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["n", "k", "method", "seconds", "value"],
-            [[n, k, m, repr(s), str(v)] for n, k, m, s, v in rows],
-        )
-    else:
-        for n, k, m, s, v in rows:
-            print(f"n={n} k={k} {m}: {s:.6f}s value={v}")
+    _emit(
+        args,
+        {
+            "n": cfg.n,
+            "m": cfg.m,
+            "sigma": cfg.sigma,
+            "dist": cfg.dist,
+            "chunks": cfg.chunks,
+            "covariance": [[float(v) for v in row] for row in estimate.matrix],
+            "deviation": deviation,
+        },
+        [f"c{j}" for j in range(1, cfg.n + 1)],
+        ([repr(float(v)) for v in row] for row in estimate.matrix),
+        [" ".join(f"{v:10.4f}" for v in row) for row in estimate.matrix]
+        + [f"deviation: {deviation:.6f}"],
+        seed=cfg.seed,
+        csv_tail=[f"# deviation,{deviation}"],
+    )
     return EXIT_OK
 
 
@@ -319,7 +266,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_matrix = sub.add_parser("matrix", help="construct and print a matrix")
-    p_matrix.add_argument("kind", choices=("min", "c", "delta", "theta"))
+    p_matrix.add_argument("kind", choices=tuple(_KINDS))
     p_matrix.add_argument("--n", type=int)
     p_matrix.add_argument("--k", type=int)
     p_matrix.add_argument("--inc", help="comma-separated increments, e.g. 2,3,4")
@@ -327,7 +274,7 @@ def build_parser():
     p_matrix.set_defaults(func=cmd_matrix)
 
     p_det = sub.add_parser("det", help="determinant by closed form and/or elimination")
-    p_det.add_argument("kind", choices=("min", "c", "delta", "theta"))
+    p_det.add_argument("kind", choices=tuple(_KINDS))
     p_det.add_argument("--n", type=int)
     p_det.add_argument("--k", type=int)
     p_det.add_argument("--inc")
@@ -358,13 +305,6 @@ def build_parser():
     p_sim.add_argument("--chunks", type=int, default=8)
     _add_format(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
-
-    p_bench = sub.add_parser("bench", help="time the computation methods")
-    p_bench.add_argument("--n-list", required=True)
-    p_bench.add_argument("--k-list")
-    p_bench.add_argument("--methods", default="closed,rec7,ratio")
-    _add_format(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
 
     return parser
 

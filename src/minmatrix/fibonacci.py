@@ -14,16 +14,6 @@ def fib(i):
     return a
 
 
-def fib_sequence(count):
-    """The first `count` Fibonacci numbers as a list."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    values = [1, 1]
-    while len(values) < count:
-        values.append(values[-1] + values[-2])
-    return values[:count]
-
-
 def fibonacci_identity(n):
     """Check sum_{k=0}^n C(n+k, n-k) = F_{2n+1} (Gould's identity), in
     both its direct form and the restatement with S_0 split off as +1."""

@@ -45,10 +45,9 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class CovEstimate:
-    """Empirical covariance matrix with its sample count and config echo."""
+    """Empirical covariance matrix with the config that produced it."""
 
     matrix: np.ndarray
-    m: int
     config: SimConfig
 
 
@@ -84,7 +83,7 @@ def simulate_covariance(cfg):
         accumulator += paths.T @ paths
     matrix = accumulator / cfg.m
     matrix = (matrix + matrix.T) / 2.0  # kill float round-off asymmetry
-    return CovEstimate(matrix=matrix, m=cfg.m, config=cfg)
+    return CovEstimate(matrix=matrix, config=cfg)
 
 
 def min_matrix_float(n):

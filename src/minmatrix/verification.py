@@ -1,8 +1,10 @@
 """Self-verification sweeps over the package's exact identities.
 
-Each suite runs a family of checks up to a size bound and reports one
-result per check, with the first counterexample when a check fails.
-The CLI `verify` command and the test suite both drive these.
+Each identity has one check here: a function that takes its cases and
+returns one CheckResult, with the first counterexample when it fails.
+Each suite runs a family of checks over cases up to a size bound; the
+CLI `verify` command runs the suites. The acceptance tests call the same
+checks with their own, larger case lists.
 """
 
 import math
@@ -24,13 +26,16 @@ from .matrices import (
     build_theta_matrix,
 )
 from .symmetric import (
-    BRUTE_FORCE_CAP,
+    METHODS,
     binomial_identity_check,
     build_sym_table,
     symfun_closed,
 )
 
 SUITES = ("dets", "symfun", "binomial", "fibonacci")
+
+#: Every method but the exponential minor enumeration.
+POLYNOMIAL_METHODS = ("closed", "nested", "rec6", "rec7", "ratio")
 
 
 @dataclass
@@ -52,171 +57,195 @@ def _sweep(name, cases, predicate, describe):
     return CheckResult(name, True, notes=[] if checked else ["vacuous: no cases"])
 
 
-def suite_dets(n_max, seed=0, trials=200):
-    results = []
-    results.append(
-        _sweep(
-            "min matrix determinant equals 1",
-            range(1, n_max + 1),
-            lambda n: det_bareiss(build_min_matrix(n)) == det_min_matrix(n),
-            lambda n: f"n={n}",
-        )
-    )
-    results.append(
-        _sweep(
-            "shifted matrix determinant equals its shift",
-            [(n, k) for n in range(3, n_max + 1) for k in range(2, n)],
-            lambda nk: det_bareiss(build_c_matrix(*nk)) == det_c_matrix(*nk),
-            lambda nk: f"n={nk[0]}, k={nk[1]}",
-        )
+def _n(n):
+    return f"n={n}"
+
+
+def _nk(nk):
+    return f"n={nk[0]}, k={nk[1]}"
+
+
+def _inc(inc):
+    return f"inc={inc}"
+
+
+def check_min_dets(ns):
+    return _sweep(
+        "min matrix determinant equals 1",
+        ns,
+        lambda n: det_bareiss(build_min_matrix(n)) == det_min_matrix(n),
+        _n,
     )
 
-    rng = random.Random(seed)
-    dim_cap = min(n_max, 12)
-    delta_cases = []
-    theta_cases = []
+
+def check_c_dets(cases):
+    return _sweep(
+        "shifted matrix determinant equals its shift",
+        cases,
+        lambda nk: det_bareiss(build_c_matrix(*nk)) == det_c_matrix(*nk),
+        _nk,
+    )
+
+
+def check_delta_dets(increments):
+    return _sweep(
+        "product closed form matches elimination (delta family)",
+        increments,
+        lambda inc: delta_det_closed(inc) == det_bareiss(build_delta_matrix(inc)),
+        _inc,
+    )
+
+
+def check_theta_dets(increments):
+    return _sweep(
+        "dropped-term closed form matches elimination (theta family)",
+        increments,
+        lambda inc: theta_det_closed(inc) == det_bareiss(build_theta_matrix(inc)),
+        _inc,
+    )
+
+
+def check_delta_scaling(cases):
+    """Cases are (increments, t) pairs."""
+    return _sweep(
+        "scaling the first increment scales the determinant",
+        cases,
+        lambda case: delta_det_closed([case[0][0] * case[1]] + case[0][1:])
+        == case[1] * delta_det_closed(case[0]),
+        lambda case: f"inc={case[0]}, t={case[1]}",
+    )
+
+
+def random_increments(rng, dim_cap):
+    """Draw 100 delta and 100 theta increment lists with entries in 1..9,
+    then 100 of each with entries in -4..4, a delta list and a theta list
+    in turn. Delta lists have 1..dim_cap entries, theta lists 3..dim_cap + 1;
+    there are no theta lists when dim_cap < 2."""
+    delta, theta = [], []
     for low, high in ((1, 9), (-4, 4)):
-        for _ in range(trials // 2):
+        for _ in range(100):
             n = rng.randint(1, max(dim_cap, 1))
-            delta_cases.append([rng.randint(low, high) for _ in range(n)])
+            delta.append([rng.randint(low, high) for _ in range(n)])
             if dim_cap >= 2:
                 n = rng.randint(2, dim_cap)
-                theta_cases.append([rng.randint(low, high) for _ in range(n + 1)])
-    results.append(
-        _sweep(
-            "product closed form matches elimination (delta family)",
-            delta_cases,
-            lambda inc: delta_det_closed(inc) == det_bareiss(build_delta_matrix(inc)),
-            lambda inc: f"inc={inc}",
-        )
-    )
-    results.append(
-        _sweep(
-            "dropped-term closed form matches elimination (theta family)",
-            theta_cases,
-            lambda inc: theta_det_closed(inc) == det_bareiss(build_theta_matrix(inc)),
-            lambda inc: f"inc={inc}",
-        )
-    )
+                theta.append([rng.randint(low, high) for _ in range(n + 1)])
+    return delta, theta
+
+
+def suite_dets(n_max, seed=0):
+    rng = random.Random(seed)
+    delta, theta = random_increments(rng, min(n_max, 12))
     scale_cases = [([rng.randint(1, 9) for _ in range(rng.randint(1, 8))], rng.randint(-5, 5)) for _ in range(50)]
-    results.append(
-        _sweep(
-            "scaling the first increment scales the determinant",
-            scale_cases,
-            lambda case: delta_det_closed([case[0][0] * case[1]] + case[0][1:])
-            == case[1] * delta_det_closed(case[0]),
-            lambda case: f"inc={case[0]}, t={case[1]}",
-        )
+    return [
+        check_min_dets(range(1, n_max + 1)),
+        check_c_dets([(n, k) for n in range(3, n_max + 1) for k in range(2, n)]),
+        check_delta_dets(delta),
+        check_theta_dets(theta),
+        check_delta_scaling(scale_cases),
+    ]
+
+
+def _tables_agree(tables, methods):
+    return lambda nk: len({tables[m][nk] for m in methods}) == 1
+
+
+def check_six_way(tables, cases, n_max):
+    """The tables of all six methods agree at each (n, k) of cases."""
+    return _sweep(f"six-way agreement up to n={n_max}", cases, _tables_agree(tables, METHODS), _nk)
+
+
+def check_polynomial_agreement(tables, cases, n_max):
+    """The tables of every method but minors agree at each (n, k) of cases."""
+    return _sweep(
+        f"polynomial-method agreement up to n={n_max}",
+        cases,
+        _tables_agree(tables, POLYNOMIAL_METHODS),
+        _nk,
     )
-    return results
 
 
-def suite_symfun(n_max, brute_cap=BRUTE_FORCE_CAP):
-    results = []
-    brute_max = min(n_max, 12, brute_cap)
-    tables = {
-        method: build_sym_table(n_max, method)
-        for method in ("closed", "nested", "rec6", "rec7", "ratio")
-    }
+def check_trace(ns):
+    return _sweep(
+        "first symmetric function equals the trace n(n+1)/2",
+        ns,
+        lambda n: symfun_closed(n, 1) == n * (n + 1) // 2,
+        _n,
+    )
+
+
+def check_top(ns):
+    return _sweep(
+        "top symmetric function equals the determinant 1",
+        ns,
+        lambda n: symfun_closed(n, n) == 1,
+        _n,
+    )
+
+
+def check_reflection(cases):
+    return _sweep(
+        "binomial reflection C(n+k, n-k) = C(n+k, 2k)",
+        cases,
+        lambda nk: symfun_closed(*nk) == math.comb(nk[0] + nk[1], 2 * nk[1]),
+        _nk,
+    )
+
+
+def check_growth(cases):
+    return _sweep(
+        "strict growth in n for fixed k",
+        cases,
+        lambda nk: symfun_closed(nk[0], nk[1]) < symfun_closed(nk[0] + 1, nk[1]),
+        _nk,
+    )
+
+
+def suite_symfun(n_max):
+    brute_max = min(n_max, 12)
+    tables = {method: build_sym_table(n_max, method) for method in POLYNOMIAL_METHODS}
     tables["minors"] = build_sym_table(brute_max, "minors")
-    six_way = [(n, k) for n in range(1, brute_max + 1) for k in range(1, n + 1)]
+    return [
+        check_six_way(
+            tables, [(n, k) for n in range(1, brute_max + 1) for k in range(1, n + 1)], brute_max
+        ),
+        check_polynomial_agreement(
+            tables, [(n, k) for n in range(brute_max + 1, n_max + 1) for k in range(1, n + 1)], n_max
+        ),
+        check_trace(range(1, n_max + 1)),
+        check_top(range(1, n_max + 1)),
+        check_reflection([(n, k) for n in range(1, n_max + 1) for k in range(n + 1)]),
+        check_growth([(n, k) for n in range(1, n_max) for k in range(1, n + 1)]),
+    ]
 
-    def agree_all_six(nk):
-        expected = tables["closed"][nk]
-        return all(
-            tables[m][nk] == expected for m in ("minors", "nested", "rec6", "rec7", "ratio")
-        )
 
-    results.append(
-        _sweep(
-            f"six-way agreement up to n={brute_max}",
-            six_way,
-            agree_all_six,
-            lambda nk: f"n={nk[0]}, k={nk[1]}",
-        )
+def check_binomial_identity(cases, n_max):
+    return _sweep(
+        f"difference-recurrence binomial identity up to n={n_max}",
+        cases,
+        lambda nk: binomial_identity_check(*nk),
+        _nk,
     )
-
-    five_way = [(n, k) for n in range(brute_max + 1, n_max + 1) for k in range(1, n + 1)]
-
-    def agree_polynomial(nk):
-        expected = tables["closed"][nk]
-        return all(tables[m][nk] == expected for m in ("nested", "rec6", "rec7", "ratio"))
-
-    results.append(
-        _sweep(
-            f"polynomial-method agreement up to n={n_max}",
-            five_way,
-            agree_polynomial,
-            lambda nk: f"n={nk[0]}, k={nk[1]}",
-        )
-    )
-    results.append(
-        _sweep(
-            "first symmetric function equals the trace n(n+1)/2",
-            range(1, n_max + 1),
-            lambda n: symfun_closed(n, 1) == n * (n + 1) // 2,
-            lambda n: f"n={n}",
-        )
-    )
-    results.append(
-        _sweep(
-            "top symmetric function equals the determinant 1",
-            range(1, n_max + 1),
-            lambda n: symfun_closed(n, n) == 1,
-            lambda n: f"n={n}",
-        )
-    )
-    all_nk = [(n, k) for n in range(1, n_max + 1) for k in range(n + 1)]
-    results.append(
-        _sweep(
-            "binomial reflection C(n+k, n-k) = C(n+k, 2k)",
-            all_nk,
-            lambda nk: symfun_closed(*nk) == math.comb(nk[0] + nk[1], 2 * nk[1]),
-            lambda nk: f"n={nk[0]}, k={nk[1]}",
-        )
-    )
-    growth = [(n, k) for n in range(1, n_max) for k in range(1, n + 1)]
-    results.append(
-        _sweep(
-            "strict growth in n for fixed k",
-            growth,
-            lambda nk: symfun_closed(nk[0], nk[1]) < symfun_closed(nk[0] + 1, nk[1]),
-            lambda nk: f"n={nk[0]}, k={nk[1]}",
-        )
-    )
-    return results
 
 
 def suite_binomial(n_max):
-    cases = [(n, k) for n in range(n_max + 1) for k in range(n + 1)]
-    return [
-        _sweep(
-            f"difference-recurrence binomial identity up to n={n_max}",
-            cases,
-            lambda nk: binomial_identity_check(*nk),
-            lambda nk: f"n={nk[0]}, k={nk[1]}",
-        )
-    ]
+    return [check_binomial_identity([(n, k) for n in range(n_max + 1) for k in range(n + 1)], n_max)]
+
+
+def check_fibonacci_sum(ns, n_max):
+    return _sweep(f"symmetric-function sum equals F(2n+1) up to n={n_max}", ns, fibonacci_identity, _n)
+
+
+def check_cassini(indices):
+    return _sweep(
+        "Cassini identity on the Fibonacci generator",
+        indices,
+        lambda i: fib(i - 1) * fib(i + 1) - fib(i) ** 2 == (-1) ** i,
+        lambda i: f"i={i}",
+    )
 
 
 def suite_fibonacci(n_max):
-    results = [
-        _sweep(
-            f"symmetric-function sum equals F(2n+1) up to n={n_max}",
-            range(n_max + 1),
-            fibonacci_identity,
-            lambda n: f"n={n}",
-        )
-    ]
-    results.append(
-        _sweep(
-            "Cassini identity on the Fibonacci generator",
-            range(2, max(n_max, 3)),
-            lambda i: fib(i - 1) * fib(i + 1) - fib(i) ** 2 == (-1) ** i,
-            lambda i: f"i={i}",
-        )
-    )
-    return results
+    return [check_fibonacci_sum(range(n_max + 1), n_max), check_cassini(range(2, max(n_max, 3)))]
 
 
 def run_suites(names, n_max, seed=0):

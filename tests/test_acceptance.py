@@ -1,6 +1,10 @@
 """Acceptance suite: one test per exit criterion, each printing a
 pass/fail line with its measured runtime. Run with `pytest -s
-tests/test_acceptance.py` to see the lines as they complete."""
+tests/test_acceptance.py` to see the lines as they complete.
+
+Criteria 1-6 run the checks of `minmatrix.verification`, the same ones
+behind `minmatrix verify`, over their own case lists, and require each to
+pass with no notes, so a check that had nothing to check fails."""
 
 import random
 import time
@@ -8,24 +12,16 @@ import time
 import pytest
 
 from minmatrix import (
-    build_c_matrix,
-    build_delta_matrix,
-    build_min_matrix,
-    build_theta_matrix,
+    METHODS,
+    SimConfig,
     build_sym_table,
     char_matrix,
     charpoly,
     covariance_deviation,
-    delta_det_closed,
     det_bareiss,
-    fib,
-    binomial_identity_check,
     simulate_covariance,
-    symfun_closed,
-    symfun_minor_sum,
     symfun_ratio,
-    theta_det_closed,
-    SimConfig,
+    verification,
 )
 
 
@@ -52,69 +48,53 @@ class _Criterion:
         return False
 
 
+def _passed(result):
+    assert result.passed, result.detail
+    assert result.notes == []
+
+
 def test_criterion_1_determinant_corollary():
     with _Criterion(1, "det(A_n)=1 for n<=200 and det(C_{n,k})=k for n<=100", 120):
-        for n in range(1, 201):
-            assert det_bareiss(build_min_matrix(n)) == 1
-        for n in range(3, 101):
-            for k in range(2, n):
-                assert det_bareiss(build_c_matrix(n, k)) == k
+        _passed(verification.check_min_dets(range(1, 201)))
+        _passed(verification.check_c_dets([(n, k) for n in range(3, 101) for k in range(2, n)]))
 
 
 def test_criterion_2_closed_forms_vs_oracle():
     with _Criterion(2, "closed-form determinants match elimination on 200 random lists", 10):
-        rng = random.Random(20240817)
-        for low, high in ((1, 9), (-4, 4)):
-            for _ in range(100):
-                inc = [rng.randint(low, high) for _ in range(rng.randint(1, 12))]
-                assert delta_det_closed(inc) == det_bareiss(build_delta_matrix(inc))
-                inc = [rng.randint(low, high) for _ in range(rng.randint(3, 13))]
-                assert theta_det_closed(inc) == det_bareiss(build_theta_matrix(inc))
+        delta, theta = verification.random_increments(random.Random(20240817), 12)
+        _passed(verification.check_delta_dets(delta))
+        _passed(verification.check_theta_dets(theta))
 
 
 def test_criterion_3a_six_way_agreement_to_12():
     with _Criterion(3, "six-way symmetric-function agreement, n<=12", 60):
-        for n in range(1, 13):
-            for k in range(1, n + 1):
-                expected = symfun_closed(n, k)
-                assert symfun_minor_sum(n, k) == expected
-        tables = [
-            build_sym_table(12, m) for m in ("closed", "nested", "rec6", "rec7", "ratio")
-        ]
-        for n in range(1, 13):
-            for k in range(1, n + 1):
-                assert len({t[n, k] for t in tables}) == 1
+        tables = {m: build_sym_table(12, m) for m in METHODS}
+        cases = [(n, k) for n in range(1, 13) for k in range(1, n + 1)]
+        _passed(verification.check_six_way(tables, cases, 12))
 
 
 def test_criterion_3b_five_way_agreement_to_60():
     with _Criterion(3, "five polynomial methods agree, 12<n<=60", 10):
-        tables = [
-            build_sym_table(60, m) for m in ("closed", "nested", "rec6", "rec7", "ratio")
-        ]
-        for n in range(13, 61):
-            for k in range(1, n + 1):
-                assert len({t[n, k] for t in tables}) == 1
+        tables = {m: build_sym_table(60, m) for m in verification.POLYNOMIAL_METHODS}
+        cases = [(n, k) for n in range(13, 61) for k in range(1, n + 1)]
+        _passed(verification.check_polynomial_agreement(tables, cases, 60))
 
 
 def test_criterion_4_trace_and_top_identities():
     with _Criterion(4, "S_1 = n(n+1)/2 and S_n = 1 for n<=60"):
-        for n in range(1, 61):
-            assert symfun_closed(n, 1) == n * (n + 1) // 2
-            assert symfun_closed(n, n) == 1
+        _passed(verification.check_trace(range(1, 61)))
+        _passed(verification.check_top(range(1, 61)))
 
 
 def test_criterion_5_binomial_identity():
     with _Criterion(5, "difference-recurrence binomial identity, 0<=k<=n<=60"):
-        for n in range(61):
-            for k in range(n + 1):
-                assert binomial_identity_check(n, k)
+        cases = [(n, k) for n in range(61) for k in range(n + 1)]
+        _passed(verification.check_binomial_identity(cases, 60))
 
 
 def test_criterion_6_fibonacci_identity():
     with _Criterion(6, "sum of C(n+k,2k) equals F(2n+1) for n<=200", 5):
-        for n in range(201):
-            total = sum(symfun_closed(n, k) for k in range(n + 1))
-            assert total == fib(2 * n + 1)
+        _passed(verification.check_fibonacci_sum(range(201), 200))
 
 
 def test_criterion_7_characteristic_polynomial():

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Exit code, stdout and stderr of each command in each output format, and of
+# a few usage errors. A change to any of these bytes changes the CLI's
+# interface. The simulation uses Rademacher steps, whose sums are exact in
+# floating point, so its pinned bytes do not depend on BLAS.
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_output_is_pinned(capsys, case):
+    assert run(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
 
 
 class TestMatrixCommand:
@@ -78,6 +91,10 @@ class TestDetCommand:
         assert code == 0
         assert "closed: 4" in out and "bareiss: 4" in out
 
+    def test_missing_params_name_the_command(self, capsys):
+        code, out, err = run(capsys, "det", "c", "--n", "4", "--method", "bareiss")
+        assert (code, out, err) == (2, "", "error: det c requires --n and --k\n")
+
     def test_bad_increments(self, capsys):
         assert run(capsys, "det", "delta", "--inc", "2,x,4")[0] == 2
 
@@ -139,6 +156,12 @@ class TestSymfunCommand:
                            "--format", "json")
         assert code == 0 and json.loads(out)["payload"]["agree"] is True
         assert built == [(12, m) for m in cli.METHODS]
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_negative_n_is_usage_error(self, capsys, fmt):
+        code, out, err = run(capsys, "symfun", "--n", "-1", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == "error: symfun requires --n >= 0, got -1\n"
 
     def test_csv_header(self, capsys):
         code, out, _ = run(capsys, "symfun", "--n", "3", "--k", "2", "--format", "csv")
@@ -227,34 +250,6 @@ class TestSimulateCommand:
 
     def test_m_one_is_usage_error(self, capsys):
         assert run(capsys, "simulate", "--n", "4", "--m", "1")[0] == 2
-
-
-class TestBenchCommand:
-    def test_small_bench(self, capsys):
-        code, out, _ = run(
-            capsys, "bench", "--n-list", "6,8", "--methods", "closed,ratio",
-            "--format", "csv",
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "n,k,method,seconds,value"
-        assert len(lines) == 5
-
-    def test_unknown_method(self, capsys):
-        assert run(capsys, "bench", "--n-list", "6", "--methods", "unknown")[0] == 2
-
-    def test_bad_k(self, capsys):
-        assert run(capsys, "bench", "--n-list", "4", "--k-list", "9")[0] == 2
-
-    def test_bad_n_list_message(self, capsys):
-        code, out, err = run(capsys, "bench", "--n-list", "6,y")
-        assert (code, out) == (2, "")
-        assert err == "error: --n-list must be comma-separated integers, got '6,y'\n"
-
-    def test_bad_k_list_message(self, capsys):
-        code, out, err = run(capsys, "bench", "--n-list", "6", "--k-list", "2,z")
-        assert (code, out) == (2, "")
-        assert err == "error: --k-list must be comma-separated integers, got '2,z'\n"
 
 
 class TestInternalErrors:

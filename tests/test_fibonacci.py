@@ -1,6 +1,6 @@
 import pytest
 
-from minmatrix import fib, fib_sequence, fibonacci_identity
+from minmatrix import fib, fibonacci_identity
 
 
 class TestFib:
@@ -18,12 +18,6 @@ class TestFib:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             fib(0)
-
-    def test_sequence_matches_recurrence(self):
-        values = fib_sequence(50)
-        assert values[:2] == [1, 1]
-        for i in range(2, 50):
-            assert values[i] == values[i - 1] + values[i - 2]
 
     def test_cassini(self):
         for i in range(2, 60):

@@ -190,8 +190,8 @@ class TestRecurrences:
 
 
 class TestCrossMethodAgreement:
-    def test_six_ways_up_to_10(self):
-        for n in range(1, 11):
+    def test_six_ways_up_to_12(self):
+        for n in range(1, 13):
             for k in range(1, n + 1):
                 expected = symfun_closed(n, k)
                 assert symfun_minor_sum(n, k) == expected
