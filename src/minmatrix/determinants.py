@@ -20,10 +20,16 @@ from math import isqrt, prod
 
 from .matrices import _check_increments
 
-# Smallest dimension at which det_bareiss tries the int64 phase. Below it
-# the per-step numpy overhead costs more than the Python-int loop it
-# replaces: on shifted min matrices the two cross over at dimension 22-23
-# (2-vCPU x86-64 host, Python 3.11, numpy 2.4).
+# Smallest dimension at which det_bareiss tries the int64 phase or the
+# multi-modular route. With the two-tier certificate the int64 route
+# (array conversion included) overtakes the Python-int loop at dimension
+# 19 on C_{d+1,2}, the slowest case, at 17-18 on C_{d+k-1,k} for k = 10
+# and 60, and below 16 on A_n; at 24 it is 1.4-2.1x faster. The constant
+# stays at 24 because it also gates the multi-modular route, whose
+# threshold was measured from dimension 24 up; moving it to 20 would save
+# 0.05-0.1 s of the 314 shifted matrices of dimension 20-23 that the
+# determinant sweep for n <= 100 checks (2-vCPU x86-64 host, Python
+# 3.11, numpy 2.4).
 _INT64_MIN_DIM = 24
 
 _INT64_LIMIT = 1 << 63
@@ -87,8 +93,14 @@ def det_bareiss(matrix):
 
         |pivot| * max|block| + max|lead column| * max|pivot row| < 2**63,
 
-    computed in Python ints. When the certificate fails, the active block
-    is handed to the Python-int loop, which finishes the elimination.
+    computed in Python ints. The certificate has two tiers. The first
+    takes M = max|active block|, pivot row and column included, from two
+    reductions and tests (|pivot| + M) * M < 2**63; every factor above is
+    at most M, so this implies the exact test. Only when it fails is the
+    exact test computed, and only its failure hands off. So the step at
+    which a matrix leaves int64 is the step at which the exact test alone
+    would fail. When the certificate fails, the active block is handed to
+    the Python-int loop, which finishes the elimination.
     The hand-off loses nothing: by Sylvester's identity every Bareiss
     intermediate is a minor of the input, so each int64 value is that
     minor exactly and the quotient by the previous pivot stays exact
@@ -98,16 +110,26 @@ def det_bareiss(matrix):
     n = len(rows)
     if n < _INT64_MIN_DIM:
         return _eliminate(rows, 1, 1)
-    low = min(map(min, rows))
-    high = max(map(max, rows))
+    import numpy as np
+
+    try:
+        a = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        a = None
+        low = min(map(min, rows))
+        high = max(map(max, rows))
+    else:
+        low = int(a.min())
+        high = int(a.max())
     # Every Hadamard factor is at most sqrt(n) * max|x| + 1, so the bound
     # can pass the threshold only if max|x| >= 2**_CRT_EXCESS_BITS * n.
     if max(high, -low) >= n << _CRT_EXCESS_BITS:
         bound = _hadamard(rows)
         if bound * bound > (n**3 << 2 * _CRT_EXCESS_BITS) ** n:
             return _det_crt(rows, bound)
-    if -_INT64_LIMIT < low and high < _INT64_LIMIT:
-        return _det_int64(rows)
+    # int64 holds -2**63, but the phase needs |x| < 2**63.
+    if a is not None and low > -_INT64_LIMIT:
+        return _det_int64(a)
     return _eliminate(rows, 1, 1)
 
 
@@ -149,33 +171,44 @@ def _abs_max(a):
     return max(int(a.max()), -int(a.min()))
 
 
-def _det_int64(rows):
-    """Bareiss elimination in int64 for as long as the overflow certificate
-    holds, then the Python-int loop on what is left. Entries must satisfy
-    |x| < 2**63."""
+def _det_int64(a):
+    """Bareiss elimination of the int64 array ``a`` (consumed) for as long
+    as the overflow certificate holds, then the Python-int loop on what is
+    left. Entries must satisfy |x| < 2**63."""
     import numpy as np
 
-    a = np.array(rows, dtype=np.int64)
-    n = len(rows)
+    n = len(a)
     sign = 1
     prev = 1
+    # One scratch array serves every step's outer product.
+    scratch = np.empty((n - 1) * (n - 1), dtype=np.int64)
     for step in range(n - 1):
-        if a[step, step] == 0:
+        pivot = int(a[step, step])
+        if pivot == 0:
             nonzero = np.flatnonzero(a[step + 1 :, step])
             if nonzero.size == 0:
                 return 0
             r = step + 1 + int(nonzero[0])
             a[[step, r], step:] = a[[r, step], step:]
             sign = -sign
-        pivot = int(a[step, step])
-        lead = a[step + 1 :, step]
-        pivot_tail = a[step, step + 1 :]
-        block = a[step + 1 :, step + 1 :]
-        bound = abs(pivot) * _abs_max(block) + _abs_max(lead) * _abs_max(pivot_tail)
-        if bound >= _INT64_LIMIT:
-            return _eliminate(a[step:, step:].tolist(), sign, prev)
-        block *= pivot
-        block -= np.outer(lead, pivot_tail)
+            pivot = int(a[step, step])
+        active = a[step:, step:]
+        lead = active[1:, 0]
+        pivot_tail = active[0, 1:]
+        block = active[1:, 1:]
+        # The two-tier certificate of det_bareiss: the coarse test implies
+        # the exact one, which alone decides the hand-off.
+        most = _abs_max(active)
+        if (abs(pivot) + most) * most >= _INT64_LIMIT:
+            bound = abs(pivot) * _abs_max(block) + _abs_max(lead) * _abs_max(pivot_tail)
+            if bound >= _INT64_LIMIT:
+                return _eliminate(active.tolist(), sign, prev)
+        size = n - 1 - step
+        outer = scratch[: size * size].reshape(size, size)
+        np.multiply(lead[:, None], pivot_tail, out=outer)
+        if pivot != 1:
+            block *= pivot
+        block -= outer
         if prev != 1:
             block //= prev
         prev = pivot

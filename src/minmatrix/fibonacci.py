@@ -20,6 +20,7 @@ def fibonacci_identity(n):
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     target = fib(2 * n + 1)
-    total = sum(symfun_closed(n, k) for k in range(n + 1))
-    restated = sum(symfun_closed(n, k) for k in range(1, n + 1)) + 1
-    return total == target and restated == target
+    # The sum over k >= 1 is shared: the direct form adds S_0 as computed,
+    # the restatement adds 1.
+    tail = sum(symfun_closed(n, k) for k in range(1, n + 1))
+    return symfun_closed(n, 0) + tail == target and tail + 1 == target

@@ -98,11 +98,19 @@ def prefix_sums(inc):
     return list(accumulate(values))
 
 
+def _cumulative_rows(sums):
+    """Rows of the matrix with entry(r, c) = sums[min(r, c)], 0-based: row
+    r is sums up to r, then sums[r] repeated to the end. Built from slices
+    and repeats, with no per-entry min()."""
+    n = len(sums)
+    return [sums[:r] + [sums[r]] * (n - r) for r in range(n)]
+
+
 def build_min_matrix(n):
     """The n x n matrix with entry(i, j) = min(i, j)."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    return ExactMatrix([[min(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)])
+    return ExactMatrix(_cumulative_rows(list(range(1, n + 1))))
 
 
 def build_c_matrix(n, k):
@@ -113,10 +121,7 @@ def build_c_matrix(n, k):
     """
     if not 1 < k < n:
         raise ValueError(f"require 1 < k < n, got k={k}, n={n}")
-    dim = n - k + 1
-    return ExactMatrix(
-        [[k - 1 + min(r, c) for c in range(1, dim + 1)] for r in range(1, dim + 1)]
-    )
+    return ExactMatrix(_cumulative_rows(list(range(k, n + 1))))
 
 
 def build_delta_matrix(inc):
@@ -125,11 +130,7 @@ def build_delta_matrix(inc):
     With unit increments this reproduces build_min_matrix; with
     (k, 1, ..., 1) it reproduces the shifted matrix for any k.
     """
-    sums = prefix_sums(inc)
-    n = len(sums)
-    return ExactMatrix(
-        [[sums[min(r, c)] for c in range(n)] for r in range(n)]
-    )
+    return ExactMatrix(_cumulative_rows(prefix_sums(inc)))
 
 
 def build_theta_matrix(inc):
@@ -142,9 +143,7 @@ def build_theta_matrix(inc):
     values = _check_increments(inc, minimum_length=3)
     sums = list(accumulate(values))
     n = len(values) - 1
-    rows = []
-    for r in range(1, n + 1):
-        row = [sums[0]]
-        row.extend(sums[min(r + 1, c + 1) - 1] for c in range(2, n + 1))
-        rows.append(row)
-    return ExactMatrix(rows)
+    # Row r (1-based) is sums[0], then sums[min(r, c)] for c = 2..n.
+    return ExactMatrix(
+        [[sums[0], *sums[2 : r + 1]] + [sums[r]] * (n - r) for r in range(1, n + 1)]
+    )

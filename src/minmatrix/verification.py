@@ -251,6 +251,8 @@ def suite_fibonacci(n_max):
 def run_suites(names, n_max, seed=0):
     """Run the named suites (or all of them) and return the combined
     check results."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     if "all" in names:
         names = SUITES
     results = []

@@ -193,6 +193,12 @@ class TestVerifyCommand:
             at = lines.index(f"[pass] {name}")
             assert lines[at + 1] == "       note: vacuous: no cases"
 
+    @pytest.mark.parametrize("suite", ["dets", "symfun", "binomial", "fibonacci", "all"])
+    def test_negative_n_max_is_usage_error(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n-max", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: n_max must be >= 0, got -1\n"
+
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "binomial", "--n-max", "10", "--format", "json")
         assert code == 0

@@ -269,6 +269,24 @@ class TestInt64Phase:
         assert len(set(handed)) >= 6
         assert all(1 < size < n for size in handed)
 
+    # Block sizes the Python-int loop receives, recorded before the
+    # two-tier certificate: its coarse tier may only skip the exact test
+    # where that would pass, so every hand-off stays at the same step.
+    # test_paper_matrices_stay_in_int64 pins A_200 and C_{219,70}: none.
+    @pytest.mark.parametrize(
+        "lam, handed", list(zip(range(-3, 6), ([108], [106], [99], [], [], [91], [101], [105], [108])))
+    )
+    def test_char_matrix_hand_off_is_pinned(self, phases, lam, handed):
+        # test_char_matrix_hands_off_partway checks the values.
+        det_bareiss(char_matrix(120, lam))
+        assert phases["python"] == handed
+
+    @pytest.mark.parametrize("b, handed", list(zip(range(1, 9), (21, 34, 38, 41, 42, 43, 44, 45))))
+    def test_scaled_identity_hand_off_is_pinned(self, phases, b, handed):
+        c = 2**b
+        assert det_bareiss(ExactMatrix(scaled_identity_plus_ones(48, c))) == c**47 * (c + 48)
+        assert phases["python"] == [handed]
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(_INT64_MIN_DIM, _INT64_MIN_DIM + 12),

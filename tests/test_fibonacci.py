@@ -1,6 +1,6 @@
 import pytest
 
-from minmatrix import fib, fibonacci_identity
+from minmatrix import fib, fibonacci, fibonacci_identity
 
 
 class TestFib:
@@ -40,3 +40,10 @@ class TestIdentity:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             fibonacci_identity(-1)
+
+    def test_direct_form_reads_s0(self, monkeypatch):
+        # The restated form adds 1 for S_0; the direct form must still use
+        # the computed S_0, so a wrong one fails the identity.
+        closed = fibonacci.symfun_closed
+        monkeypatch.setattr(fibonacci, "symfun_closed", lambda n, k: closed(n, k) + (k == 0))
+        assert not fibonacci_identity(5)

@@ -128,6 +128,50 @@ class TestThetaMatrix:
             build_theta_matrix(inc)
 
 
+def by_entry(n, entry):
+    """The n x n matrix whose 1-based entry (r, c) is entry(r, c)."""
+    return [[entry(r, c) for c in range(1, n + 1)] for r in range(1, n + 1)]
+
+
+def one_based_sums(inc):
+    """[None, P_1, ..., P_n]: the prefix sums by a running total."""
+    sums, total = [None], 0
+    for x in inc:
+        total += x
+        sums.append(total)
+    return sums
+
+
+# Signed increments, small and up to 64 bits, up to dimension 60.
+signed = st.one_of(st.integers(-9, 9), st.integers(-(2**64), 2**64))
+shifted_cases = st.integers(3, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n - 1)))
+
+
+class TestDefinitions:
+    """Each constructor equals its per-entry definition."""
+
+    @given(st.integers(1, 60))
+    def test_min_matrix(self, n):
+        assert build_min_matrix(n).to_lists() == by_entry(n, min)
+
+    @given(shifted_cases)
+    def test_c_matrix(self, nk):
+        n, k = nk
+        expected = by_entry(n - k + 1, lambda r, c: k - 1 + min(r, c))
+        assert build_c_matrix(n, k).to_lists() == expected
+
+    @given(st.lists(signed, min_size=1, max_size=60))
+    def test_delta_matrix(self, inc):
+        p = one_based_sums(inc)
+        assert build_delta_matrix(inc).to_lists() == by_entry(len(inc), lambda r, c: p[min(r, c)])
+
+    @given(st.lists(signed, min_size=3, max_size=61))
+    def test_theta_matrix(self, inc):
+        p = one_based_sums(inc)
+        expected = by_entry(len(inc) - 1, lambda r, c: p[1] if c == 1 else p[min(r + 1, c + 1)])
+        assert build_theta_matrix(inc).to_lists() == expected
+
+
 class TestExactMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
