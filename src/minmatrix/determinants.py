@@ -9,11 +9,14 @@ arithmetic, so every comparison is an exact equality.
 - dimension below 24: the Python-int Bareiss loop ``_eliminate``, which
   is also the reference the other two routes are tested against;
 - rows much longer than the dimension alone gives (Hadamard bits per row
-  above 1.5*log2(n) + 6): elimination modulo many word-size primes at
-  once and Chinese remaindering (``_det_crt``), certified by Hadamard's
-  bound;
+  above 1.5*log2(n) + 6), or an entry outside int64: elimination modulo
+  many word-size primes at once and Chinese remaindering (``_det_crt``),
+  certified by Hadamard's bound;
 - otherwise: Bareiss in int64 for as long as an overflow certificate
-  holds, then an exact hand-off of the active block to ``_eliminate``.
+  holds. Where the certificate fails, the size of the active block picks
+  the finisher by the same rule as for a whole matrix: a block below
+  dimension 24 goes, exactly, to ``_eliminate``, and a larger one sends
+  the original matrix to ``_det_crt``.
 """
 
 from math import isqrt, prod
@@ -30,6 +33,12 @@ from .matrices import _check_increments
 # 0.05-0.1 s of the 314 shifted matrices of dimension 20-23 that the
 # determinant sweep for n <= 100 checks (2-vCPU x86-64 host, Python
 # 3.11, numpy 2.4).
+# It also picks the finisher of an int64 hand-off. On the blocks that
+# c*I + J hands off, the Python-int loop on the block against the
+# multi-modular route on the whole matrix took 1.4 against 4.4 ms at
+# block 21 (n = 48), 2.1 against 1.9 ms at 23 and 2.5 against 2.1 ms at
+# 24 (n = 26 and 27), 6.1 against 4.4 ms at 34, and from block 38 up the
+# modular route was 1.9-4.3x faster (n = 48 to 200).
 _INT64_MIN_DIM = 24
 
 _INT64_LIMIT = 1 << 63
@@ -61,8 +70,18 @@ _CRT_EXCESS_BITS = 6
 # matrices of 64-bit increments.
 _CRT_PRIME_BITS = 28
 _CRT_REDUCE_EVERY = ((1 << 63) - (1 << _CRT_PRIME_BITS)) >> (2 * _CRT_PRIME_BITS)
-# Primes per numpy pass: bounds the working set of one pass.
-_CRT_CHUNK = 32
+# Elements of one pass's working array. A pass eliminates modulo
+# max(1, _CRT_PASS_ELEMENTS // n**2) primes at once, so its two arrays of
+# n**2 and (n - 1)**2 int64 per prime hold at most 2.4 MB together,
+# whatever n and the prime count, up to n = 384, where one prime fills
+# the budget. 32 primes per pass would hold 7.4 MB at n = 120, which
+# raised det_bigint's peak RSS 18 %. The budget gives 64 primes per pass
+# at n = 48, where 64-bit delta matrices need about 120, and 10 at
+# n = 120. On char_matrix(120, 5), whose 38 primes took 92 ms in one
+# pass, 19, 10 and 5 primes per pass took 108, 124 and 178 ms: numpy's
+# inner loops run along the prime axis, so short passes cost more per
+# element (2-vCPU x86-64 host, Python 3.11, numpy 2.4).
+_CRT_PASS_ELEMENTS = 147_456
 
 
 def det_bareiss(matrix):
@@ -87,9 +106,10 @@ def det_bareiss(matrix):
     reduced. H is computed only when some |x| >= 2**6 * n: without such an
     entry no Hadamard factor can pass 2**6 * n**1.5.
 
-    Otherwise, entries all satisfying |x| < 2**63 start in a vectorised
-    numpy int64 phase. Before each step it certifies that the update
-    pivot*x - lead*y cannot overflow:
+    An entry outside (-2**63, 2**63) also takes this route, with the same
+    H. Otherwise the matrix starts in a vectorised numpy int64 phase.
+    Before each step it certifies that the update pivot*x - lead*y cannot
+    overflow:
 
         |pivot| * max|block| + max|lead column| * max|pivot row| < 2**63,
 
@@ -99,9 +119,13 @@ def det_bareiss(matrix):
     at most M, so this implies the exact test. Only when it fails is the
     exact test computed, and only its failure hands off. So the step at
     which a matrix leaves int64 is the step at which the exact test alone
-    would fail. When the certificate fails, the active block is handed to
-    the Python-int loop, which finishes the elimination.
-    The hand-off loses nothing: by Sylvester's identity every Bareiss
+    would fail. When the certificate fails, the dimension of the active
+    block picks the finisher by the rule a whole matrix follows: a block
+    below dimension 24 goes to the Python-int loop, which finishes the
+    elimination; from 24 up the original matrix goes to the multi-modular
+    route with its Hadamard bound, whatever its bits per row. A_n and
+    C_{n,k} never hand off, so they never pay for that route. The hand-off
+    to the loop loses nothing: by Sylvester's identity every Bareiss
     intermediate is a minor of the input, so each int64 value is that
     minor exactly and the quotient by the previous pivot stays exact
     (Bareiss 1968, Math. Comp. 22).
@@ -125,12 +149,11 @@ def det_bareiss(matrix):
     # can pass the threshold only if max|x| >= 2**_CRT_EXCESS_BITS * n.
     if max(high, -low) >= n << _CRT_EXCESS_BITS:
         bound = _hadamard(rows)
-        if bound * bound > (n**3 << 2 * _CRT_EXCESS_BITS) ** n:
+        # int64 holds -2**63, but the phase needs |x| < 2**63.
+        outside = a is None or low == -_INT64_LIMIT
+        if outside or bound * bound > (n**3 << 2 * _CRT_EXCESS_BITS) ** n:
             return _det_crt(rows, bound)
-    # int64 holds -2**63, but the phase needs |x| < 2**63.
-    if a is not None and low > -_INT64_LIMIT:
-        return _det_int64(a)
-    return _eliminate(rows, 1, 1)
+    return _det_int64(a, rows)
 
 
 def _eliminate(rows, sign, prev):
@@ -171,10 +194,11 @@ def _abs_max(a):
     return max(int(a.max()), -int(a.min()))
 
 
-def _det_int64(a):
+def _det_int64(a, rows):
     """Bareiss elimination of the int64 array ``a`` (consumed) for as long
-    as the overflow certificate holds, then the Python-int loop on what is
-    left. Entries must satisfy |x| < 2**63."""
+    as the overflow certificate holds, then ``_hand_off`` of what is left.
+    ``rows`` is the same matrix as lists of ints, left untouched. Entries
+    must satisfy |x| < 2**63."""
     import numpy as np
 
     n = len(a)
@@ -202,7 +226,7 @@ def _det_int64(a):
         if (abs(pivot) + most) * most >= _INT64_LIMIT:
             bound = abs(pivot) * _abs_max(block) + _abs_max(lead) * _abs_max(pivot_tail)
             if bound >= _INT64_LIMIT:
-                return _eliminate(active.tolist(), sign, prev)
+                return _hand_off(active, sign, prev, rows)
         size = n - 1 - step
         outer = scratch[: size * size].reshape(size, size)
         np.multiply(lead[:, None], pivot_tail, out=outer)
@@ -213,6 +237,16 @@ def _det_int64(a):
             block //= prev
         prev = pivot
     return sign * int(a[n - 1, n - 1])
+
+
+def _hand_off(active, sign, prev, rows):
+    """Finish an elimination that left int64 at the square block ``active``,
+    with row-swap sign ``sign`` and previous pivot ``prev``; ``rows`` is
+    the original matrix. The block's dimension picks the finisher by the
+    rule det_bareiss applies to a whole matrix."""
+    if len(active) < _INT64_MIN_DIM:
+        return _eliminate(active.tolist(), sign, prev)
+    return _det_crt(rows, _hadamard(rows))
 
 
 # Primes below 2**_CRT_PRIME_BITS in descending order, found on first use.
@@ -288,12 +322,14 @@ def _det_crt(rows, bound):
         b"".join(abs(x).to_bytes(4 * width, "big") for x in flat), dtype=">u4"
     ).astype(np.int64).reshape(n, n, width, 1)
     negative = np.array([x < 0 for x in flat]).reshape(n, n, 1)
-    # One working array and one outer-product scratch serve every chunk.
-    work = np.empty(n * n * _CRT_CHUNK, dtype=np.int64)
-    outer = np.empty((n - 1) * (n - 1) * _CRT_CHUNK, dtype=np.int64)
+    # One working array and one outer-product scratch serve every pass,
+    # sized for the primes a pass actually takes.
+    per_pass = min(len(primes), max(1, _CRT_PASS_ELEMENTS // (n * n)))
+    work = np.empty(n * n * per_pass, dtype=np.int64)
+    outer = np.empty((n - 1) * (n - 1) * per_pass, dtype=np.int64)
     residues = []
-    for start in range(0, len(primes), _CRT_CHUNK):
-        p = np.array(primes[start : start + _CRT_CHUNK], dtype=np.int64)
+    for start in range(0, len(primes), per_pass):
+        p = np.array(primes[start : start + per_pass], dtype=np.int64)
         a = work[: n * n * len(p)].reshape(n, n, len(p))
         a[...] = 0
         for limb in range(width):

@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 from math import isqrt, prod
 
 import pytest
@@ -142,23 +143,50 @@ def reference(rows):
 
 @pytest.fixture
 def phases(monkeypatch):
-    """Record each entry into the int64 phase (its dimension) and each call
-    of the Python-int loop (the size of the block it gets)."""
-    seen = {"int64": [], "python": []}
+    """Record each entry into the int64 phase (its dimension), each hand-off
+    out of it (the dimension of the block left at the decision point), each
+    call of the Python-int loop (the size of the block it gets) and each
+    call of the multi-modular route (the dimension of its matrix)."""
+    seen = {"int64": [], "handed": [], "python": [], "crt": []}
     det_int64 = determinants._det_int64
+    hand_off = determinants._hand_off
     eliminate = determinants._eliminate
+    det_crt = determinants._det_crt
 
-    def spy_int64(rows):
+    def spy_int64(a, rows):
         seen["int64"].append(len(rows))
-        return det_int64(rows)
+        return det_int64(a, rows)
+
+    def spy_hand_off(active, sign, prev, rows):
+        seen["handed"].append(len(active))
+        return hand_off(active, sign, prev, rows)
 
     def spy_eliminate(rows, sign, prev):
         seen["python"].append(len(rows))
         return eliminate(rows, sign, prev)
 
+    def spy_crt(rows, bound):
+        seen["crt"].append(len(rows))
+        return det_crt(rows, bound)
+
     monkeypatch.setattr(determinants, "_det_int64", spy_int64)
+    monkeypatch.setattr(determinants, "_hand_off", spy_hand_off)
     monkeypatch.setattr(determinants, "_eliminate", spy_eliminate)
+    monkeypatch.setattr(determinants, "_det_crt", spy_crt)
     return seen
+
+
+def assert_one_hand_off(phases, n, handed):
+    """One hand-off of a block of ``handed`` rows out of an n x n matrix,
+    finished as a whole matrix of that dimension would be: by the
+    Python-int loop below _INT64_MIN_DIM, else by the multi-modular route
+    on the original matrix."""
+    assert phases["int64"] == [n]
+    assert phases["handed"] == [handed]
+    if handed < _INT64_MIN_DIM:
+        assert (phases["python"], phases["crt"]) == ([handed], [])
+    else:
+        assert (phases["python"], phases["crt"]) == ([], [n])
 
 
 def random_rows(rng, n, low=-9, high=9):
@@ -184,7 +212,7 @@ class TestInt64Phase:
     def test_paper_matrices_stay_in_int64(self, phases):
         assert det_bareiss(build_min_matrix(200)) == 1
         assert det_bareiss(build_c_matrix(149 + 70, 70)) == 70
-        assert phases == {"int64": [200, 150], "python": []}
+        assert phases == {"int64": [200, 150], "handed": [], "python": [], "crt": []}
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_largest_int64_entries_hand_off_at_once(self, phases, sign):
@@ -193,7 +221,7 @@ class TestInt64Phase:
         rows[0][0] = sign * (2**63 - 1)
         rows[n - 1][n - 1] = -sign * (2**63 - 1)
         assert det_bareiss(ExactMatrix(rows)) == reference(rows)
-        assert phases == {"int64": [n], "python": [n]}
+        assert_one_hand_off(phases, n, n)
 
     @pytest.mark.parametrize("big", [2**63, -(2**63)])
     def test_entries_past_int64_skip_the_phase(self, phases, big):
@@ -201,6 +229,7 @@ class TestInt64Phase:
         rows[5][7] = big
         assert det_bareiss(ExactMatrix(rows)) == reference(rows)
         assert phases["int64"] == []
+        assert phases["crt"] == [len(rows)]
 
     def test_zero_pivots_swap_inside_int64(self, phases):
         rng = random.Random(11)
@@ -218,7 +247,7 @@ class TestInt64Phase:
         assert det_bareiss(ExactMatrix(permutation)) == reference(permutation)
         assert len(phases["int64"]) == 11
         # Any hand-off comes after both swapped steps ran in int64.
-        assert all(size <= n - 2 for size in phases["python"])
+        assert all(size <= n - 2 for size in phases["handed"])
 
     def test_singular(self, phases):
         rng = random.Random(12)
@@ -252,9 +281,9 @@ class TestInt64Phase:
         assert phases["int64"] == [n]
         if lam in (0, 1):
             # Every minor that elimination forms from -A or I - A is small.
-            assert phases["python"] == []
+            assert phases["handed"] == []
         else:
-            [handed] = phases["python"]
+            [handed] = phases["handed"]
             assert 1 < handed < n
 
     def test_hand_off_step_follows_pivot_growth(self, phases):
@@ -263,13 +292,13 @@ class TestInt64Phase:
             c = 2**b
             rows = scaled_identity_plus_ones(n, c)
             assert det_bareiss(ExactMatrix(rows)) == c ** (n - 1) * (c + n)
-        handed = phases["python"]
+        handed = phases["handed"]
         assert len(handed) == 8
         assert handed == sorted(handed)
         assert len(set(handed)) >= 6
         assert all(1 < size < n for size in handed)
 
-    # Block sizes the Python-int loop receives, recorded before the
+    # Sizes of the block left at the hand-off, recorded before the
     # two-tier certificate: its coarse tier may only skip the exact test
     # where that would pass, so every hand-off stays at the same step.
     # test_paper_matrices_stay_in_int64 pins A_200 and C_{219,70}: none.
@@ -279,13 +308,25 @@ class TestInt64Phase:
     def test_char_matrix_hand_off_is_pinned(self, phases, lam, handed):
         # test_char_matrix_hands_off_partway checks the values.
         det_bareiss(char_matrix(120, lam))
-        assert phases["python"] == handed
+        if handed:
+            assert_one_hand_off(phases, 120, handed[0])
+        else:
+            assert phases == {"int64": [120], "handed": [], "python": [], "crt": []}
 
     @pytest.mark.parametrize("b, handed", list(zip(range(1, 9), (21, 34, 38, 41, 42, 43, 44, 45))))
     def test_scaled_identity_hand_off_is_pinned(self, phases, b, handed):
         c = 2**b
         assert det_bareiss(ExactMatrix(scaled_identity_plus_ones(48, c))) == c**47 * (c + 48)
-        assert phases["python"] == [handed]
+        assert_one_hand_off(phases, 48, handed)
+
+    @pytest.mark.parametrize("n", [_INT64_MIN_DIM + 2, _INT64_MIN_DIM + 3])
+    def test_hand_off_finisher_boundary(self, phases, n):
+        # 2**8 * I + J leaves int64 after three steps: the first block
+        # below _INT64_MIN_DIM goes to the Python-int loop, the next
+        # size up to the multi-modular route.
+        c = 2**8
+        assert det_bareiss(ExactMatrix(scaled_identity_plus_ones(n, c))) == c ** (n - 1) * (c + n)
+        assert_one_hand_off(phases, n, n - 3)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -511,6 +552,66 @@ class TestMultiModular:
         ]
         assert crt(rows) == 1
 
+    @pytest.mark.parametrize("per_pass", [1, 3, 7])
+    @pytest.mark.parametrize("n", [_INT64_MIN_DIM, 120])
+    def test_passes_split_the_primes(self, monkeypatch, n, per_pass):
+        if n == 120:
+            rows = char_matrix(n, 5).to_lists()
+        else:
+            rows = random_rows(random.Random(n), n, -(2**41), 2**41)
+        count = len(determinants._crt_primes(2 * determinants._hadamard(rows) + 1)[0])
+        # Every pass but the last is full, and the last is partial.
+        assert count > per_pass and (per_pass == 1 or count % per_pass)
+        # A budget just above per_pass full slices still gives per_pass.
+        monkeypatch.setattr(determinants, "_CRT_PASS_ELEMENTS", per_pass * n * n + n)
+        passes = []
+        det_mod = determinants._det_mod
+
+        def spy(a, p, outer):
+            passes.append(len(p))
+            # Both arrays hold one full pass, no more.
+            assert a.base.size == n * n * per_pass
+            assert outer.size == (n - 1) ** 2 * per_pass
+            return det_mod(a, p, outer)
+
+        monkeypatch.setattr(determinants, "_det_mod", spy)
+        assert crt(rows) == reference(rows)
+        assert passes == [per_pass] * (count // per_pass) + [count % per_pass] * (count % per_pass > 0)
+
+    def test_arrays_sized_by_the_primes_used(self, monkeypatch):
+        # At n = 24 a pass could take 256 primes; this matrix needs few.
+        n = _INT64_MIN_DIM
+        rows = random_rows(random.Random(3), n, -(2**5), 2**5)
+        count = len(determinants._crt_primes(2 * determinants._hadamard(rows) + 1)[0])
+        assert count < determinants._CRT_PASS_ELEMENTS // (n * n)
+        sizes = []
+        det_mod = determinants._det_mod
+
+        def spy(a, p, outer):
+            sizes.append((a.base.size, outer.size))
+            return det_mod(a, p, outer)
+
+        monkeypatch.setattr(determinants, "_det_mod", spy)
+        assert crt(rows) == reference(rows)
+        assert sizes == [(n * n * count, (n - 1) ** 2 * count)]
+
+    def test_working_set_follows_the_budget(self):
+        # Two int64 arrays of at most _CRT_PASS_ELEMENTS each, plus the
+        # entries' residue limbs and conversion, a few dozen bytes each.
+        n = 120
+        rows = char_matrix(n, 5).to_lists()
+        bound = determinants._hadamard(rows)
+        count = len(determinants._crt_primes(2 * bound + 1)[0])
+        assert count * n * n > 2 * determinants._CRT_PASS_ELEMENTS
+        tracemalloc.start()
+        try:
+            value = determinants._det_crt(rows, bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == charpoly(n)(5)
+        assert peak < 16 * determinants._CRT_PASS_ELEMENTS + 64 * n * n
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(1, _INT64_MIN_DIM + 8),
@@ -541,26 +642,40 @@ class TestRouting:
         assert crt_calls == [48, 48]
 
     def test_paper_matrices_never_go_to_crt(self, crt_calls, monkeypatch):
+        poly = charpoly(120)
+        # lam*I - A_120 for lam outside {0, 1} hands off a block of 91-108
+        # rows, which the multi-modular route finishes.
+        handing_off = [-3, -2, -1, 2, 3, 4, 5]
+        for lam in handing_off:
+            assert det_bareiss(char_matrix(120, lam)) == poly(lam)
+        assert crt_calls == [120] * len(handing_off)
+
         def no_hadamard(rows):
             raise AssertionError("Hadamard bound computed")
 
-        # The entry scan alone keeps them off the route.
+        # The entry scan alone keeps them off the route, and they never
+        # hand off.
         monkeypatch.setattr(determinants, "_hadamard", no_hadamard)
-        poly = charpoly(120)
-        for lam in range(-3, 6):
+        for lam in (0, 1):
             assert det_bareiss(char_matrix(120, lam)) == poly(lam)
         assert det_bareiss(build_min_matrix(200)) == 1
         assert det_bareiss(build_c_matrix(219, 70)) == 70
-        assert crt_calls == []
+        assert crt_calls == [120] * len(handing_off)
 
     def test_route_follows_the_threshold(self, crt_calls):
         # The route is CRT exactly when H > (2**e * n**1.5)**n. c*I + J
-        # crosses near c = 2**e * n**1.5, about 7526 at n = 24 and e = 6;
-        # t*J + I crosses at t = 2**e * n, where the entry scan's gate
-        # max|x| >= 2**e * n is tight.
+        # crosses near c = 2**e * n**1.5, about 7526 at n = 24 and e = 6,
+        # so twelve values of c 25 apart straddle it; t*J + I crosses at
+        # t = 2**e * n, where the entry scan's gate max|x| >= 2**e * n is
+        # tight. Neither hands off a block of _INT64_MIN_DIM rows, so no
+        # matrix here reaches the route from the int64 phase.
         n = _INT64_MIN_DIM
         e = determinants._CRT_EXCESS_BITS
-        cases = [(scaled_identity_plus_ones(n, c), c ** (n - 1) * (c + n)) for c in range(7400, 7700, 25)]
+        crossing = isqrt(n**3 << 2 * e)
+        cases = [
+            (scaled_identity_plus_ones(n, c), c ** (n - 1) * (c + n))
+            for c in range(crossing - 150, crossing + 150, 25)
+        ]
         for t in range((n << e) - 3, (n << e) + 4):
             cases.append(([[t + (r == c) for c in range(n)] for r in range(n)], 1 + n * t))
         routed = []
