@@ -147,9 +147,10 @@ def cmd_det(args):
 
 
 def _symfun_values(n, ks, method):
-    if len(ks) > 1:
+    if len(ks) > 1 and method != "closed":
         # One table gives every k; for a single k one call is far cheaper
-        # than a table at large n.
+        # than a table at large n. A closed value is one binomial, and its
+        # table the whole triangle of them.
         table = build_sym_table(n, method)
         return [table[n, k] for k in ks]
     return [symfun(n, k, method=method) for k in ks]

@@ -8,10 +8,9 @@ arithmetic, so every comparison is an exact equality.
 
 - dimension below 24: the Python-int Bareiss loop ``_eliminate``, which
   is also the reference the other two routes are tested against;
-- rows much longer than the dimension alone gives (Hadamard bits per row
-  above 1.5*log2(n) + 6), or an entry outside int64: elimination modulo
-  many word-size primes at once and Chinese remaindering (``_det_crt``),
-  certified by Hadamard's bound;
+- an entry outside int64: elimination modulo many word-size primes at
+  once and Chinese remaindering (``_det_crt``), certified by Hadamard's
+  bound;
 - otherwise: Bareiss in int64 for as long as an overflow certificate
   holds. Where the certificate fails, the size of the active block picks
   the finisher by the same rule as for a whole matrix: a block below
@@ -23,43 +22,23 @@ from math import isqrt, prod
 
 from .matrices import _check_increments
 
-# Smallest dimension at which det_bareiss tries the int64 phase or the
-# multi-modular route. With the two-tier certificate the int64 route
-# (array conversion included) overtakes the Python-int loop at dimension
-# 19 on C_{d+1,2}, the slowest case, at 17-18 on C_{d+k-1,k} for k = 10
-# and 60, and below 16 on A_n; at 24 it is 1.4-2.1x faster. The constant
-# stays at 24 because it also gates the multi-modular route, whose
-# threshold was measured from dimension 24 up; moving it to 20 would save
+# Smallest dimension at which det_bareiss tries the int64 phase. With
+# the two-tier certificate the int64 route (array conversion included)
+# overtakes the Python-int loop at dimension 19 on C_{d+1,2}, the slowest
+# case, at 17-18 on C_{d+k-1,k} for k = 10 and 60, and below 16 on A_n;
+# at 24 it is 1.4-2.1x faster. Moving the constant to 20 would save
 # 0.05-0.1 s of the 314 shifted matrices of dimension 20-23 that the
 # determinant sweep for n <= 100 checks (2-vCPU x86-64 host, Python
 # 3.11, numpy 2.4).
-# It also picks the finisher of an int64 hand-off. On the blocks that
-# c*I + J hands off, the Python-int loop on the block against the
-# multi-modular route on the whole matrix took 1.4 against 4.4 ms at
-# block 21 (n = 48), 2.1 against 1.9 ms at 23 and 2.5 against 2.1 ms at
-# 24 (n = 26 and 27), 6.1 against 4.4 ms at 34, and from block 38 up the
-# modular route was 1.9-4.3x faster (n = 48 to 200).
+# It stays at 24 because it also picks the finisher of an int64
+# hand-off. On the blocks that c*I + J hands off, the Python-int loop on
+# the block against the multi-modular route on the whole matrix took 1.4
+# against 4.4 ms at block 21 (n = 48), 2.1 against 1.9 ms at 23 and 2.5
+# against 2.1 ms at 24 (n = 26 and 27), 6.1 against 4.4 ms at 34, and
+# from block 38 up the modular route was 1.9-4.3x faster (n = 48 to 200).
 _INT64_MIN_DIM = 24
 
 _INT64_LIMIT = 1 << 63
-
-# The multi-modular route is taken when the Hadamard bound H exceeds
-# (2**_CRT_EXCESS_BITS * n**1.5)**n: Hadamard bits per row above
-# 1.5*log2(n) + 6, rows 2**6 times longer than those of an n x n matrix
-# with entries of order n. Bits per row alone cannot tell a matrix whose
-# minors stay small, which the int64 phase finishes without hand-off,
-# from one whose minors grow: A_n, C_{n,k} and lam*I - A_n sit at about
-# 1.5*log2(n) - 2 to 1.5*log2(n) + 1 bits per row at every n, so any
-# fixed threshold would catch them at some dimension, and there the
-# modular route is 3-27x slower (A_48 to A_200, C_{219,70}; its prime
-# count grows with n). C_{d+k-1,k} has about log2(k/d) excess bits and
-# was 2.7-21x slower for k from 2d to 16d; it stays in int64 up to about
-# k = 2**6 * d.
-# Matrices whose minors grow were 1.3-14x faster under the modular route
-# at 6 and more excess bits: random entries of 13-28 bits and delta
-# matrices of 12-64-bit increments, dimension 24-96. (2-vCPU x86-64 host,
-# Python 3.11, numpy 2.4.)
-_CRT_EXCESS_BITS = 6
 
 # Primes of the multi-modular route stay below 2**28. A product of two
 # residues is then below 2**56, and the block can absorb 127 updates
@@ -94,20 +73,18 @@ def det_bareiss(matrix):
 
     Dimension below 24 (_INT64_MIN_DIM): the Python-int loop.
 
-    Big entries: when Hadamard's bound H = prod(isqrt(sum_j x_ij**2) + 1)
-    exceeds (2**6 * n**1.5)**n, the determinant is computed modulo the
-    fewest primes p < 2**28 whose product M exceeds 2*H + 1, by Gaussian
+    An entry outside (-2**63, 2**63): the determinant is computed modulo
+    the fewest primes p < 2**28 whose product M exceeds 2*H + 1, where H =
+    prod(isqrt(sum_j x_ij**2) + 1) is Hadamard's bound, by Gaussian
     elimination for all primes at once in numpy int64, and rebuilt by the
     Chinese remainder theorem in the symmetric range (-M/2, M/2). Since
     |det| <= H, the result is certified, not probabilistic (Abbott,
     Bronstein & Mulders, ISSAC 1999; von zur Gathen & Gerhard, Modern
     Computer Algebra, 5.5). With p < 2**28 each product of two residues is
     below 2**56, so the int64 block takes 127 updates before it must be
-    reduced. H is computed only when some |x| >= 2**6 * n: without such an
-    entry no Hadamard factor can pass 2**6 * n**1.5.
+    reduced.
 
-    An entry outside (-2**63, 2**63) also takes this route, with the same
-    H. Otherwise the matrix starts in a vectorised numpy int64 phase.
+    Otherwise the matrix starts in a vectorised numpy int64 phase.
     Before each step it certifies that the update pivot*x - lead*y cannot
     overflow:
 
@@ -123,16 +100,14 @@ def det_bareiss(matrix):
     block picks the finisher by the rule a whole matrix follows: a block
     below dimension 24 goes to the Python-int loop, which finishes the
     elimination; from 24 up the original matrix goes to the multi-modular
-    route with its Hadamard bound, whatever its bits per row. A_n and
-    C_{n,k} never hand off, so they never pay for that route. The hand-off
-    to the loop loses nothing: by Sylvester's identity every Bareiss
-    intermediate is a minor of the input, so each int64 value is that
-    minor exactly and the quotient by the previous pivot stays exact
-    (Bareiss 1968, Math. Comp. 22).
+    route with its Hadamard bound. A_n and C_{n,k} never hand off, so they
+    never pay for that route. The hand-off to the loop loses nothing: by
+    Sylvester's identity every Bareiss intermediate is a minor of the
+    input, so each int64 value is that minor exactly and the quotient by
+    the previous pivot stays exact (Bareiss 1968, Math. Comp. 22).
     """
     rows = matrix.to_lists()
-    n = len(rows)
-    if n < _INT64_MIN_DIM:
+    if len(rows) < _INT64_MIN_DIM:
         return _eliminate(rows, 1, 1)
     import numpy as np
 
@@ -140,19 +115,9 @@ def det_bareiss(matrix):
         a = np.array(rows, dtype=np.int64)
     except OverflowError:
         a = None
-        low = min(map(min, rows))
-        high = max(map(max, rows))
-    else:
-        low = int(a.min())
-        high = int(a.max())
-    # Every Hadamard factor is at most sqrt(n) * max|x| + 1, so the bound
-    # can pass the threshold only if max|x| >= 2**_CRT_EXCESS_BITS * n.
-    if max(high, -low) >= n << _CRT_EXCESS_BITS:
-        bound = _hadamard(rows)
-        # int64 holds -2**63, but the phase needs |x| < 2**63.
-        outside = a is None or low == -_INT64_LIMIT
-        if outside or bound * bound > (n**3 << 2 * _CRT_EXCESS_BITS) ** n:
-            return _det_crt(rows, bound)
+    # int64 holds -2**63, but the phase needs |x| < 2**63.
+    if a is None or int(a.min()) == -_INT64_LIMIT:
+        return _det_crt(rows, _hadamard(rows))
     return _det_int64(a, rows)
 
 

@@ -7,6 +7,7 @@ that target. It is the only part of the package that uses floating
 point; everything else is exact.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,8 @@ class SimConfig:
             raise ValueError(f"process length must be >= 1, got {self.n}")
         if self.m < 2:
             raise ValueError(f"sample count must be >= 2, got {self.m}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         if self.dist not in DISTRIBUTIONS:
             raise ValueError(f"dist must be one of {DISTRIBUTIONS}, got {self.dist!r}")
         if self.chunks < 1:

@@ -140,22 +140,28 @@ class TestSymfunCommand:
         assert run(capsys, "symfun", "--n", "20", "--k", "3", "--method", "minors")[0] == 2
 
     def test_k_all_reads_one_table_per_method(self, capsys, monkeypatch):
-        real = cli.build_sym_table
+        real_table = cli.build_sym_table
+        real_symfun = cli.symfun
         built = []
+        single = []
 
         def counted(n_max, method="closed"):
             built.append((n_max, method))
-            return real(n_max, method)
+            return real_table(n_max, method)
 
         def per_k(n, k, method="closed"):
-            raise AssertionError("--k all must read its values from tables")
+            # Only the closed form, one binomial per k, skips the table.
+            assert method == "closed", "--k all must read its values from tables"
+            single.append((n, k))
+            return real_symfun(n, k, method)
 
         monkeypatch.setattr(cli, "build_sym_table", counted)
         monkeypatch.setattr(cli, "symfun", per_k)
         code, out, _ = run(capsys, "symfun", "--n", "12", "--k", "all", "--method", "all",
                            "--format", "json")
         assert code == 0 and json.loads(out)["payload"]["agree"] is True
-        assert built == [(12, m) for m in cli.METHODS]
+        assert built == [(12, m) for m in cli.METHODS if m != "closed"]
+        assert single == [(12, k) for k in range(13)]
 
     @pytest.mark.parametrize("fmt", ["plain", "json"])
     def test_negative_n_is_usage_error(self, capsys, fmt):
@@ -256,6 +262,12 @@ class TestSimulateCommand:
 
     def test_m_one_is_usage_error(self, capsys):
         assert run(capsys, "simulate", "--n", "4", "--m", "1")[0] == 2
+
+    @pytest.mark.parametrize("sigma", ["inf", "nan"])
+    def test_non_finite_sigma_is_usage_error(self, capsys, sigma):
+        code, out, err = run(capsys, "simulate", "--n", "3", "--m", "100", "--sigma", sigma)
+        assert (code, out) == (2, "")
+        assert err == f"error: sigma must be finite and > 0, got {sigma}\n"
 
 
 class TestInternalErrors:

@@ -189,6 +189,11 @@ def assert_one_hand_off(phases, n, handed):
         assert (phases["python"], phases["crt"]) == ([], [n])
 
 
+def scaled_ones_plus_identity(n, t):
+    """t*J + I, whose determinant is 1 + n*t."""
+    return [[t + (r == col) for col in range(n)] for r in range(n)]
+
+
 def random_rows(rng, n, low=-9, high=9):
     return [[rng.randint(low, high) for _ in range(n)] for _ in range(n)]
 
@@ -653,8 +658,8 @@ class TestRouting:
         def no_hadamard(rows):
             raise AssertionError("Hadamard bound computed")
 
-        # The entry scan alone keeps them off the route, and they never
-        # hand off.
+        # They never hand off, so they never reach the route or compute a
+        # Hadamard bound.
         monkeypatch.setattr(determinants, "_hadamard", no_hadamard)
         for lam in (0, 1):
             assert det_bareiss(char_matrix(120, lam)) == poly(lam)
@@ -662,28 +667,44 @@ class TestRouting:
         assert det_bareiss(build_c_matrix(219, 70)) == 70
         assert crt_calls == [120] * len(handing_off)
 
-    def test_route_follows_the_threshold(self, crt_calls):
-        # The route is CRT exactly when H > (2**e * n**1.5)**n. c*I + J
-        # crosses near c = 2**e * n**1.5, about 7526 at n = 24 and e = 6,
-        # so twelve values of c 25 apart straddle it; t*J + I crosses at
-        # t = 2**e * n, where the entry scan's gate max|x| >= 2**e * n is
-        # tight. Neither hands off a block of _INT64_MIN_DIM rows, so no
-        # matrix here reaches the route from the int64 phase.
-        n = _INT64_MIN_DIM
-        e = determinants._CRT_EXCESS_BITS
-        crossing = isqrt(n**3 << 2 * e)
-        cases = [
-            (scaled_identity_plus_ones(n, c), c ** (n - 1) * (c + n))
-            for c in range(crossing - 150, crossing + 150, 25)
-        ]
-        for t in range((n << e) - 3, (n << e) + 4):
-            cases.append(([[t + (r == c) for c in range(n)] for r in range(n)], 1 + n * t))
-        routed = []
-        for rows, expected in cases:
-            before = len(crt_calls)
+    def test_one_route_rule(self, phases, monkeypatch):
+        # Entries inside int64 always start in the int64 phase; the
+        # multi-modular route is reached from there only by a hand-off of
+        # at least _INT64_MIN_DIM rows, and only then is Hadamard's bound
+        # computed. c*I + J with c near 2**6 * n**1.5 at n = 24, rows far
+        # longer than the dimension alone gives, hands off 22 rows to the
+        # Python-int loop.
+        # t*J + I has minors of at most 1 + n*t: near t = 64*n it never
+        # hands off, and at t = 2**40 its first update overflows, so all
+        # 48 rows are handed off.
+        hadamard = determinants._hadamard
+        det_crt = determinants._det_crt
+        bounded = []
+
+        def spy_hadamard(rows):
+            bounded.append(len(rows))
+            return hadamard(rows)
+
+        def crt_after_hand_off(rows, bound):
+            assert phases["handed"] and phases["handed"][-1] >= _INT64_MIN_DIM
+            return det_crt(rows, bound)
+
+        monkeypatch.setattr(determinants, "_hadamard", spy_hadamard)
+        monkeypatch.setattr(determinants, "_det_crt", crt_after_hand_off)
+
+        def route(rows, expected):
+            for seen in (*phases.values(), bounded):
+                seen.clear()
             assert det_bareiss(ExactMatrix(rows)) == expected
-            bound = determinants._hadamard(rows)
-            routed.append(len(crt_calls) > before)
-            assert routed[-1] == (bound * bound > (n**3 << 2 * e) ** n)
-        assert routed[0] is False and routed[11] is True
-        assert routed[12:] == [False] * 3 + [True] * 4
+            assert phases["int64"] == [len(rows)]
+            return phases["handed"], phases["python"], phases["crt"], bounded
+
+        n = _INT64_MIN_DIM
+        crossing = isqrt(n**3 << 12)
+        for c in range(crossing - 150, crossing + 150, 25):
+            rows = scaled_identity_plus_ones(n, c)
+            assert route(rows, c ** (n - 1) * (c + n)) == ([n - 2], [n - 2], [], [])
+        for t in range(64 * n - 3, 64 * n + 4):
+            assert route(scaled_ones_plus_identity(n, t), 1 + n * t) == ([], [], [], [])
+        t = 2**40
+        assert route(scaled_ones_plus_identity(48, t), 1 + 48 * t) == ([48], [], [48], [48])

@@ -23,6 +23,7 @@ class TestConfigValidation:
             {"n": 3, "m": 10, "sigma": -1.0},
             {"n": 3, "m": 10, "dist": "cauchy"},
             {"n": 3, "m": 10, "chunks": 0},
+            {"n": 3, "m": 10, "sigma": float("inf")},
         ],
     )
     def test_invalid(self, kwargs):
