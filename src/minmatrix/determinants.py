@@ -12,10 +12,9 @@ arithmetic, so every comparison is an exact equality.
   once and Chinese remaindering (``_det_crt``), certified by Hadamard's
   bound;
 - otherwise: Bareiss in int64 for as long as an overflow certificate
-  holds. Where the certificate fails, the size of the active block picks
-  the finisher by the same rule as for a whole matrix: a block below
-  dimension 24 goes, exactly, to ``_eliminate``, and a larger one sends
-  the original matrix to ``_det_crt``.
+  holds. Where the certificate fails, ``_det_crt`` finishes the active
+  block: by Sylvester's identity its determinant, the sign of the row
+  swaps and the previous pivot give the determinant of the whole matrix.
 """
 
 from math import isqrt, prod
@@ -24,18 +23,13 @@ from .matrices import _check_increments
 
 # Smallest dimension at which det_bareiss tries the int64 phase. With
 # the two-tier certificate the int64 route (array conversion included)
-# overtakes the Python-int loop at dimension 19 on C_{d+1,2}, the slowest
-# case, at 17-18 on C_{d+k-1,k} for k = 10 and 60, and below 16 on A_n;
-# at 24 it is 1.4-2.1x faster. Moving the constant to 20 would save
-# 0.05-0.1 s of the 314 shifted matrices of dimension 20-23 that the
-# determinant sweep for n <= 100 checks (2-vCPU x86-64 host, Python
-# 3.11, numpy 2.4).
-# It stays at 24 because it also picks the finisher of an int64
-# hand-off. On the blocks that c*I + J hands off, the Python-int loop on
-# the block against the multi-modular route on the whole matrix took 1.4
-# against 4.4 ms at block 21 (n = 48), 2.1 against 1.9 ms at 23 and 2.5
-# against 2.1 ms at 24 (n = 26 and 27), 6.1 against 4.4 ms at 34, and
-# from block 38 up the modular route was 1.9-4.3x faster (n = 48 to 200).
+# overtakes the Python-int loop at dimension 17-18 on C_{d+1,2}, the
+# slowest case, at 16-17 on C_{d+9,10} and below 16 on C_{d+59,60} and
+# A_d; at 24 it is 1.6-2.2x faster. Moving the constant to 20 would save
+# 0.1-0.5 ms on each of the 314 shifted matrices of dimension 20-23 that
+# the determinant sweep for n <= 100 checks, 0.05-0.1 s in all (2-vCPU
+# x86-64 host, Python 3.11, numpy 2.4). It stays at 24, where the route
+# tests pin their thresholds and hand-offs, for that small a saving.
 _INT64_MIN_DIM = 24
 
 _INT64_LIMIT = 1 << 63
@@ -96,19 +90,18 @@ def det_bareiss(matrix):
     at most M, so this implies the exact test. Only when it fails is the
     exact test computed, and only its failure hands off. So the step at
     which a matrix leaves int64 is the step at which the exact test alone
-    would fail. When the certificate fails, the dimension of the active
-    block picks the finisher by the rule a whole matrix follows: a block
-    below dimension 24 goes to the Python-int loop, which finishes the
-    elimination; from 24 up the original matrix goes to the multi-modular
-    route with its Hadamard bound. A_n and C_{n,k} never hand off, so they
-    never pay for that route. The hand-off to the loop loses nothing: by
-    Sylvester's identity every Bareiss intermediate is a minor of the
-    input, so each int64 value is that minor exactly and the quotient by
-    the previous pivot stays exact (Bareiss 1968, Math. Comp. 22).
+    would fail. When the certificate fails, the multi-modular route
+    finishes the active block B of m rows, and the int64 work is kept: by
+    Sylvester's identity det A = sign * det B / prev**(m - 1), where sign
+    is that of the row swaps so far and prev the previous pivot (Bareiss
+    1968, Math. Comp. 22). The route certifies with H(B) / |prev|**(m - 1),
+    a bound on |det A| read from the block alone, and skips primes that
+    divide prev. A_n and C_{n,k} never hand off, so they never pay for
+    that route.
     """
     rows = matrix.to_lists()
     if len(rows) < _INT64_MIN_DIM:
-        return _eliminate(rows, 1, 1)
+        return _eliminate(rows)
     import numpy as np
 
     try:
@@ -118,19 +111,17 @@ def det_bareiss(matrix):
     # int64 holds -2**63, but the phase needs |x| < 2**63.
     if a is None or int(a.min()) == -_INT64_LIMIT:
         return _det_crt(rows, _hadamard(rows))
-    return _det_int64(a, rows)
+    return _det_int64(a)
 
 
-def _eliminate(rows, sign, prev):
-    """Python-int Bareiss elimination of an active block.
-
-    ``rows`` is the square active block, pivot column at index 0 of every
-    row; ``sign`` and ``prev`` are the row-swap sign and the previous pivot
-    so far (1 and 1 for a whole matrix). The rows are consumed.
-    """
+def _eliminate(rows):
+    """Python-int Bareiss elimination of the square matrix ``rows``, which
+    is consumed."""
     # Rows shrink as elimination proceeds: at each step the active block's
     # pivot column is index 0 of every remaining row.
     n = len(rows)
+    sign = 1
+    prev = 1
     for step in range(n - 1):
         if rows[step][0] == 0:
             for r in range(step + 1, n):
@@ -159,11 +150,17 @@ def _abs_max(a):
     return max(int(a.max()), -int(a.min()))
 
 
-def _det_int64(a, rows):
+def _det_int64(a):
     """Bareiss elimination of the int64 array ``a`` (consumed) for as long
-    as the overflow certificate holds, then ``_hand_off`` of what is left.
-    ``rows`` is the same matrix as lists of ints, left untouched. Entries
-    must satisfy |x| < 2**63."""
+    as the overflow certificate holds. Entries must satisfy |x| < 2**63.
+
+    Where the certificate fails, ``_det_crt`` finishes the active block B
+    of m rows. Every Bareiss intermediate is a minor of the input, so B
+    is exact, and by Sylvester's identity det A = sign * det B /
+    prev**(m - 1) with the row-swap sign and previous pivot so far. Since
+    |det B| <= H(B), Hadamard's bound of the block, |det A| <= H(B) /
+    |prev|**(m - 1), which certifies the route without the original
+    matrix."""
     import numpy as np
 
     n = len(a)
@@ -191,7 +188,8 @@ def _det_int64(a, rows):
         if (abs(pivot) + most) * most >= _INT64_LIMIT:
             bound = abs(pivot) * _abs_max(block) + _abs_max(lead) * _abs_max(pivot_tail)
             if bound >= _INT64_LIMIT:
-                return _hand_off(active, sign, prev, rows)
+                block = active.tolist()
+                return _det_crt(block, _hadamard(block) // abs(prev) ** (len(block) - 1), sign, prev)
         size = n - 1 - step
         outer = scratch[: size * size].reshape(size, size)
         np.multiply(lead[:, None], pivot_tail, out=outer)
@@ -202,16 +200,6 @@ def _det_int64(a, rows):
             block //= prev
         prev = pivot
     return sign * int(a[n - 1, n - 1])
-
-
-def _hand_off(active, sign, prev, rows):
-    """Finish an elimination that left int64 at the square block ``active``,
-    with row-swap sign ``sign`` and previous pivot ``prev``; ``rows`` is
-    the original matrix. The block's dimension picks the finisher by the
-    rule det_bareiss applies to a whole matrix."""
-    if len(active) < _INT64_MIN_DIM:
-        return _eliminate(active.tolist(), sign, prev)
-    return _det_crt(rows, _hadamard(rows))
 
 
 # Primes below 2**_CRT_PRIME_BITS in descending order, found on first use.
@@ -240,11 +228,12 @@ def _is_prime(n):
     return True
 
 
-def _crt_primes(bound):
-    """The fewest of the largest primes below 2**_CRT_PRIME_BITS whose
-    product exceeds ``bound``, and that product."""
+def _crt_primes(bound, prev=1):
+    """The fewest of the largest primes below 2**_CRT_PRIME_BITS that do
+    not divide ``prev`` whose product exceeds ``bound``, and that product."""
     global _crt_prime_table
     table = list(_crt_prime_table)
+    primes = []
     modulus = 1
     count = 0
     while modulus <= bound:
@@ -253,11 +242,14 @@ def _crt_primes(bound):
             while not _is_prime(candidate):
                 candidate -= 2
             table.append(candidate)
-        modulus *= table[count]
+        q = table[count]
         count += 1
+        if prev % q:
+            primes.append(q)
+            modulus *= q
     if len(table) > len(_crt_prime_table):
         _crt_prime_table = tuple(table)
-    return table[:count], modulus
+    return primes, modulus
 
 
 def _hadamard(rows):
@@ -266,18 +258,22 @@ def _hadamard(rows):
     return prod(isqrt(sum(x * x for x in row)) + 1 for row in rows)
 
 
-def _det_crt(rows, bound):
-    """Exact determinant of an integer matrix with |det| <= ``bound`` by
-    elimination modulo word-size primes and Chinese remaindering.
+def _det_crt(rows, bound, sign=1, prev=1):
+    """Exact determinant of an integer matrix A with |det A| <= ``bound``
+    by elimination modulo word-size primes and Chinese remaindering.
 
-    The primes' product M exceeds 2*bound + 1, so the determinant is the
-    unique residue mod M in the symmetric range. A prime never has to be
-    dropped: a zero pivot mod p is swapped within that prime's slice, and
-    a column that is all zero mod p means the determinant is 0 mod p.
+    ``rows`` is an m-row Bareiss block B of A, with det A = sign * det B /
+    prev**(m - 1) by Sylvester's identity; a whole matrix is the case
+    sign = prev = 1. The primes skip those that divide prev, so each
+    residue det B mod q becomes det A mod q by the inverse of
+    prev**(m - 1) mod q. Their product M exceeds 2*bound + 1, so det A is
+    the unique residue mod M in the symmetric range. A prime never has to
+    be dropped: a zero pivot mod p is swapped within that prime's slice,
+    and a column that is all zero mod p means the determinant is 0 mod p.
     """
     import numpy as np
 
-    primes, modulus = _crt_primes(2 * bound + 1)
+    primes, modulus = _crt_primes(2 * bound + 1, prev)
     n = len(rows)
     flat = [x for row in rows for x in row]
     # |x| as 32-bit limbs, most significant first. Horner's rule mod p
@@ -307,7 +303,7 @@ def _det_crt(rows, bound):
     total = 0
     for r, q in zip(residues, primes):
         share = modulus // q
-        total += r * pow(share % q, -1, q) % q * share
+        total += sign * r * pow(pow(prev, n - 1, q) * share, -1, q) % q * share
     total %= modulus
     return total - modulus if 2 * total > modulus else total
 

@@ -138,39 +138,41 @@ class TestOracleEquivalence:
 
 def reference(rows):
     """The Python-int loop alone: the oracle for the int64 phase."""
-    return _eliminate([row[:] for row in rows], 1, 1)
+    return _eliminate([row[:] for row in rows])
 
 
 @pytest.fixture
 def phases(monkeypatch):
-    """Record each entry into the int64 phase (its dimension), each hand-off
-    out of it (the dimension of the block left at the decision point), each
-    call of the Python-int loop (the size of the block it gets) and each
-    call of the multi-modular route (the dimension of its matrix)."""
+    """Record each entry into the int64 phase (its dimension), each call of
+    the Python-int loop (the dimension of its matrix) and each call of the
+    multi-modular route (the dimension of its matrix or block). A hand-off
+    out of the int64 phase is a call of the route made inside that phase;
+    "handed" records the size of the block it gets."""
     seen = {"int64": [], "handed": [], "python": [], "crt": []}
     det_int64 = determinants._det_int64
-    hand_off = determinants._hand_off
     eliminate = determinants._eliminate
     det_crt = determinants._det_crt
+    inside = []
 
-    def spy_int64(a, rows):
-        seen["int64"].append(len(rows))
-        return det_int64(a, rows)
+    def spy_int64(a):
+        seen["int64"].append(len(a))
+        inside.append(a)
+        try:
+            return det_int64(a)
+        finally:
+            inside.pop()
 
-    def spy_hand_off(active, sign, prev, rows):
-        seen["handed"].append(len(active))
-        return hand_off(active, sign, prev, rows)
-
-    def spy_eliminate(rows, sign, prev):
+    def spy_eliminate(rows):
         seen["python"].append(len(rows))
-        return eliminate(rows, sign, prev)
+        return eliminate(rows)
 
-    def spy_crt(rows, bound):
+    def spy_crt(rows, *args):
         seen["crt"].append(len(rows))
-        return det_crt(rows, bound)
+        if inside:
+            seen["handed"].append(len(rows))
+        return det_crt(rows, *args)
 
     monkeypatch.setattr(determinants, "_det_int64", spy_int64)
-    monkeypatch.setattr(determinants, "_hand_off", spy_hand_off)
     monkeypatch.setattr(determinants, "_eliminate", spy_eliminate)
     monkeypatch.setattr(determinants, "_det_crt", spy_crt)
     return seen
@@ -178,15 +180,10 @@ def phases(monkeypatch):
 
 def assert_one_hand_off(phases, n, handed):
     """One hand-off of a block of ``handed`` rows out of an n x n matrix,
-    finished as a whole matrix of that dimension would be: by the
-    Python-int loop below _INT64_MIN_DIM, else by the multi-modular route
-    on the original matrix."""
+    finished by the multi-modular route on that block."""
     assert phases["int64"] == [n]
     assert phases["handed"] == [handed]
-    if handed < _INT64_MIN_DIM:
-        assert (phases["python"], phases["crt"]) == ([handed], [])
-    else:
-        assert (phases["python"], phases["crt"]) == ([], [n])
+    assert (phases["python"], phases["crt"]) == ([], [handed])
 
 
 def scaled_ones_plus_identity(n, t):
@@ -324,14 +321,44 @@ class TestInt64Phase:
         assert det_bareiss(ExactMatrix(scaled_identity_plus_ones(48, c))) == c**47 * (c + 48)
         assert_one_hand_off(phases, 48, handed)
 
-    @pytest.mark.parametrize("n", [_INT64_MIN_DIM + 2, _INT64_MIN_DIM + 3])
-    def test_hand_off_finisher_boundary(self, phases, n):
-        # 2**8 * I + J leaves int64 after three steps: the first block
-        # below _INT64_MIN_DIM goes to the Python-int loop, the next
-        # size up to the multi-modular route.
-        c = 2**8
+    @pytest.mark.parametrize(
+        "n, c, handed",
+        [
+            pytest.param(n, 2**8, n - 3, id=str(n))
+            for n in (_INT64_MIN_DIM + 2, _INT64_MIN_DIM + 3)
+        ]
+        + [(30, 2, 3), (40, 2, 13)],
+    )
+    def test_hand_off_finisher_boundary(self, phases, n, c, handed):
+        # Blocks of any size go to the multi-modular route, on both sides
+        # of _INT64_MIN_DIM: 2**8 * I + J leaves int64 after three steps,
+        # and 2 * I + J leaves small blocks with a large previous pivot.
         assert det_bareiss(ExactMatrix(scaled_identity_plus_ones(n, c))) == c ** (n - 1) * (c + n)
-        assert_one_hand_off(phases, n, n - 3)
+        assert_one_hand_off(phases, n, handed)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_primes_dividing_the_previous_pivot_are_skipped(self, phases, monkeypatch, swap):
+        # q1 * q2 as the first pivot passes step 0's certificate, and the
+        # hand-off at step 1 has prev = q1 * q2: residues mod q1 and q2
+        # could not undo the division by prev, so neither prime is used.
+        # With a zero at (0, 0), a row swap brings the pivot up first.
+        n = 30
+        q1, q2 = determinants._crt_primes(2**50)[0][:2]
+        rows = random_rows(random.Random(n), n, -3, 3)
+        rows[1 if swap else 0][0] = q1 * q2
+        if swap:
+            rows[0][0] = 0
+        used = []
+        det_mod = determinants._det_mod
+
+        def spy(a, p, outer):
+            used.extend(p.tolist())
+            return det_mod(a, p, outer)
+
+        monkeypatch.setattr(determinants, "_det_mod", spy)
+        assert det_bareiss(ExactMatrix(rows)) == reference(rows)
+        assert_one_hand_off(phases, n, n - 1)
+        assert used and q1 not in used and q2 not in used
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -386,14 +413,14 @@ def unimodular_mix(rng, rows):
 
 @pytest.fixture
 def crt_calls(monkeypatch):
-    """Record the dimension of every matrix that det_bareiss sends to the
-    multi-modular route."""
+    """Record the dimension of every matrix or block that det_bareiss sends
+    to the multi-modular route."""
     calls = []
     det_crt = determinants._det_crt
 
-    def spy(rows, bound):
+    def spy(rows, *args):
         calls.append(len(rows))
-        return det_crt(rows, bound)
+        return det_crt(rows, *args)
 
     monkeypatch.setattr(determinants, "_det_crt", spy)
     return calls
@@ -409,6 +436,10 @@ class TestMultiModular:
         # Found once: a shorter request reads a prefix of the same table.
         fewer, _ = determinants._crt_primes(2**100)
         assert fewer == primes[: len(fewer)]
+        # Primes that divide prev are skipped, and the next ones taken.
+        skipped, modulus = determinants._crt_primes(2**100, primes[0] * primes[2])
+        assert skipped == [q for q in primes if q not in (primes[0], primes[2])][: len(skipped)]
+        assert modulus == prod(skipped) > 2**100 >= prod(skipped[:-1])
         assert determinants._crt_prime_table == tuple(primes)
 
     def test_prime_table_under_concurrent_first_use(self, monkeypatch):
@@ -653,7 +684,8 @@ class TestRouting:
         handing_off = [-3, -2, -1, 2, 3, 4, 5]
         for lam in handing_off:
             assert det_bareiss(char_matrix(120, lam)) == poly(lam)
-        assert crt_calls == [120] * len(handing_off)
+        blocks = [108, 106, 99, 91, 101, 105, 108]
+        assert crt_calls == blocks
 
         def no_hadamard(rows):
             raise AssertionError("Hadamard bound computed")
@@ -665,32 +697,25 @@ class TestRouting:
             assert det_bareiss(char_matrix(120, lam)) == poly(lam)
         assert det_bareiss(build_min_matrix(200)) == 1
         assert det_bareiss(build_c_matrix(219, 70)) == 70
-        assert crt_calls == [120] * len(handing_off)
+        assert crt_calls == blocks
 
     def test_one_route_rule(self, phases, monkeypatch):
         # Entries inside int64 always start in the int64 phase; the
-        # multi-modular route is reached from there only by a hand-off of
-        # at least _INT64_MIN_DIM rows, and only then is Hadamard's bound
-        # computed. c*I + J with c near 2**6 * n**1.5 at n = 24, rows far
-        # longer than the dimension alone gives, hands off 22 rows to the
-        # Python-int loop.
+        # multi-modular route is reached from there only by a hand-off,
+        # and only then is Hadamard's bound computed, on the block left.
+        # c*I + J with c near 2**6 * n**1.5 at n = 24, rows far longer
+        # than the dimension alone gives, hands off 22 rows.
         # t*J + I has minors of at most 1 + n*t: near t = 64*n it never
         # hands off, and at t = 2**40 its first update overflows, so all
         # 48 rows are handed off.
         hadamard = determinants._hadamard
-        det_crt = determinants._det_crt
         bounded = []
 
         def spy_hadamard(rows):
             bounded.append(len(rows))
             return hadamard(rows)
 
-        def crt_after_hand_off(rows, bound):
-            assert phases["handed"] and phases["handed"][-1] >= _INT64_MIN_DIM
-            return det_crt(rows, bound)
-
         monkeypatch.setattr(determinants, "_hadamard", spy_hadamard)
-        monkeypatch.setattr(determinants, "_det_crt", crt_after_hand_off)
 
         def route(rows, expected):
             for seen in (*phases.values(), bounded):
@@ -703,7 +728,7 @@ class TestRouting:
         crossing = isqrt(n**3 << 12)
         for c in range(crossing - 150, crossing + 150, 25):
             rows = scaled_identity_plus_ones(n, c)
-            assert route(rows, c ** (n - 1) * (c + n)) == ([n - 2], [n - 2], [], [])
+            assert route(rows, c ** (n - 1) * (c + n)) == ([n - 2], [], [n - 2], [n - 2])
         for t in range(64 * n - 3, 64 * n + 4):
             assert route(scaled_ones_plus_identity(n, t), 1 + n * t) == ([], [], [], [])
         t = 2**40
