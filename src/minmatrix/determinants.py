@@ -22,14 +22,15 @@ from math import isqrt, prod
 from .matrices import _check_increments
 
 # Smallest dimension at which det_bareiss tries the int64 phase. With
-# the two-tier certificate the int64 route (array conversion included)
-# overtakes the Python-int loop at dimension 17-18 on C_{d+1,2}, the
-# slowest case, at 16-17 on C_{d+9,10} and below 16 on C_{d+59,60} and
-# A_d; at 24 it is 1.6-2.2x faster. Moving the constant to 20 would save
-# 0.1-0.5 ms on each of the 314 shifted matrices of dimension 20-23 that
-# the determinant sweep for n <= 100 checks, 0.05-0.1 s in all (2-vCPU
-# x86-64 host, Python 3.11, numpy 2.4). It stays at 24, where the route
-# tests pin their thresholds and hand-offs, for that small a saving.
+# the carried bound and the exact division by an inverse, the int64 route
+# (array conversion included) overtakes the Python-int loop at dimension
+# 14-16 on C_{d+1,2} and C_{d+9,10}, the slowest cases, and at 12-14 on
+# C_{d+59,60} and A_d; at 24 it is 2.0-2.5x faster. Moving the constant
+# to 20 would save 0.2-0.5 ms on each of the 314 shifted matrices of
+# dimension 20-23 that the determinant sweep for n <= 100 checks,
+# 0.06-0.15 s in all (2-vCPU x86-64 host, Python 3.11, numpy 2.4). It
+# stays at 24, where the route tests pin their thresholds and hand-offs,
+# for that small a saving.
 _INT64_MIN_DIM = 24
 
 _INT64_LIMIT = 1 << 63
@@ -85,12 +86,21 @@ def det_bareiss(matrix):
         |pivot| * max|block| + max|lead column| * max|pivot row| < 2**63,
 
     computed in Python ints. The certificate has two tiers. The first
-    takes M = max|active block|, pivot row and column included, from two
-    reductions and tests (|pivot| + M) * M < 2**63; every factor above is
-    at most M, so this implies the exact test. Only when it fails is the
-    exact test computed, and only its failure hands off. So the step at
-    which a matrix leaves int64 is the step at which the exact test alone
-    would fail. When the certificate fails, the multi-modular route
+    takes M = max|active block|, pivot row and column included, and tests
+    (|pivot| + M) * M < 2**63; every factor above is at most M, so this
+    implies the exact test. Only when it fails is the exact test
+    computed, and only its failure hands off. So the step at which a
+    matrix leaves int64 is the step at which the exact test alone would
+    fail. M is not measured at every step: no new entry exceeds
+    (|pivot| + M) * M / |prev|, so a bound on M carries from step to step,
+    and the block is measured by two reductions only where the bound fails
+    the first tier. The certified update N = pivot*x - lead*y has
+    |N| < 2**63, so the exact division N / prev is a multiplication by the
+    inverse of prev's odd part mod 2**64, in wrapping uint64 arithmetic,
+    and a right shift by prev's power of two (Jebelean, J. Symb. Comput.
+    15, 1993). Where prev divides pivot, only the outer product lead*y is
+    divided, so after step 0 a constant pivot costs no full-block
+    multiplication. When the certificate fails, the multi-modular route
     finishes the active block B of m rows, and the int64 work is kept: by
     Sylvester's identity det A = sign * det B / prev**(m - 1), where sign
     is that of the row swaps so far and prev the previous pivot (Bareiss
@@ -154,6 +164,11 @@ def _det_int64(a):
     """Bareiss elimination of the int64 array ``a`` (consumed) for as long
     as the overflow certificate holds. Entries must satisfy |x| < 2**63.
 
+    Each step divides by prev exactly: the inverse of prev's odd part mod
+    2**64 and a right shift by its power of two. A bound on the active
+    block's max, carried from step to step, spares the reductions of the
+    certificate's first tier wherever it passes.
+
     Where the certificate fails, ``_det_crt`` finishes the active block B
     of m rows. Every Bareiss intermediate is a minor of the input, so B
     is exact, and by Sylvester's identity det A = sign * det B /
@@ -166,8 +181,11 @@ def _det_int64(a):
     n = len(a)
     sign = 1
     prev = 1
+    # An upper bound on max|active block|, carried from step to step. At
+    # _INT64_LIMIT it fails the coarse test, so step 0 measures.
+    most = _INT64_LIMIT
     # One scratch array serves every step's outer product.
-    scratch = np.empty((n - 1) * (n - 1), dtype=np.int64)
+    scratch = np.empty((n - 1) * (n - 1), dtype=np.uint64)
     for step in range(n - 1):
         pivot = int(a[step, step])
         if pivot == 0:
@@ -183,21 +201,47 @@ def _det_int64(a):
         pivot_tail = active[0, 1:]
         block = active[1:, 1:]
         # The two-tier certificate of det_bareiss: the coarse test implies
-        # the exact one, which alone decides the hand-off.
-        most = _abs_max(active)
-        if (abs(pivot) + most) * most >= _INT64_LIMIT:
-            bound = abs(pivot) * _abs_max(block) + _abs_max(lead) * _abs_max(pivot_tail)
-            if bound >= _INT64_LIMIT:
-                block = active.tolist()
-                return _det_crt(block, _hadamard(block) // abs(prev) ** (len(block) - 1), sign, prev)
+        # the exact one, which alone decides the hand-off. A carried bound
+        # that passes the coarse test implies that the measured max would,
+        # so the block is measured only where the carried bound fails.
+        growth = (abs(pivot) + most) * most
+        if growth >= _INT64_LIMIT:
+            most = _abs_max(active)
+            growth = (abs(pivot) + most) * most
+            if growth >= _INT64_LIMIT:
+                growth = abs(pivot) * _abs_max(block) + _abs_max(lead) * _abs_max(pivot_tail)
+                if growth >= _INT64_LIMIT:
+                    block = active.tolist()
+                    return _det_crt(block, _hadamard(block) // abs(prev) ** (len(block) - 1), sign, prev)
+        # Each N = pivot*x - lead*y has |N| <= growth < 2**63, so no entry
+        # of the next active block exceeds growth // |prev|.
+        most = growth // abs(prev)
+        # prev divides N. With prev = 2**t * o, o odd, N / o is N times the
+        # inverse of o mod 2**64, exact in wrapping uint64 arithmetic since
+        # |N / o| < 2**63, and N / prev is N / o shifted right by t.
+        t = (prev & -prev).bit_length() - 1
+        inverse = pow(prev >> t, -1, 1 << 64)
         size = n - 1 - step
         outer = scratch[: size * size].reshape(size, size)
-        np.multiply(lead[:, None], pivot_tail, out=outer)
-        if pivot != 1:
-            block *= pivot
-        block -= outer
-        if prev != 1:
-            block //= prev
+        scaled_lead = lead.view(np.uint64)
+        if inverse != 1:
+            scaled_lead = scaled_lead * inverse
+        np.multiply(scaled_lead[:, None], pivot_tail.view(np.uint64), out=outer)
+        quotient, rest = divmod(pivot, prev)
+        if rest == 0:
+            # prev divides lead*y as well, and |lead*y| <= growth.
+            exact = outer.view(np.int64)
+            if t:
+                exact >>= t
+            if quotient != 1:
+                block *= quotient
+            block -= exact
+        else:
+            wide = block.view(np.uint64)
+            wide *= pivot * inverse % (1 << 64)
+            wide -= outer
+            if t:
+                block >>= t
         prev = pivot
     return sign * int(a[n - 1, n - 1])
 

@@ -6,7 +6,7 @@ import tracemalloc
 from math import isqrt, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from minmatrix import (
@@ -141,6 +141,33 @@ def reference(rows):
     return _eliminate([row[:] for row in rows])
 
 
+def exact_certificate_hand_off(rows):
+    """Bareiss in Python ints that tests only the exact overflow
+    certificate, |pivot| * max|block| + max|lead| * max|pivot row| < 2**63,
+    at every step: the size of the block left where it first fails, or
+    None. The oracle for the int64 phase's hand-off step."""
+    rows = [row[:] for row in rows]
+    n = len(rows)
+    prev = 1
+    for step in range(n - 1):
+        if rows[step][0] == 0:
+            swap = next((r for r in range(step + 1, n) if rows[r][0] != 0), None)
+            if swap is None:
+                return None
+            rows[step], rows[swap] = rows[swap], rows[step]
+        pivot, *pivot_tail = rows[step]
+        below = rows[step + 1 :]
+        block = max(abs(x) for row in below for x in row[1:])
+        lead = max(abs(row[0]) for row in below)
+        if abs(pivot) * block + lead * max(map(abs, pivot_tail)) >= 2**63:
+            return n - step
+        for r in range(step + 1, n):
+            row = rows[r]
+            rows[r] = [(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], pivot_tail)]
+        prev = pivot
+    return None
+
+
 @pytest.fixture
 def phases(monkeypatch):
     """Record each entry into the int64 phase (its dimension), each call of
@@ -199,6 +226,29 @@ def scaled_identity_plus_ones(n, c):
     """c*I + J, whose determinant is c**(n-1) * (c + n) and whose Bareiss
     pivots grow like powers of c."""
     return [[c * (r == col) + 1 for col in range(n)] for r in range(n)]
+
+
+def odd_previous_pivot(n, second):
+    """A matrix whose first pivot is o = 2**31 - 1 and whose second is
+    ``second``, 1 or o, while the block stays small enough that step 1,
+    which divides by o, passes the certificate. Row 0 is (o, 2, 0, ...),
+    and column 1 is zero below row 1, so step 1's lead column is small."""
+    o = 2**31 - 1
+    rng = random.Random(second)
+    rows = [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)]
+    rows[0] = [o, 2] + [0] * (n - 2)
+    # Step 0 leaves o * 1 - lead * 2 at (1, 1).
+    rows[1][:2] = [(o - second) // 2, 1]
+    for row in rows[2:]:
+        row[:2] = [rng.randint(-3, 3), 0]
+    return rows
+
+
+def signed_permutation(n):
+    rng = random.Random(n)
+    columns = list(range(n))
+    rng.shuffle(columns)
+    return [[rng.choice((1, -1)) * (c == columns[r]) for c in range(n)] for r in range(n)]
 
 
 class TestInt64Phase:
@@ -359,6 +409,92 @@ class TestInt64Phase:
         assert det_bareiss(ExactMatrix(rows)) == reference(rows)
         assert_one_hand_off(phases, n, n - 1)
         assert used and q1 not in used and q2 not in used
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.integers(_INT64_MIN_DIM, 40),
+        st.integers(0, 2**32),
+        st.one_of(
+            st.integers(-9, 9),
+            st.builds(lambda b, s: s * 2**b, st.integers(0, 12), st.sampled_from([1, -1])),
+            st.integers(-(2**12), 2**12),
+        ),
+        st.sampled_from([1, 3]),
+        st.sampled_from([0.1, 0.3, 1.0]),
+        st.integers(0, 3),
+        st.lists(st.integers(0, 2**20), max_size=2),
+    )
+    def test_hand_off_matches_exact_certificate(
+        self, phases, n, seed, diagonal, spread, density, swaps, near_limit
+    ):
+        # Diagonals of either sign, odd, even and powers of two set the
+        # pivots; sparse rows and swapped rows give zero pivots and row
+        # swaps, and planted entries within 2**20 of +-(2**63 - 1) put
+        # the certificate at its limit from step 0. The entries come from
+        # a seeded generator: drawn one by one, they would be far more
+        # data than hypothesis takes for one example.
+        for seen in phases.values():
+            seen.clear()
+        rng = random.Random(seed)
+        rows = [
+            [diagonal if r == c else rng.randint(-spread, spread) * (rng.random() < density) for c in range(n)]
+            for r in range(n)
+        ]
+        for _ in range(swaps):
+            i, j = rng.sample(range(n), 2)
+            rows[i], rows[j] = rows[j], rows[i]
+        for offset in near_limit:
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.choice((1, -1)) * (2**63 - 1 - offset)
+        handed = exact_certificate_hand_off(rows)
+        assert det_bareiss(ExactMatrix(rows)) == reference(rows)
+        assert phases["int64"] == [n]
+        assert phases["handed"] == ([] if handed is None else [handed])
+
+    def test_carried_bound_skips_most_reductions(self, monkeypatch):
+        # Both matrices take 149 int64 steps. Step 0 measures the whole
+        # matrix; after that the bound carried from step to step spares
+        # the reduction on at least every other step.
+        shapes = []
+        abs_max = determinants._abs_max
+
+        def spy(a):
+            shapes.append(a.shape)
+            return abs_max(a)
+
+        monkeypatch.setattr(determinants, "_abs_max", spy)
+        for matrix, value in ((build_min_matrix(150), 1), (build_c_matrix(219, 70), 70)):
+            shapes.clear()
+            assert det_bareiss(matrix) == value
+            assert shapes[0] == (150, 150)
+            assert len(shapes) <= 149 // 2
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Pivots (-12)**(k-1) * (k - 12): 120, -1296, ... leave a
+            # negative previous pivot with t > 0 before the hand-off.
+            pytest.param(scaled_identity_plus_ones(30, -12), id="c=-12"),
+            # Diagonal 3 * 2**10: step 1 divides by prev = 3 * 2**10
+            # (t = 10) a pivot that prev does not divide.
+            pytest.param(scaled_identity_plus_ones(30, 3 * 2**10 - 1), id="diag=3*2**10"),
+            # Constant pivot 3 * 2**10, and +-12 alternating in sign: prev
+            # divides every pivot.
+            pytest.param(build_c_matrix(3 * 2**10 + 29, 3 * 2**10).to_lists(), id="C,k=3*2**10"),
+            pytest.param([[-x for x in row] for row in build_c_matrix(12 + 29, 12).to_lists()], id="-C,k=12"),
+            # prev = 2**31 - 1 at step 1, whose inverse mod 2**64 makes
+            # lead * inverse wrap; the pivot is 1 or prev itself.
+            pytest.param(odd_previous_pivot(30, 1), id="prev=2**31-1,pivot=1"),
+            pytest.param(odd_previous_pivot(30, 2**31 - 1), id="prev=pivot=2**31-1"),
+            # Every pivot is +-1, and -1 is its own inverse: 2**64 - 1.
+            pytest.param(signed_permutation(30), id="signed-permutation"),
+        ],
+    )
+    def test_exact_division_edge_cases(self, phases, rows):
+        handed = exact_certificate_hand_off(rows)
+        assert det_bareiss(ExactMatrix(rows)) == reference(rows)
+        assert phases["handed"] == ([] if handed is None else [handed])
+        # At least two steps, the first division included, ran in int64.
+        assert handed is None or handed <= len(rows) - 2
 
     @settings(max_examples=60, deadline=None)
     @given(
