@@ -16,8 +16,19 @@ ways and assembles the exact characteristic polynomial from the values:
 Each of the four polynomial methods has one iterative fill over plain
 lists, column j holding S(., j); a single value fills only the columns
 and rows it needs, a table the whole triangle, and no method recurses.
-nested builds the sums over compositions of each exact total and takes
-their prefix sums, so it shares no recurrence on S with rec6.
+A column of length L costs O(L) big-integer operations, so S(n, k)
+alone costs O(k(n-k)) (ratio O(n-k)) and a table up to n O(n^2):
+
+  nested, rec6  the weighted sum c[d] = sum_i i * v[d+1-i] of one column
+                v is (d+1) * P[d] - Q[d], from the running sums
+                P[d] = sum_{e<=d} v[e] and Q[d] = sum_{e<=d} e * v[e]
+                (_ramp_sums, the only code the two share). nested applies
+                it to the sums over compositions of each exact total and
+                takes their prefix sums; rec6 applies it to S(., j-1)
+                itself, so the two share no recurrence on S.
+  rec7          additions only: the prefix sum of S(., j-1) is carried
+                down the column, never the weighted helper.
+  ratio         one exact multiply and divide per entry.
 
 The eigenvalues themselves are never computed; only their symmetric
 functions have closed forms here.
@@ -145,43 +156,57 @@ def _trapezoid(n, k):
     return [n - k + 1] * (k + 1)
 
 
+def _ramp_sums(values, length):
+    """c[d] = sum_{i=1}^{d+1} i * values[d + 1 - i] for 0 <= d < length.
+
+    values[e] enters c[d] with weight d + 1 - e, so
+        c[d] = (d + 1) * P[d] - Q[d],
+    where P[d] = sum_{e<=d} values[e] and Q[d] = sum_{e<=d} e * values[e]
+    are running sums: O(length) big-integer operations, not O(length^2).
+    nested and rec6 share this helper and nothing else. rec7's recurrence
+    is rec6's identity in additive form; it never calls this helper, so
+    the two fills share no arithmetic.
+    """
+    head = values[:length]
+    ramps = map(operator.mul, range(1, length + 1), accumulate(head))
+    moments = accumulate(map(operator.mul, range(length), head))
+    return list(map(operator.sub, ramps, moments))
+
+
 def _nested_columns(lengths):
     """Column fill by exact totals. exact[e] sums i_1 * ... * i_j over the
     compositions of exactly j + e into j parts; splitting off the last
-    part i makes it the sum of i * (previous exact)[e + 1 - i]. Column j
-    holds the prefix sums of exact: S(j + e, j), totals at most j + e."""
+    part i makes it the sum of i * (previous exact)[e + 1 - i], one
+    _ramp_sums of the previous exact. Column j holds the prefix sums of
+    exact: S(j + e, j), totals at most j + e."""
     exact = [1] + [0] * (lengths[0] - 1)
     columns = [list(accumulate(exact))]
     for length in lengths[1:]:
-        exact = [
-            sum(map(operator.mul, range(e + 1, 0, -1), exact)) for e in range(length)
-        ]
+        exact = _ramp_sums(exact, length)
         columns.append(list(accumulate(exact)))
     return columns
 
 
 def _rec6_columns(lengths):
     """Column fill by S(m, j) = sum_{i=1}^{m-j+1} i * S(m-i, j-1); at
-    m = j + d the weight i pairs with prev[d + 1 - i]."""
+    m = j + d the weight i pairs with prev[d + 1 - i], so column j is one
+    _ramp_sums of column j - 1."""
     columns = [[1] * lengths[0]]
     for length in lengths[1:]:
-        prev = columns[-1]
-        columns.append(
-            [sum(map(operator.mul, range(d + 1, 0, -1), prev)) for d in range(length)]
-        )
+        columns.append(_ramp_sums(columns[-1], length))
     return columns
 
 
 def _rec7_columns(lengths):
     """Column fill by S(m, j) = S(m-1, j) + sum_{i=1}^{m-j+1} S(m-i, j-1)
-    from the diagonal S(j, j) = 1."""
+    from the diagonal S(j, j) = 1. At m = j + d the inner sum is the
+    prefix sum prev[0] + ... + prev[d], carried from one d to the next, so
+    a column of length L costs O(L) additions and no multiplication."""
     columns = [[1] * lengths[0]]
     for length in lengths[1:]:
-        prev = columns[-1]
-        column = [1]
-        for d in range(1, length):
-            column.append(column[-1] + sum(prev[: d + 1]))
-        columns.append(column)
+        totals = accumulate(columns[-1][:length])  # prev[0] + ... + prev[d]
+        next(totals)  # d = 0 is the base S(j, j) = 1, not a step
+        columns.append(list(accumulate(totals, initial=1)))
     return columns
 
 

@@ -1,7 +1,10 @@
 import math
-from itertools import combinations
+import operator
+from itertools import accumulate, combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from minmatrix import (
     BruteForceCapExceeded,
@@ -145,7 +148,8 @@ class TestMinorWalk:
 
         monkeypatch.setattr(determinants, "det_bareiss", forbidden)
         for name in ("binomial", "symfun_closed", "symfun_nested", "symfun_rec6",
-                     "symfun_rec7", "symfun_ratio"):
+                     "symfun_rec7", "symfun_ratio", "_ramp_sums", "_nested_columns",
+                     "_rec6_columns", "_rec7_columns", "_ratio_column"):
             monkeypatch.setattr(symmetric, name, forbidden)
         assert symfun_minor_sum(8, 4) == expected[8, 4]
         assert build_sym_table(8, "minors").values == expected
@@ -208,6 +212,13 @@ class TestCrossMethodAgreement:
             for k in range(n + 1):
                 assert len({t[n, k] for t in tables}) == 1
 
+    def test_tables_agree_at_150(self):
+        closed, *tables = [
+            build_sym_table(150, m) for m in ("closed", "nested", "rec6", "rec7", "ratio")
+        ]
+        for table in tables:
+            assert table.values == closed.values, table.method
+
     def test_dispatch(self):
         assert symfun(3, 2, method="nested") == 5
         with pytest.raises(ValueError):
@@ -251,10 +262,111 @@ class TestIterativeEngines:
         for name, names in engines.items():
             if name != method:
                 others.extend(names)
+        if method not in ("nested", "rec6"):
+            # rec7 is rec6's identity in additive form; it and ratio must
+            # not borrow the weighted sums that nested and rec6 share.
+            others.append("_ramp_sums")
         for name in others:
             monkeypatch.setattr(symmetric, name, forbidden)
         assert single(12, 5) == expected[12, 5]
         assert build_sym_table(12, method).values == expected
+
+
+# The quadratic column fills that _ramp_sums and the carried prefix sum
+# replaced, kept verbatim as references.
+
+
+def _quadratic_nested_columns(lengths):
+    """Column fill by exact totals. exact[e] sums i_1 * ... * i_j over the
+    compositions of exactly j + e into j parts; splitting off the last
+    part i makes it the sum of i * (previous exact)[e + 1 - i]. Column j
+    holds the prefix sums of exact: S(j + e, j), totals at most j + e."""
+    exact = [1] + [0] * (lengths[0] - 1)
+    columns = [list(accumulate(exact))]
+    for length in lengths[1:]:
+        exact = [
+            sum(map(operator.mul, range(e + 1, 0, -1), exact)) for e in range(length)
+        ]
+        columns.append(list(accumulate(exact)))
+    return columns
+
+
+def _quadratic_rec6_columns(lengths):
+    """Column fill by S(m, j) = sum_{i=1}^{m-j+1} i * S(m-i, j-1); at
+    m = j + d the weight i pairs with prev[d + 1 - i]."""
+    columns = [[1] * lengths[0]]
+    for length in lengths[1:]:
+        prev = columns[-1]
+        columns.append(
+            [sum(map(operator.mul, range(d + 1, 0, -1), prev)) for d in range(length)]
+        )
+    return columns
+
+
+def _quadratic_rec7_columns(lengths):
+    """Column fill by S(m, j) = S(m-1, j) + sum_{i=1}^{m-j+1} S(m-i, j-1)
+    from the diagonal S(j, j) = 1."""
+    columns = [[1] * lengths[0]]
+    for length in lengths[1:]:
+        prev = columns[-1]
+        column = [1]
+        for d in range(1, length):
+            column.append(column[-1] + sum(prev[: d + 1]))
+        columns.append(column)
+    return columns
+
+
+FILLS = {
+    "nested": ("_nested_columns", _quadratic_nested_columns),
+    "rec6": ("_rec6_columns", _quadratic_rec6_columns),
+    "rec7": ("_rec7_columns", _quadratic_rec7_columns),
+}
+
+
+class TestLinearFills:
+    @pytest.mark.parametrize("method", FILLS)
+    def test_trapezoids_match_quadratic_fill(self, method):
+        import minmatrix.symmetric as symmetric
+
+        name, reference = FILLS[method]
+        fill = getattr(symmetric, name)
+        # Column j of a fill depends only on column j - 1 and its length,
+        # and every column of _trapezoid(n, k) has length n - k + 1, so the
+        # reference on it is the first k + 1 columns of the reference on
+        # the tallest trapezoid with that length.
+        for length in range(1, 62):
+            expected = reference(symmetric._trapezoid(60, 61 - length))
+            for k in range(62 - length):
+                lengths = symmetric._trapezoid(k + length - 1, k)
+                assert fill(lengths) == expected[: k + 1], (k + length - 1, k)
+
+    @pytest.mark.parametrize("method", FILLS)
+    def test_tables_match_quadratic_fill(self, method):
+        import minmatrix.symmetric as symmetric
+
+        name, reference = FILLS[method]
+        fill = getattr(symmetric, name)
+        for n_max in range(61):
+            lengths = range(n_max + 1, 0, -1)
+            assert fill(lengths) == reference(lengths), n_max
+
+    @given(st.data())
+    def test_ramp_sums_are_weighted_sums(self, data):
+        from minmatrix.symmetric import _ramp_sums
+
+        values = data.draw(
+            st.lists(st.one_of(st.just(0), st.integers(0, 2**80)), min_size=1, max_size=40)
+        )
+        length = data.draw(st.integers(1, len(values)))
+        expected = [
+            sum(i * values[d + 1 - i] for i in range(1, d + 2)) for d in range(length)
+        ]
+        assert _ramp_sums(values, length) == expected
+
+    @pytest.mark.parametrize("fn", [symfun_nested, symfun_rec6, symfun_rec7])
+    @pytest.mark.parametrize("k", [1, 500, 750, 1499])
+    def test_large_single_values(self, fn, k):
+        assert fn(1500, k) == math.comb(1500 + k, 1500 - k)
 
 
 class TestBinomialIdentity:
