@@ -148,9 +148,10 @@ def cmd_det(args):
 
 def _symfun_values(n, ks, method):
     if len(ks) > 1 and method != "closed":
-        # One table gives every k; for a single k one call is far cheaper
-        # than a table at large n. A closed value is one binomial, and its
-        # table the whole triangle of them.
+        # One table's columns give every k; a single k is one call, which
+        # holds one column at a time where a table keeps the whole
+        # triangle. A closed value is one binomial, and its table the
+        # whole triangle of them.
         table = build_sym_table(n, method)
         return [table[n, k] for k in ks]
     return [symfun(n, k, method=method) for k in ks]

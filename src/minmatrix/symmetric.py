@@ -13,11 +13,12 @@ ways and assembles the exact characteristic polynomial from the values:
   rec7     difference recurrence, one step down in n
   ratio    multiplicative recurrence (n+k)/(n-k), every division exact
 
-Each of the four polynomial methods has one iterative fill over plain
-lists, column j holding S(., j); a single value fills only the columns
-and rows it needs, a table the whole triangle, and no method recurses.
-A column of length L costs O(L) big-integer operations, so S(n, k)
-alone costs O(k(n-k)) (ratio O(n-k)) and a table up to n O(n^2):
+Every method computes S column by column, column j holding S(j, j),
+S(j + 1, j), ..., and none recurses. nested, rec6 and rec7 yield each
+column once built from the one before, so a single value holds one
+column at a time; a SymTable keeps every column as a tuple. A column of
+length L costs O(L) big-integer operations: S(n, k) alone O(k(n-k))
+(ratio O(n-k)), a table up to n O(n^2):
 
   nested, rec6  the weighted sum c[d] = sum_i i * v[d+1-i] of one column
                 v is (d+1) * P[d] - Q[d], from the running sums
@@ -36,8 +37,9 @@ functions have closed forms here.
 
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .matrices import ExactMatrix, build_min_matrix
 
@@ -149,9 +151,9 @@ def symfun_minor_sum(n, k, cap=BRUTE_FORCE_CAP):
 def _trapezoid(n, k):
     """Column lengths for S(n, k) alone: columns 0..k down to offset n - k.
 
-    A column fill takes such lengths and returns the columns, column j
-    holding S(j + d, j) for 0 <= d < lengths[j]. Entry d of a column needs
-    the previous column down to offset d, so lengths must not increase.
+    A column fill takes such lengths and yields the columns in turn, column
+    j holding S(j + d, j) for 0 <= d < lengths[j]. Entry d of a column
+    needs the previous column down to offset d, so lengths must not increase.
     """
     return [n - k + 1] * (k + 1)
 
@@ -180,21 +182,21 @@ def _nested_columns(lengths):
     _ramp_sums of the previous exact. Column j holds the prefix sums of
     exact: S(j + e, j), totals at most j + e."""
     exact = [1] + [0] * (lengths[0] - 1)
-    columns = [list(accumulate(exact))]
+    yield list(accumulate(exact))
     for length in lengths[1:]:
         exact = _ramp_sums(exact, length)
-        columns.append(list(accumulate(exact)))
-    return columns
+        yield list(accumulate(exact))
 
 
 def _rec6_columns(lengths):
     """Column fill by S(m, j) = sum_{i=1}^{m-j+1} i * S(m-i, j-1); at
     m = j + d the weight i pairs with prev[d + 1 - i], so column j is one
     _ramp_sums of column j - 1."""
-    columns = [[1] * lengths[0]]
+    column = [1] * lengths[0]
+    yield column
     for length in lengths[1:]:
-        columns.append(_ramp_sums(columns[-1], length))
-    return columns
+        column = _ramp_sums(column, length)
+        yield column
 
 
 def _rec7_columns(lengths):
@@ -202,12 +204,13 @@ def _rec7_columns(lengths):
     from the diagonal S(j, j) = 1. At m = j + d the inner sum is the
     prefix sum prev[0] + ... + prev[d], carried from one d to the next, so
     a column of length L costs O(L) additions and no multiplication."""
-    columns = [[1] * lengths[0]]
+    column = [1] * lengths[0]
+    yield column
     for length in lengths[1:]:
-        totals = accumulate(columns[-1][:length])  # prev[0] + ... + prev[d]
+        totals = accumulate(column[:length])  # prev[0] + ... + prev[d]
         next(totals)  # d = 0 is the base S(j, j) = 1, not a step
-        columns.append(list(accumulate(totals, initial=1)))
-    return columns
+        column = list(accumulate(totals, initial=1))
+        yield column
 
 
 def _ratio_column(k, n):
@@ -227,13 +230,13 @@ def symfun_nested(n, k):
     """Sum of products i_1 * ... * i_k over all compositions with each
     part >= 1 and total at most n."""
     _check_nk(n, k)
-    return _nested_columns(_trapezoid(n, k))[k][-1]
+    return deque(_nested_columns(_trapezoid(n, k)), maxlen=1)[0][-1]
 
 
 def symfun_rec6(n, k):
     """Weighted recurrence S(n, k) = sum_i i * S(n-i, k-1), i = 1..n-k+1."""
     _check_nk(n, k)
-    return _rec6_columns(_trapezoid(n, k))[k][-1]
+    return deque(_rec6_columns(_trapezoid(n, k)), maxlen=1)[0][-1]
 
 
 def symfun_rec7(n, k):
@@ -243,7 +246,7 @@ def symfun_rec7(n, k):
     determinant of the full matrix) serves as its base instead.
     """
     _check_nk(n, k)
-    return _rec7_columns(_trapezoid(n, k))[k][-1]
+    return deque(_rec7_columns(_trapezoid(n, k)), maxlen=1)[0][-1]
 
 
 def symfun_ratio(n, k):
@@ -278,54 +281,50 @@ def symfun(n, k, method="closed"):
 
 @dataclass(frozen=True)
 class SymTable:
-    """Immutable snapshot of S(n, k) values for all 0 <= k <= n <= n_max,
-    computed by a single method."""
+    """Immutable snapshot of S(n, k) for all 0 <= k <= n <= n_max, computed
+    by a single method: columns[k] is the tuple S(k, k), ..., S(n_max, k)."""
 
     n_max: int
     method: str
-    values: dict
+    columns: tuple
 
     def __getitem__(self, nk):
-        return self.values[nk]
+        n, k = nk
+        if not 0 <= k <= n <= self.n_max:  # a negative index would wrap
+            raise KeyError(nk)
+        return self.columns[k][n - k]
 
 
 def build_sym_table(n_max, method="closed", cap=BRUTE_FORCE_CAP):
-    """Fill a SymTable for the given method.
+    """Fill a SymTable for the given method, one column per k.
 
     The polynomial methods run the same column fill as their single-value
-    functions over the whole triangle 0 <= k <= n <= n_max; minors takes
-    every entry from one walk. Much cheaper than repeated single-value
-    calls when sweeping a whole (n, k) range.
+    functions over the whole triangle 0 <= k <= n <= n_max, keeping every
+    column; minors takes every column from one walk. Much cheaper than
+    repeated single-value calls when sweeping a whole (n, k) range.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    values = {}
     if method == "closed":
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                values[n, k] = binomial(n + k, n - k)
+        columns = (
+            (binomial(n + k, n - k) for n in range(k, n_max + 1)) for k in range(n_max + 1)
+        )
     elif method == "minors":
         # One walk over A_{n_max}; S(n, k) sums the k-minors whose
         # largest index is at most n.
         _check_cap(n_max, cap)
-        for k, by_top in enumerate(_minor_sums(n_max, n_max)):
-            total = 0
-            for n, part in enumerate(by_top):
-                total += part
-                if n >= k:
-                    values[n, k] = total
+        columns = (
+            islice(accumulate(by_top), k, None)
+            for k, by_top in enumerate(_minor_sums(n_max, n_max))
+        )
+    elif method == "ratio":
+        columns = (_ratio_column(k, n_max) for k in range(n_max + 1))
     else:
-        if method == "ratio":
-            columns = [_ratio_column(k, n_max) for k in range(n_max + 1)]
-        else:
-            # Column k holds rows k..n_max.
-            columns = _COLUMNS[method](range(n_max + 1, 0, -1))
-        for k, column in enumerate(columns):
-            for d, value in enumerate(column):
-                values[k + d, k] = value
-    return SymTable(n_max=n_max, method=method, values=values)
+        # Column k holds rows k..n_max.
+        columns = _COLUMNS[method](range(n_max + 1, 0, -1))
+    return SymTable(n_max=n_max, method=method, columns=tuple(map(tuple, columns)))
 
 
 def binomial_identity_check(n, k):

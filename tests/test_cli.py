@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -228,7 +229,9 @@ class TestSixWayAgreement:
         def corrupted(n_max, name="closed"):
             table = real(n_max, name)
             if name == method:
-                table.values[4, 2] += 1
+                columns = list(table.columns)
+                columns[2] = (*columns[2][:2], columns[2][2] + 1, *columns[2][3:])  # S(4, 2)
+                table = dataclasses.replace(table, columns=tuple(columns))
             return table
 
         monkeypatch.setattr(verification, "build_sym_table", corrupted)

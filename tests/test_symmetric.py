@@ -1,5 +1,6 @@
 import math
 import operator
+import tracemalloc
 from itertools import accumulate, combinations
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minmatrix import (
+    METHODS,
     BruteForceCapExceeded,
     binomial,
     binomial_identity_check,
@@ -23,6 +25,13 @@ from minmatrix import (
     symfun_rec6,
     symfun_rec7,
 )
+
+
+def closed_columns(n_max):
+    """Column k is the tuple C(n + k, n - k) for n = k, ..., n_max."""
+    return tuple(
+        tuple(math.comb(n + k, n - k) for n in range(k, n_max + 1)) for k in range(n_max + 1)
+    )
 
 
 def pascal_triangle(depth):
@@ -125,7 +134,7 @@ class TestMinorWalk:
     @pytest.mark.parametrize("n_max", range(15))
     def test_table_matches_closed_table(self, n_max):
         minors = build_sym_table(n_max, "minors")
-        assert minors.values == build_sym_table(n_max, "closed").values
+        assert minors.columns == build_sym_table(n_max, "closed").columns
 
     def test_table_cap_enforced(self):
         with pytest.raises(BruteForceCapExceeded):
@@ -141,7 +150,7 @@ class TestMinorWalk:
         import minmatrix.determinants as determinants
         import minmatrix.symmetric as symmetric
 
-        expected = {(n, k): symfun_closed(n, k) for n in range(9) for k in range(n + 1)}
+        expected = closed_columns(8)
 
         def forbidden(*args):
             raise AssertionError("the minor walk must compute its own minors")
@@ -151,8 +160,8 @@ class TestMinorWalk:
                      "symfun_rec7", "symfun_ratio", "_ramp_sums", "_nested_columns",
                      "_rec6_columns", "_rec7_columns", "_ratio_column"):
             monkeypatch.setattr(symmetric, name, forbidden)
-        assert symfun_minor_sum(8, 4) == expected[8, 4]
-        assert build_sym_table(8, "minors").values == expected
+        assert symfun_minor_sum(8, 4) == expected[4][8 - 4]
+        assert build_sym_table(8, "minors").columns == expected
 
 
 class TestNested:
@@ -217,7 +226,7 @@ class TestCrossMethodAgreement:
             build_sym_table(150, m) for m in ("closed", "nested", "rec6", "rec7", "ratio")
         ]
         for table in tables:
-            assert table.values == closed.values, table.method
+            assert table.columns == closed.columns, table.method
 
     def test_dispatch(self):
         assert symfun(3, 2, method="nested") == 5
@@ -245,7 +254,7 @@ class TestIterativeEngines:
     def test_independent_of_other_methods(self, monkeypatch, method):
         import minmatrix.symmetric as symmetric
 
-        expected = {(n, k): math.comb(n + k, n - k) for n in range(13) for k in range(n + 1)}
+        expected = closed_columns(12)
         single = getattr(symmetric, f"symfun_{method}")
         engines = {
             "nested": ("symfun_nested", "_nested_columns"),
@@ -268,8 +277,8 @@ class TestIterativeEngines:
             others.append("_ramp_sums")
         for name in others:
             monkeypatch.setattr(symmetric, name, forbidden)
-        assert single(12, 5) == expected[12, 5]
-        assert build_sym_table(12, method).values == expected
+        assert single(12, 5) == expected[5][12 - 5]
+        assert build_sym_table(12, method).columns == expected
 
 
 # The quadratic column fills that _ramp_sums and the carried prefix sum
@@ -338,7 +347,7 @@ class TestLinearFills:
             expected = reference(symmetric._trapezoid(60, 61 - length))
             for k in range(62 - length):
                 lengths = symmetric._trapezoid(k + length - 1, k)
-                assert fill(lengths) == expected[: k + 1], (k + length - 1, k)
+                assert list(fill(lengths)) == expected[: k + 1], (k + length - 1, k)
 
     @pytest.mark.parametrize("method", FILLS)
     def test_tables_match_quadratic_fill(self, method):
@@ -348,7 +357,7 @@ class TestLinearFills:
         fill = getattr(symmetric, name)
         for n_max in range(61):
             lengths = range(n_max + 1, 0, -1)
-            assert fill(lengths) == reference(lengths), n_max
+            assert list(fill(lengths)) == reference(lengths), n_max
 
     @given(st.data())
     def test_ramp_sums_are_weighted_sums(self, data):
@@ -367,6 +376,41 @@ class TestLinearFills:
     @pytest.mark.parametrize("k", [1, 500, 750, 1499])
     def test_large_single_values(self, fn, k):
         assert fn(1500, k) == math.comb(1500 + k, 1500 - k)
+
+    @pytest.mark.parametrize("method", FILLS)
+    def test_single_value_holds_one_column_at_a_time(self, method):
+        # Every column of S(600, 300) has 301 entries of up to ~800 bits,
+        # about 40 kB; the whole trapezoid of 301 columns is about 7 MB.
+        tracemalloc.start()
+        try:
+            value = symfun(600, 300, method=method)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == math.comb(900, 300)
+        assert peak < 2**20, peak
+
+
+class TestSymTable:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("n_max", [0, 5])
+    def test_outside_the_triangle_raises_key_error(self, method, n_max):
+        table = build_sym_table(n_max, method)
+        for nk in [(-1, 0), (2, -1), (3, 4), (n_max + 1, 0)]:
+            with pytest.raises(KeyError):
+                table[nk]
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("n_max", [0, 5])
+    def test_columns_are_immutable_tuples(self, method, n_max):
+        table = build_sym_table(n_max, method)
+        assert type(table.columns) is tuple and len(table.columns) == n_max + 1
+        with pytest.raises(TypeError):
+            table.columns[0] = ()
+        for k, column in enumerate(table.columns):
+            assert type(column) is tuple and len(column) == n_max - k + 1
+            with pytest.raises(TypeError):
+                column[0] = 0
 
 
 class TestBinomialIdentity:
