@@ -229,9 +229,9 @@ class TestSixWayAgreement:
         def corrupted(n_max, name="closed"):
             table = real(n_max, name)
             if name == method:
-                columns = list(table.columns)
-                columns[2] = (*columns[2][:2], columns[2][2] + 1, *columns[2][3:])  # S(4, 2)
-                table = dataclasses.replace(table, columns=tuple(columns))
+                columns = [list(column) for column in table.columns]
+                columns[2][4 - 2] += 1  # S(4, 2)
+                table = dataclasses.replace(table, columns=tuple(map(tuple, columns)))
             return table
 
         monkeypatch.setattr(verification, "build_sym_table", corrupted)
