@@ -37,7 +37,7 @@ from .symmetric import (
     BRUTE_FORCE_CAP,
     METHODS,
     BruteForceCapExceeded,
-    build_sym_table,
+    _symfun_row,
     symfun,
 )
 from .verification import SUITES, run_suites
@@ -147,13 +147,10 @@ def cmd_det(args):
 
 
 def _symfun_values(n, ks, method):
-    if len(ks) > 1 and method != "closed":
-        # One table's columns give every k; a single k is one call, which
-        # holds one column at a time where a table keeps the whole
-        # triangle. A closed value is one binomial, and its table the
-        # whole triangle of them.
-        table = build_sym_table(n, method)
-        return [table[n, k] for k in ks]
+    if len(ks) > 1 and method not in ("closed", "ratio"):
+        # One column fill, or the one minors walk, gives every k of row n.
+        # A closed value is one binomial, and a ratio value one column.
+        return _symfun_row(n, method)
     return [symfun(n, k, method=method) for k in ks]
 
 

@@ -5,12 +5,15 @@ variance sigma^2 has Cov(X_i, X_j) = sigma^2 * min(i, j). This module
 estimates the covariance empirically and measures the deviation from
 that target. It is the only part of the package that uses floating
 point; everything else is exact.
+
+numpy is imported inside the functions that compute, as in
+determinants.py: importing this module, and so the package and its CLI,
+loads no numpy until a simulation runs.
 """
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 DISTRIBUTIONS = ("rademacher", "uniform", "gaussian")
 
@@ -38,6 +41,18 @@ class SimConfig:
             raise ValueError(f"sample count must be >= 2, got {self.m}")
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
+        # The estimate is divided by sigma^2, and its sums over m paths
+        # reach about m * n * sigma^2: both must be finite normal floats.
+        if self.sigma * self.sigma < sys.float_info.min:
+            raise ValueError(f"sigma^2 must be a normal float, got sigma={self.sigma}")
+        try:
+            scale = self.m * self.n * self.sigma * self.sigma
+        except OverflowError:  # m * n itself is past the largest float
+            scale = math.inf
+        if not math.isfinite(scale):
+            raise ValueError(
+                f"m * n * sigma^2 must be finite, got m={self.m}, n={self.n}, sigma={self.sigma}"
+            )
         if self.dist not in DISTRIBUTIONS:
             raise ValueError(f"dist must be one of {DISTRIBUTIONS}, got {self.dist!r}")
         if self.chunks < 1:
@@ -48,11 +63,13 @@ class SimConfig:
 class CovEstimate:
     """Empirical covariance matrix with the config that produced it."""
 
-    matrix: np.ndarray
+    matrix: "numpy.ndarray"
     config: SimConfig
 
 
 def _draw_steps(rng, count, n, sigma, dist):
+    import numpy as np
+
     if dist == "rademacher":
         return sigma * (2.0 * rng.integers(0, 2, size=(count, n)) - 1.0)
     if dist == "uniform":
@@ -69,26 +86,35 @@ def simulate_covariance(cfg):
     merged by plain summation; the result depends on the seed and the
     chunk count only.
     """
+    import numpy as np
+
     if not isinstance(cfg, SimConfig):
         cfg = SimConfig(**cfg)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.chunks)
     base, extra = divmod(cfg.m, cfg.chunks)
     accumulator = np.zeros((cfg.n, cfg.n))
-    for index, child in enumerate(children):
-        count = base + (1 if index < extra else 0)
-        if count == 0:
-            continue
-        rng = np.random.default_rng(child)
-        steps = _draw_steps(rng, count, cfg.n, cfg.sigma, cfg.dist)
-        paths = np.cumsum(steps, axis=1)
-        accumulator += paths.T @ paths
-    matrix = accumulator / cfg.m
-    matrix = (matrix + matrix.T) / 2.0  # kill float round-off asymmetry
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for index, child in enumerate(children):
+            count = base + (1 if index < extra else 0)
+            if count == 0:
+                continue
+            rng = np.random.default_rng(child)
+            steps = _draw_steps(rng, count, cfg.n, cfg.sigma, cfg.dist)
+            paths = np.cumsum(steps, axis=1, out=steps)  # in place: one buffer per chunk
+            accumulator += paths.T @ paths
+        matrix = accumulator / cfg.m
+        matrix = (matrix + matrix.T) / 2.0  # kill float round-off asymmetry
+    if not np.isfinite(matrix).all():
+        # SimConfig bounds the entries' mean, m * n * sigma^2; a draw can
+        # still overflow near that bound.
+        raise ValueError(f"covariance estimate overflows a float at sigma={cfg.sigma}")
     return CovEstimate(matrix=matrix, config=cfg)
 
 
 def min_matrix_float(n):
     """The min matrix as a float array, the simulation's target."""
+    import numpy as np
+
     idx = np.arange(1, n + 1)
     return np.minimum.outer(idx, idx).astype(float)
 
@@ -96,6 +122,8 @@ def min_matrix_float(n):
 def covariance_deviation(est):
     """Max absolute entrywise gap between the sigma^2-normalized estimate
     and the min matrix."""
+    import numpy as np
+
     target = min_matrix_float(est.config.n)
     normalized = est.matrix / est.config.sigma**2
     return float(np.max(np.abs(normalized - target)))

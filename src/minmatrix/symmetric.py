@@ -270,6 +270,17 @@ _DISPATCH = {
 _COLUMNS = {"nested": _nested_columns, "rec6": _rec6_columns, "rec7": _rec7_columns}
 
 
+def _symfun_row(n, method):
+    """S(n, 0), ..., S(n, n) by nested, rec6, rec7 or minors: row n of
+    build_sym_table(n, method) without keeping the table. A column fill
+    holds one column at a time, and the row is the last entry of each;
+    minors sums each level of its one walk."""
+    if method == "minors":
+        _check_cap(n, BRUTE_FORCE_CAP)
+        return [sum(by_top) for by_top in _minor_sums(n, n)]
+    return [column[-1] for column in _COLUMNS[method](range(n + 1, 0, -1))]
+
+
 def symfun(n, k, method="closed"):
     """Dispatch to one of the six computation methods by name."""
     try:

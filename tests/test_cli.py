@@ -1,13 +1,17 @@
 import dataclasses
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from minmatrix import build_delta_matrix, build_min_matrix
-from minmatrix import cli, verification
+from minmatrix import cli, symmetric, verification
 from minmatrix.cli import main
 
 
@@ -140,29 +144,33 @@ class TestSymfunCommand:
     def test_explicit_minors_above_cap_is_usage_error(self, capsys):
         assert run(capsys, "symfun", "--n", "20", "--k", "3", "--method", "minors")[0] == 2
 
-    def test_k_all_reads_one_table_per_method(self, capsys, monkeypatch):
-        real_table = cli.build_sym_table
+    def test_k_all_reads_row_n_without_a_table(self, capsys, monkeypatch):
+        real_row = cli._symfun_row
         real_symfun = cli.symfun
-        built = []
+        rows = []
         single = []
 
-        def counted(n_max, method="closed"):
-            built.append((n_max, method))
-            return real_table(n_max, method)
+        def counted(n, method):
+            rows.append((n, method))
+            return real_row(n, method)
 
         def per_k(n, k, method="closed"):
-            # Only the closed form, one binomial per k, skips the table.
-            assert method == "closed", "--k all must read its values from tables"
-            single.append((n, k))
+            # A closed value is one binomial, a ratio value one column.
+            assert method in ("closed", "ratio"), "--k all must read row n from one fill"
+            single.append((method, n, k))
             return real_symfun(n, k, method)
 
-        monkeypatch.setattr(cli, "build_sym_table", counted)
+        def no_table(*args, **kwargs):
+            raise AssertionError("--k all must not build a table")
+
+        monkeypatch.setattr(cli, "_symfun_row", counted)
         monkeypatch.setattr(cli, "symfun", per_k)
+        monkeypatch.setattr(symmetric, "build_sym_table", no_table)
         code, out, _ = run(capsys, "symfun", "--n", "12", "--k", "all", "--method", "all",
                            "--format", "json")
         assert code == 0 and json.loads(out)["payload"]["agree"] is True
-        assert built == [(12, m) for m in cli.METHODS if m != "closed"]
-        assert single == [(12, k) for k in range(13)]
+        assert rows == [(12, m) for m in ("minors", "nested", "rec6", "rec7")]
+        assert single == [(m, 12, k) for m in ("closed", "ratio") for k in range(13)]
 
     @pytest.mark.parametrize("fmt", ["plain", "json"])
     def test_negative_n_is_usage_error(self, capsys, fmt):
@@ -271,6 +279,67 @@ class TestSimulateCommand:
         code, out, err = run(capsys, "simulate", "--n", "3", "--m", "100", "--sigma", sigma)
         assert (code, out) == (2, "")
         assert err == f"error: sigma must be finite and > 0, got {sigma}\n"
+
+    @pytest.mark.parametrize(
+        "sigma, message",
+        [
+            ("1e-160", "sigma^2 must be a normal float, got sigma=1e-160"),
+            ("1e-200", "sigma^2 must be a normal float, got sigma=1e-200"),
+            ("1e160", "m * n * sigma^2 must be finite, got m=10, n=3, sigma=1e+160"),
+            ("2.4e153", "covariance estimate overflows a float at sigma=2.4e+153"),
+        ],
+    )
+    def test_sigma_outside_float_range_is_usage_error(self, capsys, sigma, message):
+        # A numpy RuntimeWarning would become an exception, and exit 3.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "simulate", "--n", "3", "--m", "10", "--sigma", sigma)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+
+# Run in a fresh interpreter: whether numpy is loaded after `import
+# minmatrix`, after `import minmatrix.cli`, and after cli.main(argv).
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import minmatrix
+loaded = ["numpy" in sys.modules]
+from minmatrix import cli
+loaded.append("numpy" in sys.modules)
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(argv) if argv else 0
+loaded.append("numpy" in sys.modules)
+print(json.dumps({"code": code, "numpy": loaded}))
+"""
+
+
+class TestNumpyLoading:
+    @pytest.mark.parametrize(
+        "argv, loads",
+        [
+            ([], False),
+            (["symfun", "--n", "12", "--k", "all", "--method", "all"], False),
+            (["matrix", "c", "--n", "30", "--k", "8"], False),
+            (["verify", "--suite", "all", "--n-max", "16"], False),
+            (["det", "c", "--n", "25", "--k", "5", "--method", "both"], False),  # dimension 21
+            (["det", "min", "--n", "23", "--method", "bareiss"], False),
+            (["det", "min", "--n", "24", "--method", "bareiss"], True),  # _INT64_MIN_DIM
+            (["simulate", "--n", "3", "--m", "10"], True),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
+    )
+    def test_numpy_loads_only_where_it_computes(self, argv, loads):
+        import minmatrix
+
+        src = str(Path(minmatrix.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argv)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert json.loads(done.stdout) == {"code": 0, "numpy": [False, False, loads]}
 
 
 class TestInternalErrors:

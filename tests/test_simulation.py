@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,52 @@ class TestConfigValidation:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+
+class TestSigmaRange:
+    # sigma^2 must be a normal float: sqrt(sys.float_info.min) is about
+    # 1.49e-154. m * n * sigma^2 must be finite: at n = 3 and m = 10,
+    # sqrt(sys.float_info.max / 30) is about 2.45e153.
+    @pytest.mark.parametrize("sigma", [1.5e-154, 2.4e153])
+    def test_accepted_inside_the_bounds(self, sigma):
+        SimConfig(n=3, m=10, sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [1.4e-154, 1e-160, 1e-200, 5e-324])
+    def test_subnormal_square_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma\\^2 must be a normal float"):
+            SimConfig(n=3, m=10, sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [2.5e153, 1e160, sys.float_info.max])
+    def test_overflowing_scale_rejected(self, sigma):
+        with pytest.raises(ValueError, match="m \\* n \\* sigma\\^2 must be finite"):
+            SimConfig(n=3, m=10, sigma=sigma)
+
+    def test_scale_bound_counts_samples_and_length(self):
+        SimConfig(n=3, m=10**6, sigma=1e150)
+        with pytest.raises(ValueError, match="must be finite"):
+            SimConfig(n=3, m=10**6, sigma=1e151)
+        with pytest.raises(ValueError, match="must be finite"):
+            SimConfig(n=3 * 10**6, m=10, sigma=1e151)
+        with pytest.raises(ValueError, match="must be finite"):
+            SimConfig(n=3, m=10**400)  # m * n does not convert to a float
+
+    @pytest.mark.parametrize("dist", ["rademacher", "uniform", "gaussian"])
+    def test_smallest_sigma_runs(self, dist):
+        est = simulate_covariance(SimConfig(n=3, m=10, sigma=1.5e-154, dist=dist))
+        assert np.isfinite(est.matrix).all()
+        assert math.isfinite(covariance_deviation(est))
+
+    def test_largest_sigma_runs(self):
+        # Just inside the bound: these Rademacher draws sum to finite floats.
+        est = simulate_covariance(SimConfig(n=3, m=10, sigma=2.4e153, dist="rademacher"))
+        assert math.isfinite(covariance_deviation(est))
+
+    def test_overflowing_draw_raises(self):
+        # The bound keeps the mean of the summed squares, m * n * sigma^2,
+        # finite; these Gaussian draws sum past the largest float.
+        cfg = SimConfig(n=3, m=10, sigma=2.4e153, dist="gaussian")
+        with pytest.raises(ValueError, match="overflows a float"):
+            simulate_covariance(cfg)
 
 
 class TestSimulate:

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minmatrix import (
+    BRUTE_FORCE_CAP,
     METHODS,
     BruteForceCapExceeded,
     binomial,
@@ -388,6 +389,38 @@ class TestLinearFills:
         finally:
             tracemalloc.stop()
         assert value == math.comb(900, 300)
+        assert peak < 2**20, peak
+
+
+class TestSymfunRow:
+    @pytest.mark.parametrize("method", ["minors", *FILLS])
+    def test_row_is_the_tables_last_row(self, method):
+        from minmatrix.symmetric import _symfun_row
+
+        for n in range((BRUTE_FORCE_CAP if method == "minors" else 40) + 1):
+            table = build_sym_table(n, method)
+            assert _symfun_row(n, method) == [table[n, k] for k in range(n + 1)], n
+
+    def test_minors_row_above_cap_raises(self):
+        from minmatrix.symmetric import _symfun_row
+
+        with pytest.raises(BruteForceCapExceeded):
+            _symfun_row(BRUTE_FORCE_CAP + 1, "minors")
+
+    @pytest.mark.parametrize("method", FILLS)
+    def test_row_holds_one_column_at_a_time(self, method):
+        # Row 600 has 601 entries of up to ~1200 bits, about 0.1 MB, and so
+        # does its longest column; the table up to 600 keeps all 601
+        # columns, about 30 MB.
+        from minmatrix.symmetric import _symfun_row
+
+        tracemalloc.start()
+        try:
+            row = _symfun_row(600, method)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert row == [math.comb(600 + k, 600 - k) for k in range(601)]
         assert peak < 2**20, peak
 
 
