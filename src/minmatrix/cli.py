@@ -146,14 +146,6 @@ def cmd_det(args):
     return EXIT_OK if agree else EXIT_DISAGREE
 
 
-def _symfun_values(n, ks, method):
-    if len(ks) > 1 and method not in ("closed", "ratio"):
-        # One column fill, or the one minors walk, gives every k of row n.
-        # A closed value is one binomial, and a ratio value one column.
-        return _symfun_row(n, method)
-    return [symfun(n, k, method=method) for k in ks]
-
-
 def cmd_symfun(args):
     if args.n < 0:
         raise ValueError(f"symfun requires --n >= 0, got {args.n}")
@@ -163,7 +155,9 @@ def cmd_symfun(args):
     notes = []
     for method in methods:
         try:
-            columns[method] = _symfun_values(args.n, ks, method)
+            columns[method] = (
+                _symfun_row(args.n, method) if args.k == "all" else [symfun(args.n, ks[0], method)]
+            )
         except BruteForceCapExceeded:
             if args.method != "all":
                 raise
@@ -249,13 +243,6 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _add_format(parser):
-    parser.add_argument(
-        "--format", choices=("json", "csv", "plain"), default="plain",
-        help="output format (default plain)",
-    )
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="minmatrix",
@@ -264,45 +251,48 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_matrix = sub.add_parser("matrix", help="construct and print a matrix")
-    p_matrix.add_argument("kind", choices=tuple(_KINDS))
-    p_matrix.add_argument("--n", type=int)
-    p_matrix.add_argument("--k", type=int)
-    p_matrix.add_argument("--inc", help="comma-separated increments, e.g. 2,3,4")
-    _add_format(p_matrix)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
+        "--format", choices=("json", "csv", "plain"), default="plain",
+        help="output format (default plain)",
+    )
+    kind = argparse.ArgumentParser(add_help=False)
+    kind.add_argument("kind", choices=tuple(_KINDS))
+    kind.add_argument("--n", type=int)
+    kind.add_argument("--k", type=int)
+    kind.add_argument("--inc", help="comma-separated increments, e.g. 2,3,4")
+
+    p_matrix = sub.add_parser("matrix", parents=[kind, output],
+                              help="construct and print a matrix")
     p_matrix.set_defaults(func=cmd_matrix)
 
-    p_det = sub.add_parser("det", help="determinant by closed form and/or elimination")
-    p_det.add_argument("kind", choices=tuple(_KINDS))
-    p_det.add_argument("--n", type=int)
-    p_det.add_argument("--k", type=int)
-    p_det.add_argument("--inc")
+    p_det = sub.add_parser("det", parents=[kind, output],
+                           help="determinant by closed form and/or elimination")
     p_det.add_argument("--method", choices=("closed", "bareiss", "both"), default="closed")
-    _add_format(p_det)
     p_det.set_defaults(func=cmd_det)
 
-    p_symfun = sub.add_parser("symfun", help="symmetric functions of the eigenvalues")
+    p_symfun = sub.add_parser("symfun", parents=[output],
+                              help="symmetric functions of the eigenvalues")
     p_symfun.add_argument("--n", type=int, required=True)
     p_symfun.add_argument("--k", default="all", help="0..n or 'all'")
     p_symfun.add_argument("--method", choices=METHODS + ("all",), default="closed")
-    _add_format(p_symfun)
     p_symfun.set_defaults(func=cmd_symfun)
 
-    p_verify = sub.add_parser("verify", help="run the identity verification suites")
+    p_verify = sub.add_parser("verify", parents=[output],
+                              help="run the identity verification suites")
     p_verify.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p_verify.add_argument("--n-max", type=int, default=12)
     p_verify.add_argument("--seed", type=int, default=0)
-    _add_format(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_sim = sub.add_parser("simulate", help="random-walk covariance estimation")
+    p_sim = sub.add_parser("simulate", parents=[output],
+                           help="random-walk covariance estimation")
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--m", type=int, required=True)
     p_sim.add_argument("--sigma", type=float, default=1.0)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--dist", choices=DISTRIBUTIONS, default="gaussian")
     p_sim.add_argument("--chunks", type=int, default=8)
-    _add_format(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     return parser

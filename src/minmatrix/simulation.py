@@ -55,8 +55,9 @@ class SimConfig:
             )
         if self.dist not in DISTRIBUTIONS:
             raise ValueError(f"dist must be one of {DISTRIBUTIONS}, got {self.dist!r}")
-        if self.chunks < 1:
-            raise ValueError(f"chunks must be >= 1, got {self.chunks}")
+        # Every chunk draws at least one path from its own substream.
+        if not 1 <= self.chunks <= self.m:
+            raise ValueError(f"chunks must be in 1..m={self.m}, got {self.chunks}")
 
 
 @dataclass(frozen=True)
@@ -88,16 +89,12 @@ def simulate_covariance(cfg):
     """
     import numpy as np
 
-    if not isinstance(cfg, SimConfig):
-        cfg = SimConfig(**cfg)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.chunks)
     base, extra = divmod(cfg.m, cfg.chunks)
     accumulator = np.zeros((cfg.n, cfg.n))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for index, child in enumerate(children):
             count = base + (1 if index < extra else 0)
-            if count == 0:
-                continue
             rng = np.random.default_rng(child)
             steps = _draw_steps(rng, count, cfg.n, cfg.sigma, cfg.dist)
             paths = np.cumsum(steps, axis=1, out=steps)  # in place: one buffer per chunk

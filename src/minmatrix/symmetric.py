@@ -16,9 +16,10 @@ ways and assembles the exact characteristic polynomial from the values:
 Every method computes S column by column, column j holding S(j, j),
 S(j + 1, j), ..., and none recurses. nested, rec6 and rec7 yield each
 column once built from the one before, so a single value holds one
-column at a time; a SymTable keeps every column as a tuple. A column of
-length L costs O(L) big-integer operations: S(n, k) alone O(k(n-k))
-(ratio O(n-k)), a table up to n O(n^2):
+column at a time. One source, _columns, gives every method's columns: a
+SymTable keeps each as a tuple, row n only its last entry (closed takes
+one binomial per k). A column of length L costs O(L) big-integer
+operations: S(n, k) alone O(k(n-k)) (ratio O(n-k)), a table up to n O(n^2):
 
   nested, rec6  the weighted sum c[d] = sum_i i * v[d+1-i] of one column
                 v is (d+1) * P[d] - Q[d], from the running sums
@@ -43,7 +44,7 @@ from itertools import accumulate, islice
 
 from .matrices import ExactMatrix, build_min_matrix
 
-#: Largest n accepted by the brute-force minor enumeration by default.
+#: Largest n accepted by the brute-force minor enumeration.
 BRUTE_FORCE_CAP = 14
 
 METHODS = ("closed", "minors", "nested", "rec6", "rec7", "ratio")
@@ -51,7 +52,7 @@ METHODS = ("closed", "minors", "nested", "rec6", "rec7", "ratio")
 
 class BruteForceCapExceeded(ValueError):
     """Raised when the exponential minor enumeration is asked for an n
-    above the configured cap."""
+    above BRUTE_FORCE_CAP."""
 
 
 def binomial(a, b):
@@ -119,14 +120,14 @@ def _minor_sums(n, k_max):
     return sums
 
 
-def _check_cap(n, cap):
-    if n > cap:
+def _check_cap(n):
+    if n > BRUTE_FORCE_CAP:
         raise BruteForceCapExceeded(
-            f"minor enumeration capped at n={cap} (got n={n}); raise `cap` to override"
+            f"minor enumeration capped at n={BRUTE_FORCE_CAP} (got n={n})"
         )
 
 
-def symfun_minor_sum(n, k, cap=BRUTE_FORCE_CAP):
+def symfun_minor_sum(n, k):
     """Sum of all C(n, k) principal k x k minors of the min matrix A.
 
     Each minor comes from fraction-free (Bareiss) elimination, shared
@@ -141,10 +142,10 @@ def symfun_minor_sum(n, k, cap=BRUTE_FORCE_CAP):
     minor and no row swap is needed; a swap would change the principal
     set. A pivot <= 0 raises ArithmeticError.
 
-    Exponential in n; refuses n above `cap`.
+    Exponential in n; refuses n above BRUTE_FORCE_CAP.
     """
     _check_nk(n, k)
-    _check_cap(n, cap)
+    _check_cap(n)
     return sum(_minor_sums(n, k)[k])
 
 
@@ -270,15 +271,34 @@ _DISPATCH = {
 _COLUMNS = {"nested": _nested_columns, "rec6": _rec6_columns, "rec7": _rec7_columns}
 
 
-def _symfun_row(n, method):
-    """S(n, 0), ..., S(n, n) by nested, rec6, rec7 or minors: row n of
-    build_sym_table(n, method) without keeping the table. A column fill
-    holds one column at a time, and the row is the last entry of each;
-    minors sums each level of its one walk."""
+def _columns(n_max, method):
+    """Columns 0..n_max of S by the given method, column k holding S(k, k),
+    ..., S(n_max, k); each is built only when it is reached."""
+    if method == "closed":
+        return (
+            (binomial(n + k, n - k) for n in range(k, n_max + 1)) for k in range(n_max + 1)
+        )
     if method == "minors":
-        _check_cap(n, BRUTE_FORCE_CAP)
-        return [sum(by_top) for by_top in _minor_sums(n, n)]
-    return [column[-1] for column in _COLUMNS[method](range(n + 1, 0, -1))]
+        # One walk over A_{n_max}; S(n, k) sums the k-minors whose
+        # largest index is at most n.
+        _check_cap(n_max)
+        return (
+            islice(accumulate(by_top), k, None)
+            for k, by_top in enumerate(_minor_sums(n_max, n_max))
+        )
+    if method == "ratio":
+        return (_ratio_column(k, n_max) for k in range(n_max + 1))
+    return _COLUMNS[method](range(n_max + 1, 0, -1))
+
+
+def _symfun_row(n, method):
+    """S(n, 0), ..., S(n, n): row n of build_sym_table(n, method) without
+    keeping the table. Each column is dropped once its last entry is read;
+    closed takes one binomial per k, where its columns would cost the
+    whole triangle."""
+    if method == "closed":
+        return [binomial(n + k, n - k) for k in range(n + 1)]
+    return [deque(column, maxlen=1)[0] for column in _columns(n, method)]
 
 
 def symfun(n, k, method="closed"):
@@ -306,7 +326,7 @@ class SymTable:
         return self.columns[k][n - k]
 
 
-def build_sym_table(n_max, method="closed", cap=BRUTE_FORCE_CAP):
+def build_sym_table(n_max, method="closed"):
     """Fill a SymTable for the given method, one column per k.
 
     The polynomial methods run the same column fill as their single-value
@@ -318,24 +338,8 @@ def build_sym_table(n_max, method="closed", cap=BRUTE_FORCE_CAP):
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    if method == "closed":
-        columns = (
-            (binomial(n + k, n - k) for n in range(k, n_max + 1)) for k in range(n_max + 1)
-        )
-    elif method == "minors":
-        # One walk over A_{n_max}; S(n, k) sums the k-minors whose
-        # largest index is at most n.
-        _check_cap(n_max, cap)
-        columns = (
-            islice(accumulate(by_top), k, None)
-            for k, by_top in enumerate(_minor_sums(n_max, n_max))
-        )
-    elif method == "ratio":
-        columns = (_ratio_column(k, n_max) for k in range(n_max + 1))
-    else:
-        # Column k holds rows k..n_max.
-        columns = _COLUMNS[method](range(n_max + 1, 0, -1))
-    return SymTable(n_max=n_max, method=method, columns=tuple(map(tuple, columns)))
+    columns = tuple(map(tuple, _columns(n_max, method)))
+    return SymTable(n_max=n_max, method=method, columns=columns)
 
 
 def binomial_identity_check(n, k):

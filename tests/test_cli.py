@@ -146,31 +146,22 @@ class TestSymfunCommand:
 
     def test_k_all_reads_row_n_without_a_table(self, capsys, monkeypatch):
         real_row = cli._symfun_row
-        real_symfun = cli.symfun
         rows = []
-        single = []
 
         def counted(n, method):
             rows.append((n, method))
             return real_row(n, method)
 
-        def per_k(n, k, method="closed"):
-            # A closed value is one binomial, a ratio value one column.
-            assert method in ("closed", "ratio"), "--k all must read row n from one fill"
-            single.append((method, n, k))
-            return real_symfun(n, k, method)
-
-        def no_table(*args, **kwargs):
-            raise AssertionError("--k all must not build a table")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("--k all must read row n once per method")
 
         monkeypatch.setattr(cli, "_symfun_row", counted)
-        monkeypatch.setattr(cli, "symfun", per_k)
-        monkeypatch.setattr(symmetric, "build_sym_table", no_table)
+        monkeypatch.setattr(cli, "symfun", forbidden)
+        monkeypatch.setattr(symmetric, "build_sym_table", forbidden)
         code, out, _ = run(capsys, "symfun", "--n", "12", "--k", "all", "--method", "all",
                            "--format", "json")
         assert code == 0 and json.loads(out)["payload"]["agree"] is True
-        assert rows == [(12, m) for m in ("minors", "nested", "rec6", "rec7")]
-        assert single == [(m, 12, k) for m in ("closed", "ratio") for k in range(13)]
+        assert rows == [(12, m) for m in symmetric.METHODS]
 
     @pytest.mark.parametrize("fmt", ["plain", "json"])
     def test_negative_n_is_usage_error(self, capsys, fmt):
@@ -273,6 +264,13 @@ class TestSimulateCommand:
 
     def test_m_one_is_usage_error(self, capsys):
         assert run(capsys, "simulate", "--n", "4", "--m", "1")[0] == 2
+
+    def test_chunks_above_m_is_usage_error(self, capsys):
+        # Past 2**63 the substream count no longer fits a C ssize_t.
+        chunks = "100000000000000000000"
+        code, out, err = run(capsys, "simulate", "--n", "3", "--m", "10", "--chunks", chunks)
+        assert (code, out) == (2, "")
+        assert err == f"error: chunks must be in 1..m=10, got {chunks}\n"
 
     @pytest.mark.parametrize("sigma", ["inf", "nan"])
     def test_non_finite_sigma_is_usage_error(self, capsys, sigma):

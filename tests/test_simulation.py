@@ -26,12 +26,18 @@ class TestConfigValidation:
             {"n": 3, "m": 10, "sigma": -1.0},
             {"n": 3, "m": 10, "dist": "cauchy"},
             {"n": 3, "m": 10, "chunks": 0},
+            {"n": 3, "m": 10, "chunks": 11},
             {"n": 3, "m": 10, "sigma": float("inf")},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    def test_one_path_per_chunk_at_most(self):
+        assert SimConfig(n=3, m=10, chunks=10).chunks == 10
+        with pytest.raises(ValueError, match=r"^chunks must be in 1\.\.m=10, got 11$"):
+            SimConfig(n=3, m=10, chunks=11)
 
 
 class TestSigmaRange:

@@ -111,9 +111,6 @@ class TestMinorSum:
         with pytest.raises(BruteForceCapExceeded):
             symfun_minor_sum(15, 3)
 
-    def test_cap_overridable(self):
-        assert symfun_minor_sum(15, 1, cap=15) == 15 * 16 // 2
-
 
 def enumerated_minor_sum(n, k):
     """Reference: one fresh elimination per k-subset of {1, ..., n}."""
@@ -140,10 +137,6 @@ class TestMinorWalk:
     def test_table_cap_enforced(self):
         with pytest.raises(BruteForceCapExceeded):
             build_sym_table(15, "minors")
-
-    def test_table_cap_overridable(self):
-        table = build_sym_table(15, "minors", cap=15)
-        assert table[15, 1] == 15 * 16 // 2 and table[15, 15] == 1
 
     def test_independent_of_other_methods(self, monkeypatch):
         # The walk is the six-way check's elimination route: it must reach
@@ -393,7 +386,7 @@ class TestLinearFills:
 
 
 class TestSymfunRow:
-    @pytest.mark.parametrize("method", ["minors", *FILLS])
+    @pytest.mark.parametrize("method", METHODS)
     def test_row_is_the_tables_last_row(self, method):
         from minmatrix.symmetric import _symfun_row
 
@@ -407,7 +400,7 @@ class TestSymfunRow:
         with pytest.raises(BruteForceCapExceeded):
             _symfun_row(BRUTE_FORCE_CAP + 1, "minors")
 
-    @pytest.mark.parametrize("method", FILLS)
+    @pytest.mark.parametrize("method", ["ratio", *FILLS])
     def test_row_holds_one_column_at_a_time(self, method):
         # Row 600 has 601 entries of up to ~1200 bits, about 0.1 MB, and so
         # does its longest column; the table up to 600 keeps all 601
