@@ -184,7 +184,7 @@ def cmd_symfun(args):
 
 
 def cmd_verify(args):
-    results = run_suites([args.suite], args.n_max, seed=args.seed)
+    results = run_suites(args.suite, args.n_max, seed=args.seed)
     all_passed = all(r.passed for r in results)
     lines = []
     for r in results:
@@ -218,7 +218,6 @@ def cmd_simulate(args):
         sigma=args.sigma,
         seed=args.seed,
         dist=args.dist,
-        chunks=args.chunks,
     )
     estimate = simulate_covariance(cfg)
     deviation = covariance_deviation(estimate)
@@ -292,7 +291,6 @@ def build_parser():
     p_sim.add_argument("--sigma", type=float, default=1.0)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--dist", choices=DISTRIBUTIONS, default="gaussian")
-    p_sim.add_argument("--chunks", type=int, default=8)
     p_sim.set_defaults(func=cmd_simulate)
 
     return parser
@@ -303,7 +301,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

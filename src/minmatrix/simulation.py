@@ -4,7 +4,8 @@ A walk X_t = e_1 + ... + e_t with independent zero-mean steps of common
 variance sigma^2 has Cov(X_i, X_j) = sigma^2 * min(i, j). This module
 estimates the covariance empirically and measures the deviation from
 that target. It is the only part of the package that uses floating
-point; everything else is exact.
+point; everything else is exact. Paths are drawn in chunks sized from m
+and n, so memory stays bounded for every m without a setting.
 
 numpy is imported inside the functions that compute, as in
 determinants.py: importing this module, and so the package and its CLI,
@@ -16,6 +17,7 @@ import sys
 from dataclasses import dataclass
 
 DISTRIBUTIONS = ("rademacher", "uniform", "gaussian")
+_CHUNK_STEPS = 2**18  # steps per chunk past 8 chunks: 2 MiB of float64
 
 
 @dataclass(frozen=True)
@@ -23,8 +25,9 @@ class SimConfig:
     """Parameters of a covariance estimation run.
 
     Reproducibility contract: results are a deterministic function of
-    (seed, chunks); each chunk of sample paths draws from its own
-    spawned substream.
+    the config. Each of the `chunks` chunks of paths draws from its own
+    spawned substream: 8 chunks (m if m < 8) while m * n <= 2**21, and
+    about 2**18 steps a chunk above that.
     """
 
     n: int
@@ -32,7 +35,6 @@ class SimConfig:
     sigma: float = 1.0
     seed: int = 0
     dist: str = "gaussian"
-    chunks: int = 8
 
     def __post_init__(self):
         if self.n < 1:
@@ -55,9 +57,12 @@ class SimConfig:
             )
         if self.dist not in DISTRIBUTIONS:
             raise ValueError(f"dist must be one of {DISTRIBUTIONS}, got {self.dist!r}")
-        # Every chunk draws at least one path from its own substream.
-        if not 1 <= self.chunks <= self.m:
-            raise ValueError(f"chunks must be in 1..m={self.m}, got {self.chunks}")
+
+    @property
+    def chunks(self):
+        """At least 8 chunks, or enough for _CHUNK_STEPS steps a chunk, but
+        at most m, so that every chunk draws a path."""
+        return min(self.m, max(8, -(-self.m * self.n // _CHUNK_STEPS)))
 
 
 @dataclass(frozen=True)
@@ -84,18 +89,17 @@ def simulate_covariance(cfg):
 
     Steps are generated with exactly zero mean, so the estimator is the
     uncentered (1/m) * sum of outer products. Chunk accumulators are
-    merged by plain summation; the result depends on the seed and the
-    chunk count only.
+    merged by plain summation; the result depends on the config only.
     """
     import numpy as np
 
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.chunks)
+    root = np.random.SeedSequence(cfg.seed)
     base, extra = divmod(cfg.m, cfg.chunks)
     accumulator = np.zeros((cfg.n, cfg.n))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for index, child in enumerate(children):
+        for index in range(cfg.chunks):
             count = base + (1 if index < extra else 0)
-            rng = np.random.default_rng(child)
+            rng = np.random.default_rng(root.spawn(1)[0])  # the children of spawn(chunks)
             steps = _draw_steps(rng, count, cfg.n, cfg.sigma, cfg.dist)
             paths = np.cumsum(steps, axis=1, out=steps)  # in place: one buffer per chunk
             accumulator += paths.T @ paths

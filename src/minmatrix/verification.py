@@ -248,15 +248,13 @@ def suite_fibonacci(n_max):
     return [check_fibonacci_sum(range(n_max + 1), n_max), check_cassini(range(2, max(n_max, 3)))]
 
 
-def run_suites(names, n_max, seed=0):
-    """Run the named suites (or all of them) and return the combined
-    check results."""
+def run_suites(suite, n_max, seed=0):
+    """Run one suite, or every suite when suite is "all", and return the
+    combined check results."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if "all" in names:
-        names = SUITES
     results = []
-    for name in names:
+    for name in SUITES if suite == "all" else (suite,):
         if name == "dets":
             results.extend(suite_dets(n_max, seed=seed))
         elif name == "symfun":

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +26,6 @@ class TestConfigValidation:
             {"n": 3, "m": 10, "sigma": 0.0},
             {"n": 3, "m": 10, "sigma": -1.0},
             {"n": 3, "m": 10, "dist": "cauchy"},
-            {"n": 3, "m": 10, "chunks": 0},
-            {"n": 3, "m": 10, "chunks": 11},
             {"n": 3, "m": 10, "sigma": float("inf")},
         ],
     )
@@ -34,10 +33,32 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
 
-    def test_one_path_per_chunk_at_most(self):
-        assert SimConfig(n=3, m=10, chunks=10).chunks == 10
-        with pytest.raises(ValueError, match=r"^chunks must be in 1\.\.m=10, got 11$"):
-            SimConfig(n=3, m=10, chunks=11)
+
+class TestChunks:
+    @pytest.mark.parametrize(
+        "n, m, chunks",
+        [(3, 5, 5), (8, 200000, 8), (8, 2_000_000, 62)],
+    )
+    def test_count_follows_m_and_n(self, n, m, chunks):
+        # 8 chunks, at most one per path, until a chunk passes 2**18 steps.
+        assert SimConfig(n=n, m=m).chunks == chunks
+
+    def test_fewer_paths_than_eight_chunks_run(self):
+        est = simulate_covariance(SimConfig(n=3, m=5))
+        assert est.matrix.shape == (3, 3)
+
+    @pytest.mark.parametrize("dist", ["rademacher", "uniform", "gaussian"])
+    def test_memory_is_bounded_at_a_million_paths(self, dist):
+        # Eight chunks of 125,000 paths would hold 8 MB of steps each; the
+        # derived count keeps a chunk near 2 MiB.
+        simulate_covariance(SimConfig(n=2, m=10, dist=dist))  # imports numpy
+        tracemalloc.start()
+        try:
+            simulate_covariance(SimConfig(n=8, m=1_000_000, dist=dist))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 class TestSigmaRange:
@@ -93,7 +114,7 @@ class TestSimulate:
         assert covariance_deviation(est) == 0.0
 
     def test_deterministic_for_fixed_seed_and_chunks(self):
-        cfg = SimConfig(n=5, m=4000, seed=11, chunks=4)
+        cfg = SimConfig(n=5, m=4000, seed=11)
         a = simulate_covariance(cfg)
         b = simulate_covariance(cfg)
         assert np.array_equal(a.matrix, b.matrix)
@@ -116,7 +137,7 @@ class TestSimulate:
 
     def test_uneven_chunk_split_covers_all_samples(self):
         # 103 = 8 * 12 + 7: a dropped or repeated path would move the entry off 1.
-        est = simulate_covariance(SimConfig(n=1, m=103, dist="rademacher", chunks=8))
+        est = simulate_covariance(SimConfig(n=1, m=103, dist="rademacher"))
         assert est.matrix.tolist() == [[1.0]]
 
     def test_close_to_min_matrix_at_moderate_sample_size(self):
