@@ -26,6 +26,8 @@ class TestConfigValidation:
             {"n": 3, "m": 10, "sigma": 0.0},
             {"n": 3, "m": 10, "sigma": -1.0},
             {"n": 3, "m": 10, "dist": "cauchy"},
+            {"n": 3, "m": 10, "sigma": float("nan")},
+            {"n": 3, "m": 10, "sigma": -float("inf")},
             {"n": 3, "m": 10, "sigma": float("inf")},
         ],
     )
