@@ -6,6 +6,11 @@ disagreement, 2 usage error, 3 internal error (any other exception,
 reported as one line on stderr). Payloads go to stdout, diagnostics to
 stderr. Big integers are rendered as full decimal strings in JSON and
 CSV so downstream consumers never overflow.
+
+`det --method bareiss|both` of a min or c matrix of dimension below 128
+runs the Python-int elimination when numpy is not yet loaded, since the
+one determinant costs less than numpy's import; otherwise it calls
+`det_bareiss`.
 """
 
 import argparse
@@ -15,6 +20,7 @@ import sys
 
 from . import __version__
 from .determinants import (
+    _eliminate,
     delta_det_closed,
     det_bareiss,
     det_c_matrix,
@@ -75,8 +81,10 @@ def _emit(args, payload, header, rows, lines, seed=None, notes=(), csv_tail=()):
 
 
 def _parse_increments(text):
+    if text.strip() == "":
+        return []
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"increment list must be comma-separated integers, got {text!r}")
 
@@ -102,11 +110,14 @@ _KINDS = {
 
 def _kind(args):
     """The builder and closed-form determinant of args.kind, once every
-    option the kind needs is given."""
+    option the kind needs is given and no other."""
     options, build, closed = _KINDS[args.kind]
     if any(getattr(args, name) is None for name in options):
         needed = " and ".join(f"--{name}" for name in options)
         raise ValueError(f"{args.command} {args.kind} requires {needed}")
+    for name in ("n", "k", "inc"):
+        if name not in options and getattr(args, name) is not None:
+            raise ValueError(f"{args.command} {args.kind} does not take --{name}")
     return build, closed
 
 
@@ -124,13 +135,33 @@ def cmd_matrix(args):
     return EXIT_OK
 
 
+# A `det` process computes one determinant. For min and c, whose Bareiss
+# intermediates stay small, the Python-int loop below this dimension costs
+# less than numpy's import plus det_bareiss's int64 route. Whole process,
+# median of 11 alternating runs (2 vCPUs, one CPU pinned, Python 3.11,
+# numpy 2.4), det_bareiss against _eliminate:
+#   det c --n 40 --k 7 (dim 34)    231 ms   97 ms
+#   det min --n 80                 196 ms  112 ms
+#   det min --n 120                209 ms  153 ms
+#   det min --n 160                206 ms  273 ms
+#   det c --n 89 --k 30 (dim 60)   221 ms  129 ms
+#   det c --n 149 --k 50 (dim 100) 237 ms  177 ms
+#   det c --n 209 --k 70 (dim 140) 225 ms  250 ms
+# Once numpy is loaded its import is paid, so det_bareiss's route stands.
+_ONE_SHOT_DIM = 128
+
+
 def cmd_det(args):
     build, closed = _kind(args)
     values = {}
     if args.method in ("closed", "both"):
         values["closed"] = closed(args)
     if args.method in ("bareiss", "both"):
-        values["bareiss"] = det_bareiss(build(args))
+        matrix = build(args)
+        if args.kind in ("min", "c") and matrix.dim < _ONE_SHOT_DIM and "numpy" not in sys.modules:
+            values["bareiss"] = _eliminate(matrix.to_lists())
+        else:
+            values["bareiss"] = det_bareiss(matrix)
     agree = len(set(values.values())) == 1
     values = {name: str(v) for name, v in values.items()}
     lines = [f"{name}: {v}" for name, v in values.items()]

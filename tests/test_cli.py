@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from minmatrix import build_delta_matrix, build_min_matrix
-from minmatrix import cli, symmetric, verification
+from minmatrix import build_c_matrix, build_delta_matrix, build_min_matrix
+from minmatrix import cli, determinants, symmetric, verification
 from minmatrix.cli import main
 
 
@@ -107,6 +107,30 @@ class TestDetCommand:
         code, out, err = run(capsys, "det", "delta", "--inc", "2,x,4")
         assert (code, out) == (2, "")
         assert err == "error: increment list must be comma-separated integers, got '2,x,4'\n"
+
+    @pytest.mark.parametrize("inc", ["1,,2", "1,2,", ",1,2", "1, ,2"])
+    def test_empty_increment_field_is_usage_error(self, capsys, inc):
+        code, out, err = run(capsys, "det", "delta", f"--inc={inc}", "--method", "both")
+        assert (code, out) == (2, "")
+        assert err == f"error: increment list must be comma-separated integers, got {inc!r}\n"
+
+    def test_empty_increment_list_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "det", "delta", "--inc=", "--method", "both")
+        assert (code, out, err) == (2, "", "error: increment list needs at least 1 entries, got 0\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["det", "min", "--n", "5", "--k", "3", "--method", "both"], "det min does not take --k"),
+            (["det", "min", "--n", "5", "--inc", "2"], "det min does not take --inc"),
+            (["matrix", "c", "--n", "3", "--k", "2", "--inc", "4"], "matrix c does not take --inc"),
+            (["det", "delta", "--inc", "2,3", "--n", "5"], "det delta does not take --n"),
+            (["matrix", "theta", "--inc", "2,3", "--k", "1"], "matrix theta does not take --k"),
+        ],
+        ids=" ".join,
+    )
+    def test_option_the_kind_does_not_take_is_usage_error(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("kind,count", [("delta", 48), ("theta", 49)])
     def test_64_bit_increments_agree(self, capsys, kind, count):
@@ -321,7 +345,13 @@ class TestNumpyLoading:
             (["verify", "--suite", "all", "--n-max", "16"], False),
             (["det", "c", "--n", "25", "--k", "5", "--method", "both"], False),  # dimension 21
             (["det", "min", "--n", "23", "--method", "bareiss"], False),
-            (["det", "min", "--n", "24", "--method", "bareiss"], True),  # _INT64_MIN_DIM
+            # A one-shot min or c determinant below cli._ONE_SHOT_DIM runs
+            # _eliminate; delta, theta and larger dimensions keep det_bareiss.
+            (["det", "min", "--n", "24", "--method", "bareiss"], False),
+            (["det", "c", "--n", "40", "--k", "7", "--method", "both"], False),  # dimension 34
+            (["det", "min", "--n", "127", "--method", "bareiss"], False),
+            (["det", "min", "--n", "128", "--method", "bareiss"], True),
+            (["det", "delta", "--inc", ",".join(["2"] * 24), "--method", "both"], True),
             (["simulate", "--n", "3", "--m", "10"], True),
         ],
         ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
@@ -337,6 +367,52 @@ class TestNumpyLoading:
             capture_output=True, text=True, env=env, check=True,
         )
         assert json.loads(done.stdout) == {"code": 0, "numpy": [False, False, loads]}
+
+
+# Run in a fresh interpreter with numpy already imported: the counts of
+# det_bareiss's int64 route and of _eliminate in one `det c` call.
+_LOADED_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import numpy
+from minmatrix import cli, determinants
+calls = {"int64": 0, "eliminate": 0}
+
+def counted(name, function):
+    def spy(*args):
+        calls[name] += 1
+        return function(*args)
+    return spy
+
+determinants._det_int64 = counted("int64", determinants._det_int64)
+cli._eliminate = counted("eliminate", cli._eliminate)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["det", "c", "--n", "46", "--k", "7", "--method", "both"])
+print(json.dumps({"code": code, "tail": out.getvalue().splitlines()[-1], **calls}))
+"""
+
+
+class TestOneShotDet:
+    def test_loaded_numpy_keeps_det_bareiss(self):
+        import minmatrix
+
+        src = str(Path(minmatrix.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _LOADED_NUMPY_PROBE],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert json.loads(done.stdout) == {"code": 0, "tail": "agree", "int64": 1, "eliminate": 0}
+
+    @pytest.mark.parametrize("dim", [24, 34, 127, 128])
+    @pytest.mark.parametrize("kind, k", [("min", 1), ("c", 2), ("c", 3), ("c", 64), ("c", 2**70)])
+    def test_eliminate_equals_det_bareiss(self, kind, k, dim):
+        if kind == "min":
+            matrix, expected = build_min_matrix(dim), 1
+        else:
+            matrix, expected = build_c_matrix(dim + k - 1, k), k
+        assert matrix.dim == dim
+        assert determinants._eliminate(matrix.to_lists()) == determinants.det_bareiss(matrix) == expected
 
 
 class TestInternalErrors:
