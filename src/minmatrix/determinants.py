@@ -17,6 +17,7 @@ arithmetic, so every comparison is an exact equality.
   swaps and the previous pivot give the determinant of the whole matrix.
 """
 
+from itertools import chain
 from math import isqrt, prod
 
 from .matrices import _check_increments
@@ -99,9 +100,11 @@ def det_bareiss(matrix):
     inverse of prev's odd part mod 2**64, in wrapping uint64 arithmetic,
     and a right shift by prev's power of two (Jebelean, J. Symb. Comput.
     15, 1993). Where prev divides pivot, only the outer product lead*y is
-    divided, so after step 0 a constant pivot costs no full-block
-    multiplication. When the certificate fails, the multi-modular route
-    finishes the active block B of m rows, and the int64 work is kept: by
+    divided, and its power of two is shifted out of the lead column and
+    the pivot row before they are multiplied, so after step 0 a constant
+    pivot costs no full-block multiplication or shift. When the
+    certificate fails, the multi-modular route finishes the active block
+    B of m rows, and the int64 work is kept: by
     Sylvester's identity det A = sign * det B / prev**(m - 1), where sign
     is that of the row swaps so far and prev the previous pivot (Bareiss
     1968, Math. Comp. 22). The route certifies with H(B) / |prev|**(m - 1),
@@ -109,13 +112,16 @@ def det_bareiss(matrix):
     divide prev. A_n and C_{n,k} never hand off, so they never pay for
     that route.
     """
-    rows = matrix.to_lists()
-    if len(rows) < _INT64_MIN_DIM:
-        return _eliminate(rows)
+    # The matrix's own rows, read and never changed: only the Python-int
+    # loop consumes its rows, and it gets a copy.
+    rows = matrix._rows
+    n = len(rows)
+    if n < _INT64_MIN_DIM:
+        return _eliminate(matrix.to_lists())
     import numpy as np
 
     try:
-        a = np.array(rows, dtype=np.int64)
+        a = np.fromiter(chain.from_iterable(rows), np.int64, n * n).reshape(n, n)
     except OverflowError:
         a = None
     # int64 holds -2**63, but the phase needs |x| < 2**63.
@@ -221,21 +227,31 @@ def _det_int64(a):
         # |N / o| < 2**63, and N / prev is N / o shifted right by t.
         t = (prev & -prev).bit_length() - 1
         inverse = pow(prev >> t, -1, 1 << 64)
+        quotient, rest = divmod(pivot, prev)
+        if rest == 0 and t:
+            # prev divides pivot*x, so it divides every lead*y too, and
+            # v2(lead_i) + v2(y_j) >= t for every pair. With s = min(t,
+            # v2(lead's OR)), lead >> s and y >> (t - s) are exact and their
+            # product is lead*y / 2**t: no pass over the block shifts it.
+            # lead must be shifted before the multiplication by the
+            # inverse, which would drop the product's high bits mod 2**64.
+            ors = int(np.bitwise_or.reduce(lead))
+            s = min(t, (ors & -ors).bit_length() - 1) if ors else t
+            if s:
+                lead = lead >> s
+            if s < t:
+                pivot_tail = pivot_tail >> (t - s)
         size = n - 1 - step
         outer = scratch[: size * size].reshape(size, size)
         scaled_lead = lead.view(np.uint64)
         if inverse != 1:
             scaled_lead = scaled_lead * inverse
         np.multiply(scaled_lead[:, None], pivot_tail.view(np.uint64), out=outer)
-        quotient, rest = divmod(pivot, prev)
         if rest == 0:
             # prev divides lead*y as well, and |lead*y| <= growth.
-            exact = outer.view(np.int64)
-            if t:
-                exact >>= t
             if quotient != 1:
                 block *= quotient
-            block -= exact
+            block -= outer.view(np.int64)
         else:
             wide = block.view(np.uint64)
             wide *= pivot * inverse % (1 << 64)
@@ -320,13 +336,20 @@ def _det_crt(rows, bound, sign=1, prev=1):
     primes, modulus = _crt_primes(2 * bound + 1, prev)
     n = len(rows)
     flat = [x for row in rows for x in row]
-    # |x| as 32-bit limbs, most significant first. Horner's rule mod p
-    # keeps acc < 2**28, so acc * 2**32 + limb < 2**61.
-    width = max(1, -(-max(map(abs, flat)).bit_length() // 32))
-    limbs = np.frombuffer(
-        b"".join(abs(x).to_bytes(4 * width, "big") for x in flat), dtype=">u4"
-    ).astype(np.int64).reshape(n, n, width, 1)
-    negative = np.array([x < 0 for x in flat]).reshape(n, n, 1)
+    top = max(map(abs, flat))
+    single = top < _INT64_LIMIT
+    if single:
+        # Every entry is one signed int64, as every int64 hand-off block
+        # is, and x % p is its residue.
+        entries = np.array(flat, dtype=np.int64).reshape(n, n, 1)
+    else:
+        # |x| as 32-bit limbs, most significant first. Horner's rule mod p
+        # keeps acc < 2**28, so acc * 2**32 + limb < 2**61.
+        width = -(-top.bit_length() // 32)
+        limbs = np.frombuffer(
+            b"".join(abs(x).to_bytes(4 * width, "big") for x in flat), dtype=">u4"
+        ).astype(np.int64).reshape(n, n, width, 1)
+        negative = np.array([x < 0 for x in flat]).reshape(n, n, 1)
     # One working array and one outer-product scratch serve every pass,
     # sized for the primes a pass actually takes.
     per_pass = min(len(primes), max(1, _CRT_PASS_ELEMENTS // (n * n)))
@@ -336,13 +359,16 @@ def _det_crt(rows, bound, sign=1, prev=1):
     for start in range(0, len(primes), per_pass):
         p = np.array(primes[start : start + per_pass], dtype=np.int64)
         a = work[: n * n * len(p)].reshape(n, n, len(p))
-        a[...] = 0
-        for limb in range(width):
-            a <<= 32
-            a += limbs[:, :, limb]
-            a %= p
-        # Residues of x, in (-p, p).
-        np.negative(a, out=a, where=negative)
+        if single:
+            np.remainder(entries, p, out=a)
+        else:
+            a[...] = 0
+            for limb in range(width):
+                a <<= 32
+                a += limbs[:, :, limb]
+                a %= p
+            # Residues of x, in (-p, p).
+            np.negative(a, out=a, where=negative)
         residues += _det_mod(a, p, outer)
     total = 0
     for r, q in zip(residues, primes):

@@ -43,6 +43,16 @@ class ExactMatrix:
         object.__setattr__(self, "dim", len(rows))
         object.__setattr__(self, "_rows", rows)
 
+    @classmethod
+    def _from_checked(cls, rows):
+        """The matrix that holds ``rows`` itself, with no entry scanned: for
+        a nonempty square list of lists of Python ints that the caller
+        built from a range or from values _integers has checked."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "dim", len(rows))
+        object.__setattr__(matrix, "_rows", rows)
+        return matrix
+
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
@@ -69,7 +79,7 @@ class ExactMatrix:
         if any(not 0 <= i < self.dim for i in idx):
             raise IndexError("submatrix index out of bounds")
         rows = self._rows
-        return ExactMatrix([[rows[i][j] for j in idx] for i in idx])
+        return ExactMatrix._from_checked([[rows[i][j] for j in idx] for i in idx])
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -110,7 +120,7 @@ def build_min_matrix(n):
     """The n x n matrix with entry(i, j) = min(i, j)."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    return ExactMatrix(_cumulative_rows(list(range(1, n + 1))))
+    return ExactMatrix._from_checked(_cumulative_rows(list(range(1, n + 1))))
 
 
 def build_c_matrix(n, k):
@@ -121,7 +131,7 @@ def build_c_matrix(n, k):
     """
     if not 1 < k < n:
         raise ValueError(f"require 1 < k < n, got k={k}, n={n}")
-    return ExactMatrix(_cumulative_rows(list(range(k, n + 1))))
+    return ExactMatrix._from_checked(_cumulative_rows(list(range(k, n + 1))))
 
 
 def build_delta_matrix(inc):
@@ -130,7 +140,7 @@ def build_delta_matrix(inc):
     With unit increments this reproduces build_min_matrix; with
     (k, 1, ..., 1) it reproduces the shifted matrix for any k.
     """
-    return ExactMatrix(_cumulative_rows(prefix_sums(inc)))
+    return ExactMatrix._from_checked(_cumulative_rows(prefix_sums(inc)))
 
 
 def build_theta_matrix(inc):
@@ -144,6 +154,6 @@ def build_theta_matrix(inc):
     sums = list(accumulate(values))
     n = len(values) - 1
     # Row r (1-based) is sums[0], then sums[min(r, c)] for c = 2..n.
-    return ExactMatrix(
+    return ExactMatrix._from_checked(
         [[sums[0], *sums[2 : r + 1]] + [sums[r]] * (n - r) for r in range(1, n + 1)]
     )

@@ -5,7 +5,8 @@ variance sigma^2 has Cov(X_i, X_j) = sigma^2 * min(i, j). This module
 estimates the covariance empirically and measures the deviation from
 that target. It is the only part of the package that uses floating
 point; everything else is exact. Paths are drawn in chunks sized from m
-and n, so memory stays bounded for every m without a setting.
+and n, so memory stays bounded for every m without a setting, and one
+step buffer serves every chunk.
 
 numpy is imported inside the functions that compute, as in
 determinants.py: importing this module, and so the package and its CLI,
@@ -73,15 +74,22 @@ class CovEstimate:
     config: SimConfig
 
 
-def _draw_steps(rng, count, n, sigma, dist):
+def _draw_steps(rng, steps, sigma, dist):
+    """Fill ``steps`` with the chunk's steps. Each distribution writes the
+    same floats as a fresh draw of its shape: sigma * N(0, 1) is what
+    rng.normal(0, sigma) computes, and 2 * sigma * b - sigma for a bit b
+    is exactly -sigma or sigma."""
     import numpy as np
 
     if dist == "rademacher":
-        return sigma * (2.0 * rng.integers(0, 2, size=(count, n)) - 1.0)
-    if dist == "uniform":
+        np.multiply(rng.integers(0, 2, size=steps.shape), 2.0 * sigma, out=steps)
+        steps -= sigma
+    elif dist == "uniform":
         half_width = sigma * np.sqrt(3.0)
-        return rng.uniform(-half_width, half_width, size=(count, n))
-    return rng.normal(0.0, sigma, size=(count, n))
+        steps[...] = rng.uniform(-half_width, half_width, size=steps.shape)
+    else:
+        rng.standard_normal(out=steps)
+        steps *= sigma
 
 
 def simulate_covariance(cfg):
@@ -90,18 +98,26 @@ def simulate_covariance(cfg):
     Steps are generated with exactly zero mean, so the estimator is the
     uncentered (1/m) * sum of outer products. Chunk accumulators are
     merged by plain summation; the result depends on the config only.
+
+    One step buffer, sized for the largest chunk, serves every chunk: each
+    draw writes into it and the paths are summed in place, column by
+    column, in the order np.cumsum(axis=1) adds. Every float is the one a
+    fresh array per chunk would hold, so results are bit-identical to it.
     """
     import numpy as np
 
     root = np.random.SeedSequence(cfg.seed)
     base, extra = divmod(cfg.m, cfg.chunks)
+    buffer = np.empty((base + (1 if extra else 0), cfg.n))
     accumulator = np.zeros((cfg.n, cfg.n))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for index in range(cfg.chunks):
             count = base + (1 if index < extra else 0)
             rng = np.random.default_rng(root.spawn(1)[0])  # the children of spawn(chunks)
-            steps = _draw_steps(rng, count, cfg.n, cfg.sigma, cfg.dist)
-            paths = np.cumsum(steps, axis=1, out=steps)  # in place: one buffer per chunk
+            paths = buffer[:count]
+            _draw_steps(rng, paths, cfg.sigma, cfg.dist)
+            for j in range(1, cfg.n):  # partial sums along each path
+                paths[:, j] += paths[:, j - 1]
             accumulator += paths.T @ paths
         matrix = accumulator / cfg.m
         matrix = (matrix + matrix.T) / 2.0  # kill float round-off asymmetry

@@ -42,7 +42,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, islice
 
-from .matrices import ExactMatrix, build_min_matrix
+from .matrices import ExactMatrix, _cumulative_rows, _integers, build_min_matrix
 
 #: Largest n accepted by the brute-force minor enumeration.
 BRUTE_FORCE_CAP = 14
@@ -385,10 +385,13 @@ def charpoly(n):
 
 def char_matrix(n, lam):
     """The exact integer matrix lam*I - A_n, for checking charpoly against
-    the elimination oracle."""
-    base = build_min_matrix(n)
-    rows = base.to_lists()
-    shifted = [
-        [(lam if r == c else 0) - rows[r][c] for c in range(n)] for r in range(n)
-    ]
-    return ExactMatrix(shifted)
+    the elimination oracle. lam must be an integer, as a matrix entry
+    must: a float, a string or a bool raises TypeError."""
+    (lam,) = _integers([lam])
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    # -A_n has entry -min(i, j): the cumulative rows of -1, ..., -n.
+    rows = _cumulative_rows(list(range(-1, -n - 1, -1)))
+    for r in range(n):
+        rows[r][r] += lam
+    return ExactMatrix._from_checked(rows)

@@ -23,8 +23,11 @@ def run(capsys, *argv):
 
 # Exit code, stdout and stderr of each command in each output format, and of
 # a few usage errors. A change to any of these bytes changes the CLI's
-# interface. The simulation uses Rademacher steps, whose sums are exact in
-# floating point, so its pinned bytes do not depend on BLAS.
+# interface. Rademacher steps have sums that are exact in floating point, so
+# their pinned bytes do not depend on BLAS. The Gaussian and uniform entries
+# pin the bit-identical reuse of one step buffer; their sums of products go
+# through BLAS, so they hold for the BLAS kernel they were generated with
+# (OpenBLAS 0.3.31's Haswell kernel).
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 
 

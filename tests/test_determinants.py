@@ -244,6 +244,27 @@ def odd_previous_pivot(n, second):
     return rows
 
 
+def lead_with_fewer_twos(n, a01):
+    """A matrix whose step 1 divides by prev = 4 (t = 2) with prev | pivot,
+    while the lead column has one factor of two (a01 = 2) or none
+    (a01 = 1): the pivot row carries the rest. Row 0 starts (4, a01), rows
+    2.. start with an odd entry, and row 1 starts (a10, a11) with a10 * a01
+    and a10 * a0j divisible by 4, so step 0 leaves 4 * a11 - a10 * a01 = 4
+    at (1, 1), 4*a_i1 - a_i0 * a01 below it and 4*a_1j - a10 * a0j beside
+    it."""
+    rng = random.Random(a01)
+    rows = [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)]
+    rows[0][:2] = [4, a01]
+    rows[1][:2] = [0, 1] if a01 == 2 else [4, 2]
+    for row in rows[2:]:
+        row[0] = rng.choice((-3, -1, 1, 3))
+    return rows
+
+
+def twos(x):
+    return (x & -x).bit_length() - 1
+
+
 def signed_permutation(n):
     rng = random.Random(n)
     columns = list(range(n))
@@ -496,6 +517,23 @@ class TestInt64Phase:
         # At least two steps, the first division included, ran in int64.
         assert handed is None or handed <= len(rows) - 2
 
+    @pytest.mark.parametrize("a01, s", [(2, 1), (1, 0)])
+    def test_lead_with_fewer_twos_than_prev(self, phases, a01, s):
+        # Step 1 shifts the lead column by s = min(t, twos of its OR) and
+        # the pivot row by t - s: here s < t = 2, so the pivot row's
+        # factors of two are needed for lead*y / prev.
+        rows = lead_with_fewer_twos(30, a01)
+        (pivot0, *row0), *below = rows
+        step1 = [[pivot0 * x - row[0] * y for x, y in zip(row[1:], row0)] for row in below]
+        assert step1[0][0] == 4 and twos(pivot0) == 2
+        assert min(twos(row[0]) for row in step1[1:]) == s
+        assert min(twos(y) for y in step1[0][1:] if y) >= 2 - s
+        handed = exact_certificate_hand_off(rows)
+        assert det_bareiss(ExactMatrix(rows)) == reference(rows)
+        assert phases["handed"] == ([] if handed is None else [handed])
+        # Step 1, the division by 4, ran in int64.
+        assert handed is None or handed <= len(rows) - 2
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(_INT64_MIN_DIM, _INT64_MIN_DIM + 12),
@@ -625,7 +663,11 @@ class TestMultiModular:
             assert crt(rows) == reference(rows)
             assert det_bareiss(ExactMatrix(rows)) == reference(rows)
 
-    @pytest.mark.parametrize("big", [2**63 - 1, 2**64, 2**200], ids=["2**63-1", "2**64", "2**200"])
+    # Entries with |x| < 2**63, as in every hand-off block, load as one
+    # int64 array; from |x| = 2**63 on, -2**63 included, as 32-bit limbs.
+    @pytest.mark.parametrize(
+        "big", [2**63 - 1, 2**63, 2**64, 2**200], ids=["2**63-1", "2**63", "2**64", "2**200"]
+    )
     @pytest.mark.parametrize("sign", [1, -1])
     def test_extreme_entries(self, big, sign):
         rng = random.Random(big % 1000 + sign)
@@ -834,6 +876,21 @@ class TestRouting:
         assert det_bareiss(build_min_matrix(200)) == 1
         assert det_bareiss(build_c_matrix(219, 70)) == 70
         assert crt_calls == blocks
+
+    def test_matrix_is_left_unchanged(self):
+        # det_bareiss reads the matrix's own rows, so no route may write
+        # to them: not the Python-int loop's row swaps, not a hand-off,
+        # not the multi-modular route on entries past int64.
+        cases = [
+            ExactMatrix([[0, 1, 2], [1, 0, 3], [2, 3, 0]]),
+            build_c_matrix(60, 7),
+            char_matrix(120, 5),
+            build_delta_matrix(increments(random.Random(30), 30)),
+        ]
+        for matrix in cases:
+            before = matrix.to_lists()
+            det_bareiss(matrix)
+            assert matrix.to_lists() == before
 
     def test_one_route_rule(self, phases, monkeypatch):
         # Entries inside int64 always start in the int64 phase; the

@@ -16,6 +16,7 @@ from minmatrix import (
     prefix_sums,
     theta_det_closed,
 )
+from minmatrix.symmetric import char_matrix
 
 increments = st.lists(st.integers(-50, 50), min_size=1, max_size=10)
 
@@ -242,3 +243,41 @@ class TestStrictIntegers:
         assert matrix.to_lists() == [[2, 1], [1, 3]]
         assert all(type(x) is int for row in matrix.to_lists() for x in row)
         assert delta_det_closed(np.array([2, 3, 4], dtype=np.int32)) == 24
+
+
+# Every builder hands its rows to the matrix without the public
+# constructor's entry scan; the rows must still be what that scan accepts.
+BUILDERS = {
+    "min": lambda i: build_min_matrix(i(6)),
+    "c": lambda i: build_c_matrix(i(9), i(4)),
+    "delta": lambda i: build_delta_matrix([i(v) for v in (3, -1, 4, 1, -5)]),
+    "theta": lambda i: build_theta_matrix([i(v) for v in (2, -3, 5, 1, 7)]),
+    "submatrix": lambda i: build_delta_matrix([i(v) for v in (3, -1, 4, 1)]).submatrix(
+        [i(1), i(3), i(4)]
+    ),
+    "char": lambda i: char_matrix(i(5), i(-7)),
+}
+
+
+class TestBuilders:
+    @pytest.mark.parametrize("cast", [int, np.int64, np.int32, np.int8])
+    @pytest.mark.parametrize("builder", BUILDERS.values(), ids=BUILDERS.keys())
+    def test_rows_are_what_the_public_constructor_builds(self, builder, cast):
+        matrix = builder(cast)
+        rows = matrix.to_lists()
+        assert matrix == ExactMatrix(rows)
+        assert matrix.dim == len(rows)
+        assert all(type(x) is int for row in rows for x in row)
+
+    def test_char_matrix_entries(self):
+        assert char_matrix(3, 5).to_lists() == [[4, -1, -1], [-1, 3, -2], [-1, -2, 2]]
+        assert char_matrix(2, 2**70).to_lists() == [[2**70 - 1, -1], [-1, 2**70 - 2]]
+
+    @pytest.mark.parametrize("lam", [1.5, 2.0, "3", Fraction(3, 2), True, np.True_])
+    def test_char_matrix_rejects_non_integer_lam(self, lam):
+        with pytest.raises(TypeError):
+            char_matrix(3, lam)
+
+    def test_char_matrix_rejects_empty(self):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            char_matrix(0, 5)

@@ -63,6 +63,59 @@ class TestChunks:
         assert peak < 8_000_000
 
 
+def reference_covariance(cfg):
+    """The estimate with a fresh step array per chunk, drawn by rng.normal,
+    rng.integers and rng.uniform and summed by np.cumsum: the oracle for
+    the one reused step buffer."""
+    root = np.random.SeedSequence(cfg.seed)
+    base, extra = divmod(cfg.m, cfg.chunks)
+    total = np.zeros((cfg.n, cfg.n))
+    for index, child in enumerate(root.spawn(cfg.chunks)):
+        rng = np.random.default_rng(child)
+        size = (base + (1 if index < extra else 0), cfg.n)
+        if cfg.dist == "rademacher":
+            steps = cfg.sigma * (2.0 * rng.integers(0, 2, size=size) - 1.0)
+        elif cfg.dist == "uniform":
+            half_width = cfg.sigma * np.sqrt(3.0)
+            steps = rng.uniform(-half_width, half_width, size=size)
+        else:
+            steps = rng.normal(0.0, cfg.sigma, size=size)
+        paths = np.cumsum(steps, axis=1)
+        total += paths.T @ paths
+    matrix = total / cfg.m
+    return (matrix + matrix.T) / 2.0
+
+
+class TestStepBuffer:
+    @pytest.mark.parametrize("dist", ["rademacher", "uniform", "gaussian"])
+    @pytest.mark.parametrize(
+        "n, m, sigma",
+        # One path; fewer paths than 8 chunks; an uneven split with
+        # sigma != 1; 9 chunks, the last ones a path shorter.
+        [(1, 103, 3.0), (3, 5, 0.5), (5, 4003, 2.5), (2, 1_100_001, 0.7)],
+    )
+    def test_bit_identical_to_a_fresh_array_per_chunk(self, dist, n, m, sigma):
+        cfg = SimConfig(n=n, m=m, sigma=sigma, seed=n + m, dist=dist)
+        est = simulate_covariance(cfg)
+        assert est.matrix.tobytes() == reference_covariance(cfg).tobytes()
+
+    @pytest.mark.parametrize("dist, chunks_held", [("gaussian", 1.25), ("rademacher", 2.25), ("uniform", 2.25)])
+    def test_one_buffer_serves_every_chunk(self, dist, chunks_held):
+        # Gaussian steps are drawn into the buffer itself; the other two
+        # hold one draw's temporary beside it. A fresh array per chunk
+        # also kept the previous chunk alive during the next draw.
+        cfg = SimConfig(n=8, m=200_000, dist=dist)
+        step_bytes = -(-cfg.m // cfg.chunks) * cfg.n * 8
+        simulate_covariance(SimConfig(n=2, m=10, dist=dist))  # imports numpy
+        tracemalloc.start()
+        try:
+            simulate_covariance(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < chunks_held * step_bytes
+
+
 class TestSigmaRange:
     # sigma^2 must be a normal float: sqrt(sys.float_info.min) is about
     # 1.49e-154. m * n * sigma^2 must be finite: at n = 3 and m = 10,
