@@ -180,7 +180,10 @@ def cmd_det(args):
 def cmd_symfun(args):
     if args.n < 0:
         raise ValueError(f"symfun requires --n >= 0, got {args.n}")
-    ks = range(args.n + 1) if args.k == "all" else [int(args.k)]
+    try:
+        ks = range(args.n + 1) if args.k == "all" else [int(args.k)]
+    except ValueError:
+        raise ValueError(f"--k must be an integer or 'all', got {args.k!r}")
     methods = list(METHODS) if args.method == "all" else [args.method]
     columns = {}
     notes = []

@@ -8,13 +8,14 @@ arithmetic, so every comparison is an exact equality.
 
 - dimension below 24: the Python-int Bareiss loop ``_eliminate``, which
   is also the reference the other two routes are tested against;
-- an entry outside int64: elimination modulo many word-size primes at
-  once and Chinese remaindering (``_det_crt``), certified by Hadamard's
-  bound;
+- an entry that does not convert to int64: elimination modulo many
+  word-size primes at once and Chinese remaindering (``_det_crt``),
+  certified by Hadamard's bound;
 - otherwise: Bareiss in int64 for as long as an overflow certificate
   holds. Where the certificate fails, ``_det_crt`` finishes the active
-  block: by Sylvester's identity its determinant, the sign of the row
-  swaps and the previous pivot give the determinant of the whole matrix.
+  int64 block: by Sylvester's identity its determinant, the sign of the
+  row swaps and the previous pivot give the determinant of the whole
+  matrix.
 """
 
 from itertools import chain
@@ -69,11 +70,12 @@ def det_bareiss(matrix):
 
     Dimension below 24 (_INT64_MIN_DIM): the Python-int loop.
 
-    An entry outside (-2**63, 2**63): the determinant is computed modulo
-    the fewest primes p < 2**28 whose product M exceeds 2*H + 1, where H =
-    prod(isqrt(sum_j x_ij**2) + 1) is Hadamard's bound, by Gaussian
-    elimination for all primes at once in numpy int64, and rebuilt by the
-    Chinese remainder theorem in the symmetric range (-M/2, M/2). Since
+    An entry outside int64's [-2**63, 2**63): the determinant is computed
+    modulo the fewest primes p < 2**28 whose product M exceeds 2*H + 1,
+    where H = prod(isqrt(sum_j x_ij**2) + 1) is Hadamard's bound, by
+    Gaussian elimination for all primes at once in numpy int64, and
+    rebuilt by the Chinese remainder theorem in the symmetric range
+    (-M/2, M/2). Since
     |det| <= H, the result is certified, not probabilistic (Abbott,
     Bronstein & Mulders, ISSAC 1999; von zur Gathen & Gerhard, Modern
     Computer Algebra, 5.5). With p < 2**28 each product of two residues is
@@ -86,10 +88,11 @@ def det_bareiss(matrix):
 
         |pivot| * max|block| + max|lead column| * max|pivot row| < 2**63,
 
-    computed in Python ints. The certificate has two tiers. The first
-    takes M = max|active block|, pivot row and column included, and tests
-    (|pivot| + M) * M < 2**63; every factor above is at most M, so this
-    implies the exact test. Only when it fails is the exact test
+    computed in Python ints, so -2**63 counts as 2**63: against a nonzero
+    factor it fails the test and the matrix hands off at step 0. The
+    certificate has two tiers. The first takes M = max|active block|,
+    pivot row and column included, and tests (|pivot| + M) * M < 2**63;
+    every factor above is at most M, so this implies the exact test. Only when it fails is the exact test
     computed, and only its failure hands off. So the step at which a
     matrix leaves int64 is the step at which the exact test alone would
     fail. M is not measured at every step: no new entry exceeds
@@ -100,11 +103,9 @@ def det_bareiss(matrix):
     inverse of prev's odd part mod 2**64, in wrapping uint64 arithmetic,
     and a right shift by prev's power of two (Jebelean, J. Symb. Comput.
     15, 1993). Where prev divides pivot, only the outer product lead*y is
-    divided, and its power of two is shifted out of the lead column and
-    the pivot row before they are multiplied, so after step 0 a constant
-    pivot costs no full-block multiplication or shift. When the
-    certificate fails, the multi-modular route finishes the active block
-    B of m rows, and the int64 work is kept: by
+    divided, so after step 0 a constant pivot costs no full-block
+    multiplication. When the certificate fails, the multi-modular route
+    finishes the active block B of m rows, and the int64 work is kept: by
     Sylvester's identity det A = sign * det B / prev**(m - 1), where sign
     is that of the row swaps so far and prev the previous pivot (Bareiss
     1968, Math. Comp. 22). The route certifies with H(B) / |prev|**(m - 1),
@@ -123,9 +124,6 @@ def det_bareiss(matrix):
     try:
         a = np.fromiter(chain.from_iterable(rows), np.int64, n * n).reshape(n, n)
     except OverflowError:
-        a = None
-    # int64 holds -2**63, but the phase needs |x| < 2**63.
-    if a is None or int(a.min()) == -_INT64_LIMIT:
         return _det_crt(rows, _hadamard(rows))
     return _det_int64(a)
 
@@ -168,7 +166,8 @@ def _abs_max(a):
 
 def _det_int64(a):
     """Bareiss elimination of the int64 array ``a`` (consumed) for as long
-    as the overflow certificate holds. Entries must satisfy |x| < 2**63.
+    as the overflow certificate holds. Its maxima are Python ints, so an
+    entry -2**63 counts as 2**63; every update that passes is below 2**63.
 
     Each step divides by prev exactly: the inverse of prev's odd part mod
     2**64 and a right shift by its power of two. A bound on the active
@@ -176,12 +175,12 @@ def _det_int64(a):
     certificate's first tier wherever it passes.
 
     Where the certificate fails, ``_det_crt`` finishes the active block B
-    of m rows. Every Bareiss intermediate is a minor of the input, so B
-    is exact, and by Sylvester's identity det A = sign * det B /
-    prev**(m - 1) with the row-swap sign and previous pivot so far. Since
-    |det B| <= H(B), Hadamard's bound of the block, |det A| <= H(B) /
-    |prev|**(m - 1), which certifies the route without the original
-    matrix."""
+    of m rows, given the int64 array itself. Every Bareiss intermediate is
+    a minor of the input, so B is exact, and by Sylvester's identity
+    det A = sign * det B / prev**(m - 1) with the row-swap sign and
+    previous pivot so far. Since |det B| <= H(B), Hadamard's bound of the
+    block, |det A| <= H(B) / |prev|**(m - 1), which certifies the route
+    without the original matrix."""
     import numpy as np
 
     n = len(a)
@@ -217,8 +216,8 @@ def _det_int64(a):
             if growth >= _INT64_LIMIT:
                 growth = abs(pivot) * _abs_max(block) + _abs_max(lead) * _abs_max(pivot_tail)
                 if growth >= _INT64_LIMIT:
-                    block = active.tolist()
-                    return _det_crt(block, _hadamard(block) // abs(prev) ** (len(block) - 1), sign, prev)
+                    bound = _hadamard(active.tolist()) // abs(prev) ** (len(active) - 1)
+                    return _det_crt(active, bound, sign, prev)
         # Each N = pivot*x - lead*y has |N| <= growth < 2**63, so no entry
         # of the next active block exceeds growth // |prev|.
         most = growth // abs(prev)
@@ -227,31 +226,23 @@ def _det_int64(a):
         # |N / o| < 2**63, and N / prev is N / o shifted right by t.
         t = (prev & -prev).bit_length() - 1
         inverse = pow(prev >> t, -1, 1 << 64)
-        quotient, rest = divmod(pivot, prev)
-        if rest == 0 and t:
-            # prev divides pivot*x, so it divides every lead*y too, and
-            # v2(lead_i) + v2(y_j) >= t for every pair. With s = min(t,
-            # v2(lead's OR)), lead >> s and y >> (t - s) are exact and their
-            # product is lead*y / 2**t: no pass over the block shifts it.
-            # lead must be shifted before the multiplication by the
-            # inverse, which would drop the product's high bits mod 2**64.
-            ors = int(np.bitwise_or.reduce(lead))
-            s = min(t, (ors & -ors).bit_length() - 1) if ors else t
-            if s:
-                lead = lead >> s
-            if s < t:
-                pivot_tail = pivot_tail >> (t - s)
         size = n - 1 - step
         outer = scratch[: size * size].reshape(size, size)
         scaled_lead = lead.view(np.uint64)
         if inverse != 1:
             scaled_lead = scaled_lead * inverse
         np.multiply(scaled_lead[:, None], pivot_tail.view(np.uint64), out=outer)
+        quotient, rest = divmod(pivot, prev)
         if rest == 0:
-            # prev divides lead*y as well, and |lead*y| <= growth.
+            # prev divides lead*y as well, and |lead*y| <= growth, so the
+            # outer product holds lead*y / o exactly and the shift by t
+            # finishes the division.
+            exact = outer.view(np.int64)
+            if t:
+                exact >>= t
             if quotient != 1:
                 block *= quotient
-            block -= outer.view(np.int64)
+            block -= exact
         else:
             wide = block.view(np.uint64)
             wide *= pivot * inverse % (1 << 64)
@@ -324,28 +315,26 @@ def _det_crt(rows, bound, sign=1, prev=1):
 
     ``rows`` is an m-row Bareiss block B of A, with det A = sign * det B /
     prev**(m - 1) by Sylvester's identity; a whole matrix is the case
-    sign = prev = 1. The primes skip those that divide prev, so each
-    residue det B mod q becomes det A mod q by the inverse of
-    prev**(m - 1) mod q. Their product M exceeds 2*bound + 1, so det A is
-    the unique residue mod M in the symmetric range. A prime never has to
-    be dropped: a zero pivot mod p is swapped within that prime's slice,
-    and a column that is all zero mod p means the determinant is 0 mod p.
+    sign = prev = 1. It is only read. An int64 array, the form of a
+    hand-off block, is reduced mod p entry by entry; Python rows, of
+    entries of any size, are split into 32-bit limbs. The primes skip
+    those that divide prev, so each residue det B mod q becomes det A mod
+    q by the inverse of prev**(m - 1) mod q. Their product M exceeds
+    2*bound + 1, so det A is the unique residue mod M in the symmetric
+    range. A prime never has to be dropped: a zero pivot mod p is swapped
+    within that prime's slice, and a column that is all zero mod p means
+    the determinant is 0 mod p.
     """
     import numpy as np
 
     primes, modulus = _crt_primes(2 * bound + 1, prev)
     n = len(rows)
-    flat = [x for row in rows for x in row]
-    top = max(map(abs, flat))
-    single = top < _INT64_LIMIT
-    if single:
-        # Every entry is one signed int64, as every int64 hand-off block
-        # is, and x % p is its residue.
-        entries = np.array(flat, dtype=np.int64).reshape(n, n, 1)
-    else:
+    array = isinstance(rows, np.ndarray)
+    if not array:
         # |x| as 32-bit limbs, most significant first. Horner's rule mod p
         # keeps acc < 2**28, so acc * 2**32 + limb < 2**61.
-        width = -(-top.bit_length() // 32)
+        flat = [x for row in rows for x in row]
+        width = max(1, -(-max(map(abs, flat)).bit_length() // 32))
         limbs = np.frombuffer(
             b"".join(abs(x).to_bytes(4 * width, "big") for x in flat), dtype=">u4"
         ).astype(np.int64).reshape(n, n, width, 1)
@@ -359,8 +348,9 @@ def _det_crt(rows, bound, sign=1, prev=1):
     for start in range(0, len(primes), per_pass):
         p = np.array(primes[start : start + per_pass], dtype=np.int64)
         a = work[: n * n * len(p)].reshape(n, n, len(p))
-        if single:
-            np.remainder(entries, p, out=a)
+        if array:
+            # x % p is the residue of each signed int64 entry.
+            np.remainder(rows[:, :, None], p, out=a)
         else:
             a[...] = 0
             for limb in range(width):

@@ -196,6 +196,12 @@ class TestSymfunCommand:
         assert (code, out) == (2, "")
         assert err == "error: symfun requires --n >= 0, got -1\n"
 
+    @pytest.mark.parametrize("k", ["abc", "2.5", ""])
+    def test_non_integer_k_names_the_option(self, capsys, k):
+        code, out, err = run(capsys, "symfun", "--n", "5", "--k", k)
+        assert (code, out) == (2, "")
+        assert err == f"error: --k must be an integer or 'all', got {k!r}\n"
+
     def test_csv_header(self, capsys):
         code, out, _ = run(capsys, "symfun", "--n", "3", "--k", "2", "--format", "csv")
         assert code == 0

@@ -5,6 +5,7 @@ import threading
 import tracemalloc
 from math import isqrt, prod
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -287,16 +288,46 @@ class TestInt64Phase:
         assert det_bareiss(build_c_matrix(149 + 70, 70)) == 70
         assert phases == {"int64": [200, 150], "handed": [], "python": [], "crt": []}
 
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_largest_int64_entries_hand_off_at_once(self, phases, sign):
+    @pytest.mark.parametrize(
+        "planted",
+        [
+            pytest.param({(0, 0): 2**63 - 1, (-1, -1): -(2**63 - 1)}, id="1"),
+            pytest.param({(0, 0): -(2**63 - 1), (-1, -1): 2**63 - 1}, id="-1"),
+            # int64's most negative value converts, and the certificate,
+            # in Python ints, reads it as 2**63 against a nonzero pivot.
+            pytest.param({(5, 7): -(2**63)}, id="-2**63"),
+        ],
+    )
+    def test_largest_int64_entries_hand_off_at_once(self, phases, planted):
         n = _INT64_MIN_DIM
         rows = build_c_matrix(n + 2, 3).to_lists()
-        rows[0][0] = sign * (2**63 - 1)
-        rows[n - 1][n - 1] = -sign * (2**63 - 1)
+        for (r, c), value in planted.items():
+            rows[r][c] = value
         assert det_bareiss(ExactMatrix(rows)) == reference(rows)
         assert_one_hand_off(phases, n, n)
 
-    @pytest.mark.parametrize("big", [2**63, -(2**63)])
+    @pytest.mark.parametrize("where", ["lead", "pivot"])
+    def test_most_negative_entry_stays_past_step_0(self, phases, where):
+        # -2**63 meets only zeros at step 0: in the lead column over a zero
+        # pivot-row tail, every update is pivot * x; as the pivot over a
+        # zero block, every update is -lead * y, and the next steps divide
+        # by prev = -2**63. Neither overflows, so int64 goes on.
+        n = _INT64_MIN_DIM + 6
+        rows = build_c_matrix(n + 2, 3).to_lists()
+        if where == "lead":
+            rows[0][1:] = [0] * (n - 1)
+            rows[7][0] = -(2**63)
+        else:
+            rows[0][0] = -(2**63)
+            for row in rows[1:]:
+                row[1:] = [0] * (n - 1)
+        handed = exact_certificate_hand_off(rows)
+        assert handed is None or handed < n
+        assert det_bareiss(ExactMatrix(rows)) == reference(rows)
+        assert phases["int64"] == [n]
+        assert phases["handed"] == ([] if handed is None else [handed])
+
+    @pytest.mark.parametrize("big", [2**63])
     def test_entries_past_int64_skip_the_phase(self, phases, big):
         rows = build_c_matrix(_INT64_MIN_DIM + 9, 10).to_lists()
         rows[5][7] = big
@@ -443,15 +474,21 @@ class TestInt64Phase:
         st.sampled_from([1, 3]),
         st.sampled_from([0.1, 0.3, 1.0]),
         st.integers(0, 3),
-        st.lists(st.integers(0, 2**20), max_size=2),
+        st.lists(
+            st.one_of(
+                st.builds(lambda offset, sign: sign * (2**63 - 1 - offset), st.integers(0, 2**20), st.sampled_from([1, -1])),
+                st.just(-(2**63)),
+            ),
+            max_size=2,
+        ),
     )
     def test_hand_off_matches_exact_certificate(
         self, phases, n, seed, diagonal, spread, density, swaps, near_limit
     ):
         # Diagonals of either sign, odd, even and powers of two set the
         # pivots; sparse rows and swapped rows give zero pivots and row
-        # swaps, and planted entries within 2**20 of +-(2**63 - 1) put
-        # the certificate at its limit from step 0. The entries come from
+        # swaps, and planted entries within 2**20 of +-(2**63 - 1), or
+        # -2**63, put the certificate at its limit from step 0. The entries come from
         # a seeded generator: drawn one by one, they would be far more
         # data than hypothesis takes for one example.
         for seen in phases.values():
@@ -464,8 +501,8 @@ class TestInt64Phase:
         for _ in range(swaps):
             i, j = rng.sample(range(n), 2)
             rows[i], rows[j] = rows[j], rows[i]
-        for offset in near_limit:
-            rows[rng.randrange(n)][rng.randrange(n)] = rng.choice((1, -1)) * (2**63 - 1 - offset)
+        for value in near_limit:
+            rows[rng.randrange(n)][rng.randrange(n)] = value
         handed = exact_certificate_hand_off(rows)
         assert det_bareiss(ExactMatrix(rows)) == reference(rows)
         assert phases["int64"] == [n]
@@ -519,9 +556,9 @@ class TestInt64Phase:
 
     @pytest.mark.parametrize("a01, s", [(2, 1), (1, 0)])
     def test_lead_with_fewer_twos_than_prev(self, phases, a01, s):
-        # Step 1 shifts the lead column by s = min(t, twos of its OR) and
-        # the pivot row by t - s: here s < t = 2, so the pivot row's
-        # factors of two are needed for lead*y / prev.
+        # Step 1 divides lead*y by prev = 4 while the lead column has s < t
+        # = 2 factors of two: the pivot row's are needed too, so only the
+        # whole product may be shifted right by t.
         rows = lead_with_fewer_twos(30, a01)
         (pivot0, *row0), *below = rows
         step1 = [[pivot0 * x - row[0] * y for x, y in zip(row[1:], row0)] for row in below]
@@ -553,9 +590,12 @@ class TestInt64Phase:
 
 
 def crt(rows, det_crt=determinants._det_crt):
-    """The multi-modular route on its own, certified by the Hadamard bound.
-    Bound at import, so the routing spy does not see these calls."""
-    return det_crt([row[:] for row in rows], determinants._hadamard(rows))
+    """The multi-modular route on its own, certified by the Hadamard bound,
+    on a copy of ``rows``: Python rows or an int64 array. Bound at import,
+    so the routing spy does not see these calls."""
+    if isinstance(rows, list):
+        return det_crt([row[:] for row in rows], determinants._hadamard(rows))
+    return det_crt(rows.copy(), determinants._hadamard(rows.tolist()))
 
 
 def residues_by_slice(rows, primes):
@@ -661,10 +701,16 @@ class TestMultiModular:
         for _ in range(4):
             rows = random_rows(rng, n, -(2**bits), 2**bits)
             assert crt(rows) == reference(rows)
+            if bits < 63:
+                # The same rows as one int64 array, the form of a hand-off
+                # block, which loads without the 32-bit limbs.
+                assert crt(np.array(rows, dtype=np.int64)) == reference(rows)
             assert det_bareiss(ExactMatrix(rows)) == reference(rows)
 
-    # Entries with |x| < 2**63, as in every hand-off block, load as one
-    # int64 array; from |x| = 2**63 on, -2**63 included, as 32-bit limbs.
+    # Python rows load as 32-bit limbs whatever their size. det_bareiss
+    # sends entries that fit int64, -2**63 included, to the int64 phase,
+    # whose hand-off passes the block as an int64 array; larger entries
+    # go to the multi-modular route at once, as limbs.
     @pytest.mark.parametrize(
         "big", [2**63 - 1, 2**63, 2**64, 2**200], ids=["2**63-1", "2**63", "2**64", "2**200"]
     )
