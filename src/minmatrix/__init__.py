@@ -4,92 +4,79 @@ Matrix constructions, closed-form determinants with an elimination
 oracle, elementary symmetric functions of the eigenvalues by six
 mutually-verifying methods, the characteristic polynomial, Fibonacci
 identities, and a Monte-Carlo random-walk covariance demonstration.
+
+`import minmatrix` loads no submodule. Each public name, and each
+submodule name such as `minmatrix.symmetric`, imports its submodule on
+first access (PEP 562), so a process pays only for the modules it uses.
 """
 
 __version__ = "0.1.0"
 
-from .determinants import (
-    delta_det_closed,
-    det_bareiss,
-    det_c_matrix,
-    det_min_matrix,
-    theta_det_closed,
-)
-from .fibonacci import fib, fibonacci_identity
-from .matrices import (
-    ExactMatrix,
-    build_c_matrix,
-    build_delta_matrix,
-    build_min_matrix,
-    build_theta_matrix,
-    prefix_sums,
-)
-from .simulation import (
-    CovEstimate,
-    SimConfig,
-    covariance_deviation,
-    min_matrix_float,
-    simulate_covariance,
-)
-from .symmetric import (
-    BRUTE_FORCE_CAP,
-    METHODS,
-    BruteForceCapExceeded,
-    CharPoly,
-    SymTable,
-    binomial,
-    binomial_identity_check,
-    build_sym_table,
-    char_matrix,
-    charpoly,
-    symfun,
-    symfun_closed,
-    symfun_minor_sum,
-    symfun_nested,
-    symfun_ratio,
-    symfun_rec6,
-    symfun_rec7,
-)
-from .verification import SUITES, CheckResult, run_suites
+# The names the CLI offers as argparse choices, defined here so that
+# building its parser imports none of the modules that use them.
+#: Symmetric-function methods, in the order `symfun --method all` reports.
+METHODS = ("closed", "minors", "nested", "rec6", "rec7", "ratio")
+#: Verification suites, in the order `verify --suite all` runs them.
+SUITES = ("dets", "symfun", "binomial", "fibonacci")
+#: Step distributions of the covariance simulation.
+DISTRIBUTIONS = ("rademacher", "uniform", "gaussian")
 
-__all__ = [
-    "ExactMatrix",
-    "prefix_sums",
-    "build_min_matrix",
-    "build_c_matrix",
-    "build_delta_matrix",
-    "build_theta_matrix",
-    "det_bareiss",
-    "delta_det_closed",
-    "theta_det_closed",
-    "det_min_matrix",
-    "det_c_matrix",
-    "binomial",
-    "symfun",
-    "symfun_closed",
-    "symfun_minor_sum",
-    "symfun_nested",
-    "symfun_rec6",
-    "symfun_rec7",
-    "symfun_ratio",
-    "binomial_identity_check",
-    "charpoly",
-    "char_matrix",
-    "CharPoly",
-    "SymTable",
-    "build_sym_table",
-    "BruteForceCapExceeded",
-    "BRUTE_FORCE_CAP",
-    "METHODS",
-    "fib",
-    "fibonacci_identity",
-    "SimConfig",
-    "CovEstimate",
-    "simulate_covariance",
-    "covariance_deviation",
-    "min_matrix_float",
-    "run_suites",
-    "SUITES",
-    "CheckResult",
-    "__version__",
-]
+# Each lazily imported public name, and the submodule that defines it.
+_SOURCES = {
+    "ExactMatrix": "matrices",
+    "prefix_sums": "matrices",
+    "build_min_matrix": "matrices",
+    "build_c_matrix": "matrices",
+    "build_delta_matrix": "matrices",
+    "build_theta_matrix": "matrices",
+    "det_bareiss": "determinants",
+    "delta_det_closed": "determinants",
+    "theta_det_closed": "determinants",
+    "det_min_matrix": "determinants",
+    "det_c_matrix": "determinants",
+    "binomial": "symmetric",
+    "symfun": "symmetric",
+    "symfun_closed": "symmetric",
+    "symfun_minor_sum": "symmetric",
+    "symfun_nested": "symmetric",
+    "symfun_rec6": "symmetric",
+    "symfun_rec7": "symmetric",
+    "symfun_ratio": "symmetric",
+    "binomial_identity_check": "symmetric",
+    "charpoly": "symmetric",
+    "char_matrix": "symmetric",
+    "CharPoly": "symmetric",
+    "SymTable": "symmetric",
+    "build_sym_table": "symmetric",
+    "BruteForceCapExceeded": "symmetric",
+    "BRUTE_FORCE_CAP": "symmetric",
+    "fib": "fibonacci",
+    "fibonacci_identity": "fibonacci",
+    "SimConfig": "simulation",
+    "CovEstimate": "simulation",
+    "simulate_covariance": "simulation",
+    "covariance_deviation": "simulation",
+    "min_matrix_float": "simulation",
+    "run_suites": "verification",
+    "CheckResult": "verification",
+}
+
+_SUBMODULES = {*_SOURCES.values(), "cli"}
+
+__all__ = [*_SOURCES, "METHODS", "SUITES", "__version__"]
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_SOURCES[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_SOURCES, *_SUBMODULES})

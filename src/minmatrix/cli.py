@@ -11,14 +11,21 @@ CSV so downstream consumers never overflow.
 runs the Python-int elimination when numpy is not yet loaded, since the
 one determinant costs less than numpy's import; otherwise it calls
 `det_bareiss`.
+
+A process loads only the modules its command runs. This module imports
+determinants and matrices, which `det` and `matrix` use; `symfun`,
+`verify` and `simulate` import symmetric, verification or simulation
+when they run, and json and csv load only for their output formats. The
+parser's choices come from the package's own tuples, so building it
+imports no library module. The parser is built once per process, and
+`main` looks each `cmd_*` function up by command name when it runs.
 """
 
 import argparse
-import csv
-import json
 import sys
+from functools import cache
 
-from . import __version__
+from . import DISTRIBUTIONS, METHODS, SUITES, __version__
 from .determinants import (
     _eliminate,
     delta_det_closed,
@@ -33,20 +40,6 @@ from .matrices import (
     build_min_matrix,
     build_theta_matrix,
 )
-from .simulation import (
-    DISTRIBUTIONS,
-    SimConfig,
-    covariance_deviation,
-    simulate_covariance,
-)
-from .symmetric import (
-    BRUTE_FORCE_CAP,
-    METHODS,
-    BruteForceCapExceeded,
-    _symfun_row,
-    symfun,
-)
-from .verification import SUITES, run_suites
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -66,8 +59,12 @@ def _emit(args, payload, header, rows, lines, seed=None, notes=(), csv_tail=()):
     the CSV table of header and rows followed by the csv_tail lines, or
     the plain lines with each note on stderr."""
     if args.format == "json":
+        import json
+
         print(json.dumps({"payload": payload, "metadata": _metadata(seed)}, indent=2))
     elif args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout)
         writer.writerow(header)
         writer.writerows(rows)
@@ -178,6 +175,8 @@ def cmd_det(args):
 
 
 def cmd_symfun(args):
+    from .symmetric import BRUTE_FORCE_CAP, BruteForceCapExceeded, _symfun_row, symfun
+
     if args.n < 0:
         raise ValueError(f"symfun requires --n >= 0, got {args.n}")
     try:
@@ -218,6 +217,8 @@ def cmd_symfun(args):
 
 
 def cmd_verify(args):
+    from .verification import run_suites
+
     results = run_suites(args.suite, args.n_max, seed=args.seed)
     all_passed = all(r.passed for r in results)
     lines = []
@@ -246,6 +247,8 @@ def cmd_verify(args):
 
 
 def cmd_simulate(args):
+    from .simulation import SimConfig, covariance_deviation, simulate_covariance
+
     cfg = SimConfig(
         n=args.n,
         m=args.m,
@@ -276,6 +279,7 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
+@cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="minmatrix",
@@ -295,28 +299,23 @@ def build_parser():
     kind.add_argument("--k", type=int)
     kind.add_argument("--inc", help="comma-separated increments, e.g. 2,3,4")
 
-    p_matrix = sub.add_parser("matrix", parents=[kind, output],
-                              help="construct and print a matrix")
-    p_matrix.set_defaults(func=cmd_matrix)
+    sub.add_parser("matrix", parents=[kind, output], help="construct and print a matrix")
 
     p_det = sub.add_parser("det", parents=[kind, output],
                            help="determinant by closed form and/or elimination")
     p_det.add_argument("--method", choices=("closed", "bareiss", "both"), default="closed")
-    p_det.set_defaults(func=cmd_det)
 
     p_symfun = sub.add_parser("symfun", parents=[output],
                               help="symmetric functions of the eigenvalues")
     p_symfun.add_argument("--n", type=int, required=True)
     p_symfun.add_argument("--k", default="all", help="0..n or 'all'")
     p_symfun.add_argument("--method", choices=METHODS + ("all",), default="closed")
-    p_symfun.set_defaults(func=cmd_symfun)
 
     p_verify = sub.add_parser("verify", parents=[output],
                               help="run the identity verification suites")
     p_verify.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p_verify.add_argument("--n-max", type=int, default=12)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser("simulate", parents=[output],
                            help="random-walk covariance estimation")
@@ -325,16 +324,14 @@ def build_parser():
     p_sim.add_argument("--sigma", type=float, default=1.0)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--dist", choices=DISTRIBUTIONS, default="gaussian")
-    p_sim.set_defaults(func=cmd_simulate)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,12 +15,8 @@ def fib(i):
 
 
 def fibonacci_identity(n):
-    """Check sum_{k=0}^n C(n+k, n-k) = F_{2n+1} (Gould's identity), in
-    both its direct form and the restatement with S_0 split off as +1."""
+    """Check sum_{k=0}^n C(n+k, n-k) = F_{2n+1} (Gould's identity) in its
+    direct form, with S_0 as computed, not taken as C(n, n) = 1."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    target = fib(2 * n + 1)
-    # The sum over k >= 1 is shared: the direct form adds S_0 as computed,
-    # the restatement adds 1.
-    tail = sum(symfun_closed(n, k) for k in range(1, n + 1))
-    return symfun_closed(n, 0) + tail == target and tail + 1 == target
+    return sum(symfun_closed(n, k) for k in range(n + 1)) == fib(2 * n + 1)

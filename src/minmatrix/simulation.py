@@ -17,7 +17,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-DISTRIBUTIONS = ("rademacher", "uniform", "gaussian")
+from . import DISTRIBUTIONS
+
 _CHUNK_STEPS = 2**18  # steps per chunk past 8 chunks: 2 MiB of float64
 
 

@@ -42,12 +42,11 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, islice
 
+from . import METHODS
 from .matrices import ExactMatrix, _cumulative_rows, _integers, build_min_matrix
 
 #: Largest n accepted by the brute-force minor enumeration.
 BRUTE_FORCE_CAP = 14
-
-METHODS = ("closed", "minors", "nested", "rec6", "rec7", "ratio")
 
 
 class BruteForceCapExceeded(ValueError):

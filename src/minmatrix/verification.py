@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from . import SUITES
 from .determinants import (
     delta_det_closed,
     det_bareiss,
@@ -31,8 +32,6 @@ from .symmetric import (
     build_sym_table,
     symfun_closed,
 )
-
-SUITES = ("dets", "symfun", "binomial", "fibonacci")
 
 #: Every method but the exponential minor enumeration.
 POLYNOMIAL_METHODS = ("closed", "nested", "rec6", "rec7", "ratio")

@@ -172,7 +172,7 @@ class TestSymfunCommand:
         assert run(capsys, "symfun", "--n", "20", "--k", "3", "--method", "minors")[0] == 2
 
     def test_k_all_reads_row_n_without_a_table(self, capsys, monkeypatch):
-        real_row = cli._symfun_row
+        real_row = symmetric._symfun_row
         rows = []
 
         def counted(n, method):
@@ -182,8 +182,8 @@ class TestSymfunCommand:
         def forbidden(*args, **kwargs):
             raise AssertionError("--k all must read row n once per method")
 
-        monkeypatch.setattr(cli, "_symfun_row", counted)
-        monkeypatch.setattr(cli, "symfun", forbidden)
+        monkeypatch.setattr(symmetric, "_symfun_row", counted)
+        monkeypatch.setattr(symmetric, "symfun", forbidden)
         monkeypatch.setattr(symmetric, "build_sym_table", forbidden)
         code, out, _ = run(capsys, "symfun", "--n", "12", "--k", "all", "--method", "all",
                            "--format", "json")
@@ -284,6 +284,62 @@ class TestSixWayAgreement:
         }
 
 
+def _plus_one(function, method=None):
+    """function with 1 added to its result, or to each entry of its row,
+    for one method only when method is given."""
+
+    def wrong(*args):
+        value = function(*args)
+        if method is not None and args[-1] != method:
+            return value
+        return [v + 1 for v in value] if isinstance(value, list) else value + 1
+
+    return wrong
+
+
+# One method is made to add 1 in the function cli looks up at call time; in
+# every format the command must report the disagreement and exit 1.
+class TestDisagreement:
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    @pytest.mark.parametrize("route", ["det_bareiss", "_eliminate"])
+    def test_det_both(self, capsys, monkeypatch, route, fmt):
+        if route == "_eliminate":  # the one-shot route, taken while numpy is not loaded
+            monkeypatch.delitem(sys.modules, "numpy", raising=False)
+        else:
+            monkeypatch.setattr(cli, "_ONE_SHOT_DIM", 0)
+        monkeypatch.setattr(cli, route, _plus_one(getattr(cli, route)))
+        code, out, _ = run(capsys, "det", "c", "--n", "8", "--k", "3", "--method", "both",
+                           "--format", fmt)
+        assert code == cli.EXIT_DISAGREE == 1
+        if fmt == "plain":
+            assert out.splitlines() == ["closed: 3", "bareiss: 4", "DISAGREE"]
+        elif fmt == "json":
+            payload = json.loads(out)["payload"]
+            assert payload["values"] == {"closed": "3", "bareiss": "4"}
+            assert payload["agree"] is False
+        else:
+            assert out.splitlines() == ["method,value", "closed,3", "bareiss,4"]
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    @pytest.mark.parametrize("k", ["2", "all"])
+    def test_symfun_all(self, capsys, monkeypatch, k, fmt):
+        name = "_symfun_row" if k == "all" else "symfun"
+        monkeypatch.setattr(symmetric, name, _plus_one(getattr(symmetric, name), "rec6"))
+        code, out, _ = run(capsys, "symfun", "--n", "6", "--k", k, "--method", "all",
+                           "--format", fmt)
+        assert code == cli.EXIT_DISAGREE == 1
+        if fmt == "plain":
+            lines = out.splitlines()
+            assert lines[-1] == "DISAGREE"
+            assert "k=2 rec6: 71" in lines and "k=2 closed: 70" in lines
+        elif fmt == "json":
+            payload = json.loads(out)["payload"]
+            assert payload["agree"] is False
+            assert {"k": 2, "method": "rec6", "value": "71"} in payload["values"]
+        else:
+            assert "2,rec6,71" in out.splitlines()
+
+
 class TestSimulateCommand:
     def test_small_run(self, capsys):
         code, out, _ = run(
@@ -328,54 +384,85 @@ class TestSimulateCommand:
         assert err == f"error: {message}\n"
 
 
-# Run in a fresh interpreter: whether numpy is loaded after `import
-# minmatrix`, after `import minmatrix.cli`, and after cli.main(argv).
+# Run in a fresh interpreter: after `import minmatrix`, after `import
+# minmatrix.cli`, and after cli.main(argv), whether numpy is loaded, and
+# which minmatrix submodules and which of json, csv and dataclasses are
+# loaded that were not loaded before `import minmatrix`.
 _NUMPY_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
+before = set(sys.modules)
+numpy, modules = [], []
+
+def loaded():
+    numpy.append("numpy" in sys.modules)
+    modules.append(sorted(
+        name.removeprefix("minmatrix.") for name in set(sys.modules) - before
+        if name.startswith("minmatrix.") or name in ("json", "csv", "dataclasses")
+    ))
+
 import minmatrix
-loaded = ["numpy" in sys.modules]
+loaded()
 from minmatrix import cli
-loaded.append("numpy" in sys.modules)
-argv = json.loads(sys.argv[1])
+loaded()
+argv = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(argv) if argv else 0
-loaded.append("numpy" in sys.modules)
-print(json.dumps({"code": code, "numpy": loaded}))
+loaded()
+import json
+print(json.dumps({"code": code, "numpy": numpy, "modules": modules}))
 """
+
+# What `import minmatrix.cli` loads, and all that a one-shot det loads.
+_CLI_MODULES = ["cli", "determinants", "matrices"]
+
+
+def _case(argv, loads, modules=_CLI_MODULES):
+    return pytest.param(argv, loads, modules, id=f"{' '.join(argv)}-{loads}")
 
 
 class TestNumpyLoading:
     @pytest.mark.parametrize(
-        "argv, loads",
+        "argv, loads, modules",
         [
-            ([], False),
-            (["symfun", "--n", "12", "--k", "all", "--method", "all"], False),
-            (["matrix", "c", "--n", "30", "--k", "8"], False),
-            (["verify", "--suite", "all", "--n-max", "16"], False),
-            (["det", "c", "--n", "25", "--k", "5", "--method", "both"], False),  # dimension 21
-            (["det", "min", "--n", "23", "--method", "bareiss"], False),
+            _case([], False),
+            _case(["symfun", "--n", "12", "--k", "all", "--method", "all"], False,
+                  ["cli", "dataclasses", "determinants", "matrices", "symmetric"]),
+            _case(["matrix", "c", "--n", "30", "--k", "8"], False),
+            _case(["matrix", "c", "--n", "30", "--k", "8", "--format", "csv"], False,
+                  ["cli", "csv", "determinants", "matrices"]),
+            _case(["verify", "--suite", "all", "--n-max", "16"], False,
+                  ["cli", "dataclasses", "determinants", "fibonacci", "matrices", "symmetric",
+                   "verification"]),
+            _case(["det", "c", "--n", "25", "--k", "5", "--method", "both"], False),  # dimension 21
+            _case(["det", "min", "--n", "23", "--method", "bareiss"], False),
             # A one-shot min or c determinant below cli._ONE_SHOT_DIM runs
             # _eliminate; delta, theta and larger dimensions keep det_bareiss.
-            (["det", "min", "--n", "24", "--method", "bareiss"], False),
-            (["det", "c", "--n", "40", "--k", "7", "--method", "both"], False),  # dimension 34
-            (["det", "min", "--n", "127", "--method", "bareiss"], False),
-            (["det", "min", "--n", "128", "--method", "bareiss"], True),
-            (["det", "delta", "--inc", ",".join(["2"] * 24), "--method", "both"], True),
-            (["simulate", "--n", "3", "--m", "10"], True),
+            _case(["det", "min", "--n", "24", "--method", "bareiss"], False),
+            _case(["det", "c", "--n", "40", "--k", "7", "--method", "both"], False),  # dimension 34
+            _case(["det", "c", "--n", "40", "--k", "7", "--method", "both", "--format", "json"],
+                  False, ["cli", "determinants", "json", "matrices"]),
+            _case(["det", "min", "--n", "127", "--method", "bareiss"], False),
+            _case(["det", "min", "--n", "128", "--method", "bareiss"], True),
+            _case(["det", "delta", "--inc", ",".join(["2"] * 24), "--method", "both"], True),
+            _case(["simulate", "--n", "3", "--m", "10"], True,
+                  ["cli", "dataclasses", "determinants", "matrices", "simulation"]),
         ],
-        ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
     )
-    def test_numpy_loads_only_where_it_computes(self, argv, loads):
+    def test_numpy_loads_only_where_it_computes(self, argv, loads, modules):
         import minmatrix
 
         src = str(Path(minmatrix.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         done = subprocess.run(
-            [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argv)],
+            [sys.executable, "-c", _NUMPY_PROBE, *argv],
             capture_output=True, text=True, env=env, check=True,
         )
-        assert json.loads(done.stdout) == {"code": 0, "numpy": [False, False, loads]}
+        assert json.loads(done.stdout) == {
+            "code": 0,
+            "numpy": [False, False, loads],
+            "modules": [[], _CLI_MODULES, modules],
+        }
 
 
 # Run in a fresh interpreter with numpy already imported: the counts of
@@ -434,7 +521,7 @@ class TestInternalErrors:
         def too_deep(n, k, method="closed"):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr(cli, "symfun", too_deep)
+        monkeypatch.setattr(symmetric, "symfun", too_deep)
         code, out, err = run(capsys, "symfun", "--n", "1000", "--k", "2", "--method", "rec7")
         assert code == cli.EXIT_INTERNAL == 3
         assert out == ""

@@ -42,8 +42,8 @@ class TestIdentity:
             fibonacci_identity(-1)
 
     def test_direct_form_reads_s0(self, monkeypatch):
-        # The restated form adds 1 for S_0; the direct form must still use
-        # the computed S_0, so a wrong one fails the identity.
+        # The sum must use the computed S_0, not the 1 it equals, so a wrong
+        # one fails the identity.
         closed = fibonacci.symfun_closed
         monkeypatch.setattr(fibonacci, "symfun_closed", lambda n, k: closed(n, k) + (k == 0))
         assert not fibonacci_identity(5)
