@@ -46,18 +46,41 @@ _INT64_LIMIT = 1 << 63
 # matrices of 64-bit increments.
 _CRT_PRIME_BITS = 28
 _CRT_REDUCE_EVERY = ((1 << 63) - (1 << _CRT_PRIME_BITS)) >> (2 * _CRT_PRIME_BITS)
-# Elements of one pass's working array. A pass eliminates modulo
-# max(1, _CRT_PASS_ELEMENTS // n**2) primes at once, so its two arrays of
-# n**2 and (n - 1)**2 int64 per prime hold at most 2.4 MB together,
-# whatever n and the prime count, up to n = 384, where one prime fills
-# the budget. 32 primes per pass would hold 7.4 MB at n = 120, which
-# raised det_bigint's peak RSS 18 %. The budget gives 64 primes per pass
-# at n = 48, where 64-bit delta matrices need about 120, and 10 at
-# n = 120. On char_matrix(120, 5), whose 38 primes took 92 ms in one
-# pass, 19, 10 and 5 primes per pass took 108, 124 and 178 ms: numpy's
-# inner loops run along the prime axis, so short passes cost more per
-# element (2-vCPU x86-64 host, Python 3.11, numpy 2.4).
+# A pass's working array and scratch together hold at most
+# 2 * _CRT_PASS_ELEMENTS int64, 2.4 MB. The scratch takes
+# _CRT_SCRATCH_ELEMENTS of them, and a pass eliminates modulo
+# max(1, (2 * _CRT_PASS_ELEMENTS - _CRT_SCRATCH_ELEMENTS) // n**2) primes
+# at once, n**2 int64 each, whatever the prime count, up to n = 478, where
+# one prime fills the budget. That is 99 primes per pass at n = 48, where
+# 64-bit delta matrices need about 115, 24 at n = 96 and 19 at n = 108,
+# the largest block that char_matrix(120, lam) hands off. numpy's inner
+# loops run along the prime axis, so short passes cost more per element:
+# char_matrix(120, 5), whose block needs 33 primes, took 38, 43, 54 and
+# 90 ms at 33, 19, 10 and 5 primes per pass, and one pass of 33 raised the
+# process's peak RSS by 1.3 MB (2-vCPU x86-64 host, Python 3.11, numpy 2.4).
 _CRT_PASS_ELEMENTS = 147_456
+# Elements of the scratch through which each elimination step applies its
+# update, a chunk of rows at a time, and a limb sum past the first group
+# is added: 65,536 int64, 512 KiB. With the same primes per pass, 16,384
+# to 65,536 took the same time within noise, 4,096 was 15-30 % slower and
+# 131,072 up to 12 % slower on char_matrix(120, lam) (same host). A
+# scratch of 16,384, whose budget gives one pass of 120 primes at n = 48,
+# was no faster either.
+_CRT_SCRATCH_ELEMENTS = 65_536
+# Signed 32-bit limbs summed per matrix product before a reduction mod p:
+# each limb times a weight below 2**28 is below 2**60 in magnitude, so 8
+# of them and a residue below p stay inside int64. Entries below 2**256
+# take one group.
+_CRT_LIMB_GROUP = 8
+# Elements of each buffer numpy's ufuncs use while the route runs, in place
+# of numpy's 8,192. Nearly every operation of a step runs along the prime
+# axis, a loop of a few dozen to a few hundred elements, and numpy buffers
+# each operand of such an operation to lengthen its loop. Buffers of 1,024
+# elements stay in the first-level cache: with them, delta matrices of
+# 64-bit increments took about 10 % less time and char_matrix(120, lam)
+# about 30 % less, and the tracemalloc peak of det_bareiss fell by about
+# 0.1 MB (2-vCPU x86-64 host, Python 3.11, numpy 2.4).
+_CRT_UFUNC_BUFFER = 1024
 
 
 def det_bareiss(matrix):
@@ -73,14 +96,16 @@ def det_bareiss(matrix):
     An entry outside int64's [-2**63, 2**63): the determinant is computed
     modulo the fewest primes p < 2**28 whose product M exceeds 2*H + 1,
     where H = prod(isqrt(sum_j x_ij**2) + 1) is Hadamard's bound, by
-    Gaussian elimination for all primes at once in numpy int64, and
-    rebuilt by the Chinese remainder theorem in the symmetric range
-    (-M/2, M/2). Since
-    |det| <= H, the result is certified, not probabilistic (Abbott,
+    Gaussian elimination in numpy int64 for as many primes at once as a
+    working array and a fixed scratch of 2.4 MB together hold, and rebuilt
+    by the Chinese remainder theorem in the symmetric range (-M/2, M/2).
+    Since |det| <= H, the result is certified, not probabilistic (Abbott,
     Bronstein & Mulders, ISSAC 1999; von zur Gathen & Gerhard, Modern
     Computer Algebra, 5.5). With p < 2**28 each product of two residues is
     below 2**56, so the int64 block takes 127 updates before it must be
-    reduced.
+    reduced, and each step's update goes through the scratch a chunk of
+    rows at a time. Per prime, only the pivots' modular inverses are
+    computed in Python.
 
     Otherwise the matrix starts in a vectorised numpy int64 phase.
     Before each step it certifies that the update pivot*x - lead*y cannot
@@ -316,14 +341,20 @@ def _det_crt(rows, bound, sign=1, prev=1):
     ``rows`` is an m-row Bareiss block B of A, with det A = sign * det B /
     prev**(m - 1) by Sylvester's identity; a whole matrix is the case
     sign = prev = 1. It is only read. An int64 array, the form of a
-    hand-off block, is reduced mod p entry by entry; Python rows, of
-    entries of any size, are split into 32-bit limbs. The primes skip
+    hand-off block, is reduced mod p entry by entry. Python rows, of
+    entries of any size, are split into signed 32-bit limbs, and each
+    pass sums them against the weights 2**(32*j) mod p in one matrix
+    product per _CRT_LIMB_GROUP limbs, reduced by one `%`. The primes skip
     those that divide prev, so each residue det B mod q becomes det A mod
     q by the inverse of prev**(m - 1) mod q. Their product M exceeds
     2*bound + 1, so det A is the unique residue mod M in the symmetric
     range. A prime never has to be dropped: a zero pivot mod p is swapped
     within that prime's slice, and a column that is all zero mod p means
     the determinant is 0 mod p.
+
+    One working array of n*n int64 per prime and one scratch of at most
+    _CRT_SCRATCH_ELEMENTS int64 serve every pass, both sized for the
+    primes a pass actually takes.
     """
     import numpy as np
 
@@ -331,35 +362,38 @@ def _det_crt(rows, bound, sign=1, prev=1):
     n = len(rows)
     array = isinstance(rows, np.ndarray)
     if not array:
-        # |x| as 32-bit limbs, most significant first. Horner's rule mod p
-        # keeps acc < 2**28, so acc * 2**32 + limb < 2**61.
+        # |x| as 32-bit limbs, least significant first, each carrying the
+        # sign of x, one row of limbs per entry.
         flat = [x for row in rows for x in row]
         width = max(1, -(-max(map(abs, flat)).bit_length() // 32))
         limbs = np.frombuffer(
-            b"".join(abs(x).to_bytes(4 * width, "big") for x in flat), dtype=">u4"
-        ).astype(np.int64).reshape(n, n, width, 1)
-        negative = np.array([x < 0 for x in flat]).reshape(n, n, 1)
-    # One working array and one outer-product scratch serve every pass,
-    # sized for the primes a pass actually takes.
-    per_pass = min(len(primes), max(1, _CRT_PASS_ELEMENTS // (n * n)))
+            b"".join(abs(x).to_bytes(4 * width, "little") for x in flat), dtype="<u4"
+        ).astype(np.int64).reshape(n * n, width)
+        np.negative(limbs, out=limbs, where=np.array([x < 0 for x in flat])[:, None])
+        # The conversion's transients are gone before the passes' arrays
+        # are allocated, so they do not add to them.
+        del flat
+    per_pass = min(len(primes), max(1, (2 * _CRT_PASS_ELEMENTS - _CRT_SCRATCH_ELEMENTS) // (n * n)))
     work = np.empty(n * n * per_pass, dtype=np.int64)
-    outer = np.empty((n - 1) * (n - 1) * per_pass, dtype=np.int64)
+    # At least one row of a pass's working array, so that a chunk of the
+    # elimination's update, or of the limb sums, holds at least one row.
+    scratch = np.empty(max(n * per_pass, min(_CRT_SCRATCH_ELEMENTS, work.size)), dtype=np.int64)
     residues = []
-    for start in range(0, len(primes), per_pass):
-        p = np.array(primes[start : start + per_pass], dtype=np.int64)
-        a = work[: n * n * len(p)].reshape(n, n, len(p))
-        if array:
-            # x % p is the residue of each signed int64 entry.
-            np.remainder(rows[:, :, None], p, out=a)
-        else:
-            a[...] = 0
-            for limb in range(width):
-                a <<= 32
-                a += limbs[:, :, limb]
-                a %= p
-            # Residues of x, in (-p, p).
-            np.negative(a, out=a, where=negative)
-        residues += _det_mod(a, p, outer)
+    # numpy's setting is local to this thread and context, and restored.
+    buffer = np.setbufsize(_CRT_UFUNC_BUFFER)
+    try:
+        for start in range(0, len(primes), per_pass):
+            p = np.array(primes[start : start + per_pass], dtype=np.int64)
+            k = len(p)
+            a = work[: n * n * k].reshape(n, n, k)
+            if array:
+                # x % p is the residue of each signed int64 entry.
+                np.remainder(rows[:, :, None], p, out=a)
+            else:
+                _limb_residues(a.reshape(n * n, k), limbs, p, scratch)
+            residues += _det_mod(a, p, scratch)
+    finally:
+        np.setbufsize(buffer)
     total = 0
     for r, q in zip(residues, primes):
         share = modulus // q
@@ -368,48 +402,90 @@ def _det_crt(rows, bound, sign=1, prev=1):
     return total - modulus if 2 * total > modulus else total
 
 
-def _det_mod(a, p, outer):
+def _limb_residues(out, limbs, p, scratch):
+    """Write into ``out`` (entries x primes) the residues in [0, p) of the
+    entries whose signed 32-bit limbs, least significant first, are the
+    rows of ``limbs``: the sum of limb j times 2**(32*j) mod p.
+
+    Each product is below 2**60 in magnitude, so _CRT_LIMB_GROUP of them,
+    and a residue carried from the group before, stay inside int64. The
+    first group's product is written into ``out`` itself; a later group's
+    goes through ``scratch`` a chunk of entries at a time.
+    """
+    import numpy as np
+
+    width = limbs.shape[1]
+    weights = np.empty((width, len(p)), dtype=np.int64)
+    weights[0] = 1
+    base = (1 << 32) % p
+    for j in range(1, width):
+        np.multiply(weights[j - 1], base, out=weights[j])
+        weights[j] %= p
+    group = _CRT_LIMB_GROUP
+    np.matmul(limbs[:, :group], weights[:group], out=out)
+    rows = len(scratch) // len(p)
+    for first in range(group, width, group):
+        out %= p
+        for r in range(0, len(out), rows):
+            chunk = out[r : r + rows]
+            part = scratch[: chunk.size].reshape(chunk.shape)
+            np.matmul(limbs[r : r + rows, first : first + group], weights[first : first + group], out=part)
+            chunk += part
+    out %= p
+
+
+def _det_mod(a, p, scratch):
     """Determinants mod p[i] of the slices a[:, :, i] by Gaussian
     elimination, as a list of residues in [0, p[i]). ``a`` is consumed;
-    ``outer`` is scratch space for the update's outer product.
+    ``scratch`` holds the update's outer product a chunk of rows at a time.
 
     Entries of ``a`` start in (-p, p). Each step reduces the pivot column
     and row, so every factor of an update is in [0, p) and each update
     subtracts less than 2**56 from a block entry; the block itself is
     reduced every _CRT_REDUCE_EVERY steps, before it could leave int64.
+    The pivots' product is kept per prime in an int64 vector, so the only
+    per-prime Python work is a modular inverse of each pivot.
     """
     import numpy as np
 
-    n = a.shape[0]
+    n, _, k = a.shape
     moduli = p.tolist()
-    dets = [1] * len(moduli)
+    dets = np.ones(k, dtype=np.int64)
     for step in range(n):
         column = a[step:, step]
         column %= p
-        for i in np.flatnonzero(column[0] == 0):
-            below = np.flatnonzero(column[1:, i])
-            if below.size:
-                r = step + 1 + int(below[0])
-                a[[step, r], step:, i] = a[[r, step], step:, i]
-                dets[i] = -dets[i]
-        pivots = column[0].tolist()
-        dets = [d * v % q for d, v, q in zip(dets, pivots, moduli)]
+        head = column[0]
+        if not head.all():
+            for i in np.flatnonzero(head == 0):
+                below = np.flatnonzero(column[1:, i])
+                if below.size:
+                    r = step + 1 + int(below[0])
+                    a[[step, r], step:, i] = a[[r, step], step:, i]
+                    dets[i] = -dets[i]
+        # Each |det| and pivot is below p < 2**28: the product fits int64.
+        dets *= head
+        dets %= p
         if step == n - 1:
-            return dets
+            return dets.tolist()
         # A slice whose column is zero mod p has pivot 0: its determinant
         # is already 0, and a zero inverse leaves its block alone.
         inverse = np.array(
-            [pow(v, -1, q) if v else 0 for v, q in zip(pivots, moduli)], dtype=np.int64
+            [pow(v, -1, q) if v else 0 for v, q in zip(head.tolist(), moduli)], dtype=np.int64
         )
-        factor = column[1:] * inverse
+        # The lead column is not read again: it becomes the factors.
+        factor = column[1:]
+        factor *= inverse
         factor %= p
         pivot_row = a[step, step + 1 :]
         pivot_row %= p
-        size = n - 1 - step
-        product = outer[: size * size * len(moduli)].reshape(size, size, len(moduli))
-        np.multiply(factor[:, None, :], pivot_row[None, :, :], out=product)
         block = a[step + 1 :, step + 1 :]
-        block -= product
+        size = n - 1 - step
+        rows = max(1, len(scratch) // (size * k))
+        for r in range(0, size, rows):
+            chunk = block[r : r + rows]
+            product = scratch[: chunk.size].reshape(chunk.shape)
+            np.multiply(factor[r : r + rows, None], pivot_row, out=product)
+            chunk -= product
         if (step + 1) % _CRT_REDUCE_EVERY == 0:
             block %= p
 

@@ -224,6 +224,25 @@ class TestVerifyCommand:
         assert code == 0
         assert "vacuous" in out
 
+    def test_scaling_check_fails_on_a_wrong_elimination(self, capsys, monkeypatch):
+        # Both sides of the scaling check come from det_bareiss, so an
+        # elimination that adds 1 to every determinant of dimension 2 or
+        # more breaks det(scaled) = t * det wherever t != 1.
+        real = verification.det_bareiss
+
+        def wrong(matrix):
+            return real(matrix) + (matrix.dim >= 2)
+
+        name = "scaling the first increment scales the determinant"
+        cases = [([3, 1, 4], 2), ([5], 7)]
+        assert verification.check_delta_scaling(cases).passed
+        monkeypatch.setattr(verification, "det_bareiss", wrong)
+        result = verification.check_delta_scaling(cases)
+        assert (result.name, result.passed) == (name, False)
+        code, out, _ = run(capsys, "verify", "--suite", "dets", "--n-max", "16")
+        assert code == 1
+        assert any(line.startswith(f"[FAIL] {name} (counterexample: ") for line in out.splitlines())
+
     def test_symfun_vacuous_checks_noted(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "symfun", "--n-max", "1")
         assert code == 0

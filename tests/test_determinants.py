@@ -7,7 +7,7 @@ from math import isqrt, prod
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from minmatrix import (
@@ -453,9 +453,9 @@ class TestInt64Phase:
         used = []
         det_mod = determinants._det_mod
 
-        def spy(a, p, outer):
+        def spy(a, p, scratch):
             used.extend(p.tolist())
-            return det_mod(a, p, outer)
+            return det_mod(a, p, scratch)
 
         monkeypatch.setattr(determinants, "_det_mod", spy)
         assert det_bareiss(ExactMatrix(rows)) == reference(rows)
@@ -605,8 +605,10 @@ def residues_by_slice(rows, primes):
     n = len(rows)
     p = np.array(primes, dtype=np.int64)
     a = np.array([[[x % q for q in primes] for x in row] for row in rows], dtype=np.int64)
-    outer = np.empty(max(n - 1, 1) ** 2 * len(primes), dtype=np.int64)
-    return determinants._det_mod(a, p, outer)
+    # One row of the working array: each step's update goes one row at a
+    # time.
+    scratch = np.empty(n * len(primes), dtype=np.int64)
+    return determinants._det_mod(a, p, scratch)
 
 
 def is_prime_by_trial(q):
@@ -638,6 +640,20 @@ def crt_calls(monkeypatch):
 
     monkeypatch.setattr(determinants, "_det_crt", spy)
     return calls
+
+
+def spy_passes(monkeypatch):
+    """Record each pass of the multi-modular route: its prime count, the
+    size of the working array it slices and the size of the scratch."""
+    passes = []
+    det_mod = determinants._det_mod
+
+    def spy(a, p, scratch):
+        passes.append((len(p), a.base.size, scratch.size))
+        return det_mod(a, p, scratch)
+
+    monkeypatch.setattr(determinants, "_det_mod", spy)
+    return passes
 
 
 class TestMultiModular:
@@ -694,18 +710,21 @@ class TestMultiModular:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "0"
 
+    # Entries of 512 bits take two groups of eight 32-bit limbs, whose sums
+    # would leave int64 without a reduction between them.
     @pytest.mark.parametrize("n", [1, 2, 3, _INT64_MIN_DIM])
-    @pytest.mark.parametrize("bits", [1, 30, 64, 200])
+    @pytest.mark.parametrize("bits", [1, 30, 64, 200, 512])
     def test_small_and_threshold_dimensions(self, n, bits):
         rng = random.Random(n * 1000 + bits)
         for _ in range(4):
             rows = random_rows(rng, n, -(2**bits), 2**bits)
-            assert crt(rows) == reference(rows)
+            expected = reference(rows)
+            assert crt(rows) == expected
             if bits < 63:
                 # The same rows as one int64 array, the form of a hand-off
                 # block, which loads without the 32-bit limbs.
-                assert crt(np.array(rows, dtype=np.int64)) == reference(rows)
-            assert det_bareiss(ExactMatrix(rows)) == reference(rows)
+                assert crt(np.array(rows, dtype=np.int64)) == expected
+            assert det_bareiss(ExactMatrix(rows)) == expected
 
     # Python rows load as 32-bit limbs whatever their size. det_bareiss
     # sends entries that fit int64, -2**63 included, to the int64 phase,
@@ -822,55 +841,160 @@ class TestMultiModular:
         count = len(determinants._crt_primes(2 * determinants._hadamard(rows) + 1)[0])
         # Every pass but the last is full, and the last is partial.
         assert count > per_pass and (per_pass == 1 or count % per_pass)
-        # A budget just above per_pass full slices still gives per_pass.
-        monkeypatch.setattr(determinants, "_CRT_PASS_ELEMENTS", per_pass * n * n + n)
-        passes = []
-        det_mod = determinants._det_mod
-
-        def spy(a, p, outer):
-            passes.append(len(p))
-            # Both arrays hold one full pass, no more.
-            assert a.base.size == n * n * per_pass
-            assert outer.size == (n - 1) ** 2 * per_pass
-            return det_mod(a, p, outer)
-
-        monkeypatch.setattr(determinants, "_det_mod", spy)
+        # The scratch comes off the budget first: what is left, just above
+        # per_pass slices, still gives per_pass.
+        scratch = determinants._CRT_SCRATCH_ELEMENTS
+        monkeypatch.setattr(determinants, "_CRT_PASS_ELEMENTS", (per_pass * n * n + scratch + n + 1) // 2)
+        passes = spy_passes(monkeypatch)
         assert crt(rows) == reference(rows)
-        assert passes == [per_pass] * (count // per_pass) + [count % per_pass] * (count % per_pass > 0)
+        assert [k for k, _, _ in passes] == [per_pass] * (count // per_pass) + [count % per_pass] * (
+            count % per_pass > 0
+        )
+        # The working array holds one full pass, no more, and the scratch
+        # its constant, or one pass's working array where that is smaller.
+        assert {(work, used) for _, work, used in passes} == {
+            (n * n * per_pass, min(scratch, n * n * per_pass))
+        }
 
     def test_arrays_sized_by_the_primes_used(self, monkeypatch):
-        # At n = 24 a pass could take 256 primes; this matrix needs few.
+        # At n = 24 a pass could take 398 primes; this matrix needs few, so
+        # both arrays are sized by those it takes: the scratch is then
+        # smaller than its constant. With the constant below one row of the
+        # working array, the scratch holds that row.
         n = _INT64_MIN_DIM
         rows = random_rows(random.Random(3), n, -(2**5), 2**5)
         count = len(determinants._crt_primes(2 * determinants._hadamard(rows) + 1)[0])
-        assert count < determinants._CRT_PASS_ELEMENTS // (n * n)
-        sizes = []
-        det_mod = determinants._det_mod
-
-        def spy(a, p, outer):
-            sizes.append((a.base.size, outer.size))
-            return det_mod(a, p, outer)
-
-        monkeypatch.setattr(determinants, "_det_mod", spy)
+        budget = 2 * determinants._CRT_PASS_ELEMENTS - determinants._CRT_SCRATCH_ELEMENTS
+        assert count < budget // (n * n)
+        assert n * n * count < determinants._CRT_SCRATCH_ELEMENTS
+        passes = spy_passes(monkeypatch)
         assert crt(rows) == reference(rows)
-        assert sizes == [(n * n * count, (n - 1) ** 2 * count)]
+        assert passes == [(count, n * n * count, n * n * count)]
+        passes.clear()
+        monkeypatch.setattr(determinants, "_CRT_SCRATCH_ELEMENTS", n * count - 1)
+        assert crt(rows) == reference(rows)
+        assert passes == [(count, n * n * count, n * count)]
+
+    @pytest.mark.parametrize(
+        "kind, n, passes",
+        [("delta", 48, [99, 18]), ("char", 108, [19, 14]), ("delta", 96, [24] * 9 + [20])],
+        ids=["delta48", "char120", "delta96"],
+    )
+    def test_passes_at_the_library_budget(self, monkeypatch, kind, n, passes):
+        # The budget less the scratch, over n**2 int64 per prime: 99 primes
+        # per pass at n = 48, where this delta matrix of signed 64-bit
+        # increments needs 117, 24 at n = 96, and 19 for the 108-row block
+        # that lam*I - A_120 hands off at lam = 5.
+        if kind == "delta":
+            inc = increments(random.Random(n), n)
+            matrix, expected = build_delta_matrix(inc), delta_det_closed(inc)
+        else:
+            matrix, expected = char_matrix(120, 5), charpoly(120)(5)
+        seen = spy_passes(monkeypatch)
+        assert det_bareiss(matrix) == expected
+        assert [k for k, _, _ in seen] == passes
+        assert {(work, used) for _, work, used in seen} == {
+            (n * n * passes[0], determinants._CRT_SCRATCH_ELEMENTS)
+        }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 10),
+        st.one_of(st.just(0), st.integers(1, 9)),
+        st.integers(1, 4),
+        st.integers(1, 10),
+        st.sampled_from(["none", "pivot", "column"]),
+        st.randoms(use_true_random=False),
+    )
+    def test_passes_and_chunks_match_reference(self, n, width, per_pass, chunk_rows, plant, rng):
+        # width 0 is an int64 array, the form of a hand-off block; width w
+        # is Python rows whose largest entry takes w 32-bit limbs, 9 being
+        # the first width that takes a second group. A small budget gives
+        # passes of per_pass primes, and a small scratch chunks every
+        # step's update, down to one row per chunk. A pivot, or a whole
+        # column, that is zero modulo the first prime only is swapped, or
+        # zeroes that prime's determinant, inside such a chunked step.
+        q = determinants._crt_primes(1)[0][0]
+        if width:
+            top = 2 ** (32 * width) - 1
+            rows = random_rows(rng, n, -top, top)
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.choice((1, -1)) * rng.randint(top // 2**32 + 1, top)
+        else:
+            top = 2**63
+            rows = random_rows(rng, n, -top, top - 1)
+        if plant == "pivot":
+            rows[0][0] = q * rng.randint(-(top // q), top // q)
+        elif plant == "column":
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = q * rng.randint(-(top // q), top // q)
+        event(f"limb width {width}" if width else "int64 array")
+        event(f"plant {plant}")
+        # A scratch of chunk_rows rows of the first step's block.
+        scratch = chunk_rows * (n - 1) * per_pass
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(determinants, "_CRT_SCRATCH_ELEMENTS", scratch)
+            patch.setattr(determinants, "_CRT_PASS_ELEMENTS", (per_pass * n * n + scratch + 1) // 2)
+            passes = spy_passes(patch)
+            value = crt(np.array(rows, dtype=np.int64) if width == 0 else rows)
+        assert value == reference(rows)
+        counts = [count for count, _, _ in passes]
+        assert counts[:-1] == [per_pass] * (len(passes) - 1) and 0 < counts[-1] <= per_pass
+        k, _, used = passes[0]
+        if len(passes) > 1:
+            event("one-prime passes" if per_pass == 1 else "several passes")
+            if passes[-1][0] < per_pass:
+                event("partial last pass")
+        if n > 2:
+            # Rows per chunk at the first step, whose block has n - 1 rows.
+            chunk = max(1, used // ((n - 1) * k))
+            event("one row per chunk" if chunk == 1 else "chunk edge inside the block" if chunk < n - 1 else "one chunk")
+            if chunk < n - 1 and plant != "none":
+                event(f"plant {plant} in a chunked step")
+
+    def test_numpy_buffer_size_is_restored(self, monkeypatch):
+        # The route runs with numpy's ufunc buffers at _CRT_UFUNC_BUFFER
+        # elements and gives the caller's size back, also when it raises.
+        before = np.getbufsize()
+        rows = random_rows(random.Random(5), 30, -(2**70), 2**70)
+        assert crt(rows) == reference(rows)
+        assert np.getbufsize() == before
+
+        class Stop(Exception):
+            pass
+
+        def stop(a, p, scratch):
+            assert np.getbufsize() == determinants._CRT_UFUNC_BUFFER != before
+            raise Stop
+
+        monkeypatch.setattr(determinants, "_det_mod", stop)
+        with pytest.raises(Stop):
+            crt(rows)
+        assert np.getbufsize() == before
 
     def test_working_set_follows_the_budget(self):
-        # Two int64 arrays of at most _CRT_PASS_ELEMENTS each, plus the
-        # entries' residue limbs and conversion, a few dozen bytes each.
-        n = 120
-        rows = char_matrix(n, 5).to_lists()
-        bound = determinants._hadamard(rows)
-        count = len(determinants._crt_primes(2 * bound + 1)[0])
-        assert count * n * n > 2 * determinants._CRT_PASS_ELEMENTS
-        tracemalloc.start()
-        try:
-            value = determinants._det_crt(rows, bound)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert value == charpoly(n)(5)
-        assert peak < 16 * determinants._CRT_PASS_ELEMENTS + 64 * n * n
+        # A working array and a scratch of 2 * _CRT_PASS_ELEMENTS int64 in
+        # all, plus the entries' residue limbs and conversion, a few dozen
+        # bytes each. lam*I - A_120 loads as one limb per entry; a
+        # dimension-48 delta matrix of signed 64-bit increments as three.
+        inc = increments(random.Random(48), 48)
+        cases = [(char_matrix(120, 5), charpoly(120)(5)), (build_delta_matrix(inc), delta_det_closed(inc))]
+        budget = 2 * determinants._CRT_PASS_ELEMENTS - determinants._CRT_SCRATCH_ELEMENTS
+        for matrix, expected in cases:
+            rows = matrix.to_lists()
+            n = len(rows)
+            bound = determinants._hadamard(rows)
+            count = len(determinants._crt_primes(2 * bound + 1)[0])
+            # More primes than one pass takes.
+            assert count * n * n > budget
+            tracemalloc.start()
+            try:
+                value = determinants._det_crt(rows, bound)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert value == expected
+            assert peak < 16 * determinants._CRT_PASS_ELEMENTS + 64 * n * n
 
     @settings(max_examples=60, deadline=None)
     @given(
