@@ -13,9 +13,7 @@ arithmetic, so every comparison is an exact equality.
   certified by Hadamard's bound;
 - otherwise: Bareiss in int64 for as long as an overflow certificate
   holds. Where the certificate fails, ``_det_crt`` finishes the active
-  int64 block: by Sylvester's identity its determinant, the sign of the
-  row swaps and the previous pivot give the determinant of the whole
-  matrix.
+  int64 block by Sylvester's identity.
 """
 
 from itertools import chain
@@ -46,19 +44,19 @@ _INT64_LIMIT = 1 << 63
 # matrices of 64-bit increments.
 _CRT_PRIME_BITS = 28
 _CRT_REDUCE_EVERY = ((1 << 63) - (1 << _CRT_PRIME_BITS)) >> (2 * _CRT_PRIME_BITS)
-# A pass's working array and scratch together hold at most
-# 2 * _CRT_PASS_ELEMENTS int64, 2.4 MB. The scratch takes
-# _CRT_SCRATCH_ELEMENTS of them, and a pass eliminates modulo
-# max(1, (2 * _CRT_PASS_ELEMENTS - _CRT_SCRATCH_ELEMENTS) // n**2) primes
-# at once, n**2 int64 each, whatever the prime count, up to n = 478, where
-# one prime fills the budget. That is 99 primes per pass at n = 48, where
-# 64-bit delta matrices need about 115, 24 at n = 96 and 19 at n = 108,
-# the largest block that char_matrix(120, lam) hands off. numpy's inner
-# loops run along the prime axis, so short passes cost more per element:
-# char_matrix(120, 5), whose block needs 33 primes, took 38, 43, 54 and
-# 90 ms at 33, 19, 10 and 5 primes per pass, and one pass of 33 raised the
-# process's peak RSS by 1.3 MB (2-vCPU x86-64 host, Python 3.11, numpy 2.4).
-_CRT_PASS_ELEMENTS = 147_456
+# A pass's working array and scratch share _CRT_BUDGET_ELEMENTS int64,
+# 2.4 MB. The scratch takes _CRT_SCRATCH_ELEMENTS of them, and a pass
+# eliminates modulo max(1, (_CRT_BUDGET_ELEMENTS - _CRT_SCRATCH_ELEMENTS)
+# // n**2) primes at once, n**2 int64 each, whatever the prime count, up
+# to n = 478, where one prime fills the budget. That is 99 primes per pass
+# at n = 48, where 64-bit delta matrices need about 115, 24 at n = 96 and
+# 19 at n = 108, the largest block that char_matrix(120, lam) hands off.
+# numpy's inner loops run along the prime axis, so short passes cost more
+# per element: char_matrix(120, 5), whose block needs 33 primes, took 38,
+# 43, 54 and 90 ms at 33, 19, 10 and 5 primes per pass, and one pass of 33
+# raised the process's peak RSS by 1.3 MB (2-vCPU x86-64 host, Python
+# 3.11, numpy 2.4).
+_CRT_BUDGET_ELEMENTS = 294_912
 # Elements of the scratch through which each elimination step applies its
 # update, a chunk of rows at a time, and a limb sum past the first group
 # is added: 65,536 int64, 512 KiB. With the same primes per pass, 16,384
@@ -72,15 +70,17 @@ _CRT_SCRATCH_ELEMENTS = 65_536
 # of them and a residue below p stay inside int64. Entries below 2**256
 # take one group.
 _CRT_LIMB_GROUP = 8
-# Elements of each buffer numpy's ufuncs use while the route runs, in place
-# of numpy's 8,192. Nearly every operation of a step runs along the prime
-# axis, a loop of a few dozen to a few hundred elements, and numpy buffers
-# each operand of such an operation to lengthen its loop. Buffers of 1,024
-# elements stay in the first-level cache: with them, delta matrices of
-# 64-bit increments took about 10 % less time and char_matrix(120, lam)
-# about 30 % less, and the tracemalloc peak of det_bareiss fell by about
+# Elements of each buffer numpy's ufuncs use while det_bareiss runs either
+# numpy route, in place of numpy's 8,192. The multi-modular route runs
+# nearly every operation along the prime axis, a loop of a few dozen to a
+# few hundred elements, and the int64 phase on strided views of the active
+# block; numpy buffers each operand of such an operation to lengthen its
+# loop. Buffers of 1,024 elements stay in the first-level cache: with them,
+# delta matrices of 64-bit increments took about 10 % less time,
+# char_matrix(120, lam) about 30 % less and A_150 and C_{n,k} of dimension
+# 150 about 9 % less, and the tracemalloc peak of det_bareiss fell by about
 # 0.1 MB (2-vCPU x86-64 host, Python 3.11, numpy 2.4).
-_CRT_UFUNC_BUFFER = 1024
+_UFUNC_BUFFER = 1024
 
 
 def det_bareiss(matrix):
@@ -101,11 +101,8 @@ def det_bareiss(matrix):
     by the Chinese remainder theorem in the symmetric range (-M/2, M/2).
     Since |det| <= H, the result is certified, not probabilistic (Abbott,
     Bronstein & Mulders, ISSAC 1999; von zur Gathen & Gerhard, Modern
-    Computer Algebra, 5.5). With p < 2**28 each product of two residues is
-    below 2**56, so the int64 block takes 127 updates before it must be
-    reduced, and each step's update goes through the scratch a chunk of
-    rows at a time. Per prime, only the pivots' modular inverses are
-    computed in Python.
+    Computer Algebra, 5.5). Per prime, only the pivots' modular inverses
+    are computed in Python.
 
     Otherwise the matrix starts in a vectorised numpy int64 phase.
     Before each step it certifies that the update pivot*x - lead*y cannot
@@ -115,28 +112,28 @@ def det_bareiss(matrix):
 
     computed in Python ints, so -2**63 counts as 2**63: against a nonzero
     factor it fails the test and the matrix hands off at step 0. The
-    certificate has two tiers. The first takes M = max|active block|,
-    pivot row and column included, and tests (|pivot| + M) * M < 2**63;
-    every factor above is at most M, so this implies the exact test. Only when it fails is the exact test
-    computed, and only its failure hands off. So the step at which a
-    matrix leaves int64 is the step at which the exact test alone would
-    fail. M is not measured at every step: no new entry exceeds
+    certificate has two tiers. The first takes M = max|active block|, pivot
+    row and column included, and tests (|pivot| + M) * M < 2**63; every
+    factor above is at most M, so this implies the exact test. Only when it
+    fails is the exact test computed, and only its failure hands off. So the
+    step at which a matrix leaves int64 is the step at which the exact test
+    alone would fail. M is not measured at every step: no new entry exceeds
     (|pivot| + M) * M / |prev|, so a bound on M carries from step to step,
     and the block is measured by two reductions only where the bound fails
     the first tier. The certified update N = pivot*x - lead*y has
     |N| < 2**63, so the exact division N / prev is a multiplication by the
-    inverse of prev's odd part mod 2**64, in wrapping uint64 arithmetic,
-    and a right shift by prev's power of two (Jebelean, J. Symb. Comput.
-    15, 1993). Where prev divides pivot, only the outer product lead*y is
+    inverse of prev's odd part mod 2**64, in wrapping uint64 arithmetic, and
+    a right shift by prev's power of two (Jebelean, J. Symb. Comput. 15,
+    1993). Where prev divides pivot, only the outer product lead*y is
     divided, so after step 0 a constant pivot costs no full-block
     multiplication. When the certificate fails, the multi-modular route
-    finishes the active block B of m rows, and the int64 work is kept: by
-    Sylvester's identity det A = sign * det B / prev**(m - 1), where sign
-    is that of the row swaps so far and prev the previous pivot (Bareiss
-    1968, Math. Comp. 22). The route certifies with H(B) / |prev|**(m - 1),
-    a bound on |det A| read from the block alone, and skips primes that
-    divide prev. A_n and C_{n,k} never hand off, so they never pay for
-    that route.
+    finishes the active block and the int64 work is kept; ``_det_crt``
+    states that hand-off. A_n and C_{n,k} never hand off, so they never pay
+    for that route.
+
+    Both numpy routes run with numpy's ufunc buffers at _UFUNC_BUFFER
+    elements. The setting is local to the thread and context, and the
+    caller's is restored, also when a route raises.
     """
     # The matrix's own rows, read and never changed: only the Python-int
     # loop consumes its rows, and it gets a copy.
@@ -146,11 +143,15 @@ def det_bareiss(matrix):
         return _eliminate(matrix.to_lists())
     import numpy as np
 
+    buffer = np.setbufsize(_UFUNC_BUFFER)
     try:
-        a = np.fromiter(chain.from_iterable(rows), np.int64, n * n).reshape(n, n)
-    except OverflowError:
-        return _det_crt(rows, _hadamard(rows))
-    return _det_int64(a)
+        try:
+            a = np.fromiter(chain.from_iterable(rows), np.int64, n * n).reshape(n, n)
+        except OverflowError:
+            return _det_crt(rows)
+        return _det_int64(a)
+    finally:
+        np.setbufsize(buffer)
 
 
 def _eliminate(rows):
@@ -199,13 +200,9 @@ def _det_int64(a):
     block's max, carried from step to step, spares the reductions of the
     certificate's first tier wherever it passes.
 
-    Where the certificate fails, ``_det_crt`` finishes the active block B
-    of m rows, given the int64 array itself. Every Bareiss intermediate is
-    a minor of the input, so B is exact, and by Sylvester's identity
-    det A = sign * det B / prev**(m - 1) with the row-swap sign and
-    previous pivot so far. Since |det B| <= H(B), Hadamard's bound of the
-    block, |det A| <= H(B) / |prev|**(m - 1), which certifies the route
-    without the original matrix."""
+    Where the certificate fails, ``_det_crt`` finishes the active block,
+    given the int64 array itself and the previous pivot, and the sign of
+    the row swaps so far is applied to its result."""
     import numpy as np
 
     n = len(a)
@@ -241,8 +238,7 @@ def _det_int64(a):
             if growth >= _INT64_LIMIT:
                 growth = abs(pivot) * _abs_max(block) + _abs_max(lead) * _abs_max(pivot_tail)
                 if growth >= _INT64_LIMIT:
-                    bound = _hadamard(active.tolist()) // abs(prev) ** (len(active) - 1)
-                    return _det_crt(active, bound, sign, prev)
+                    return sign * _det_crt(active, prev)
         # Each N = pivot*x - lead*y has |N| <= growth < 2**63, so no entry
         # of the next active block exceeds growth // |prev|.
         most = growth // abs(prev)
@@ -334,23 +330,28 @@ def _hadamard(rows):
     return prod(isqrt(sum(x * x for x in row)) + 1 for row in rows)
 
 
-def _det_crt(rows, bound, sign=1, prev=1):
-    """Exact determinant of an integer matrix A with |det A| <= ``bound``
-    by elimination modulo word-size primes and Chinese remaindering.
+def _det_crt(rows, prev=1):
+    """det B / prev**(m - 1) for the m-row integer matrix B = ``rows``, by
+    elimination modulo word-size primes and Chinese remaindering.
 
-    ``rows`` is an m-row Bareiss block B of A, with det A = sign * det B /
-    prev**(m - 1) by Sylvester's identity; a whole matrix is the case
-    sign = prev = 1. It is only read. An int64 array, the form of a
-    hand-off block, is reduced mod p entry by entry. Python rows, of
-    entries of any size, are split into signed 32-bit limbs, and each
-    pass sums them against the weights 2**(32*j) mod p in one matrix
-    product per _CRT_LIMB_GROUP limbs, reduced by one `%`. The primes skip
-    those that divide prev, so each residue det B mod q becomes det A mod
-    q by the inverse of prev**(m - 1) mod q. Their product M exceeds
-    2*bound + 1, so det A is the unique residue mod M in the symmetric
-    range. A prime never has to be dropped: a zero pivot mod p is swapped
-    within that prime's slice, and a column that is all zero mod p means
-    the determinant is 0 mod p.
+    A whole matrix A is B with prev = 1; a hand-off passes the active block
+    B and the previous pivot prev of Bareiss steps on A. Every Bareiss
+    intermediate is a minor of A, so by Sylvester's identity the result is
+    det A times the sign of the row swaps, which the caller applies
+    (Bareiss 1968, Math. Comp. 22). Hadamard's bound H(B) >= |det B| gives
+    the certificate H(B) // |prev|**(m - 1), from the block alone: the
+    fewest primes whose product M exceeds twice it plus 1 fix the result
+    as the unique residue mod M in the symmetric range. Primes that divide
+    prev are skipped, so the inverse of prev**(m - 1) mod q turns det B
+    mod q into the result mod q. A prime never has to be dropped: a zero
+    pivot mod p is swapped within that prime's slice, and a column that is
+    all zero mod p means the determinant is 0 mod p.
+
+    ``rows`` is only read. An int64 array, the form of a hand-off block, is
+    reduced mod p entry by entry. Python rows, of entries of any size, are
+    split into signed 32-bit limbs, and each pass sums them against the
+    weights 2**(32*j) mod p in one matrix product per _CRT_LIMB_GROUP
+    limbs, reduced by one `%`.
 
     One working array of n*n int64 per prime and one scratch of at most
     _CRT_SCRATCH_ELEMENTS int64 serve every pass, both sized for the
@@ -358,9 +359,10 @@ def _det_crt(rows, bound, sign=1, prev=1):
     """
     import numpy as np
 
-    primes, modulus = _crt_primes(2 * bound + 1, prev)
     n = len(rows)
     array = isinstance(rows, np.ndarray)
+    bound = _hadamard(rows.tolist() if array else rows) // abs(prev) ** (n - 1)
+    primes, modulus = _crt_primes(2 * bound + 1, prev)
     if not array:
         # |x| as 32-bit limbs, least significant first, each carrying the
         # sign of x, one row of limbs per entry.
@@ -373,31 +375,26 @@ def _det_crt(rows, bound, sign=1, prev=1):
         # The conversion's transients are gone before the passes' arrays
         # are allocated, so they do not add to them.
         del flat
-    per_pass = min(len(primes), max(1, (2 * _CRT_PASS_ELEMENTS - _CRT_SCRATCH_ELEMENTS) // (n * n)))
+    per_pass = min(len(primes), max(1, (_CRT_BUDGET_ELEMENTS - _CRT_SCRATCH_ELEMENTS) // (n * n)))
     work = np.empty(n * n * per_pass, dtype=np.int64)
     # At least one row of a pass's working array, so that a chunk of the
     # elimination's update, or of the limb sums, holds at least one row.
     scratch = np.empty(max(n * per_pass, min(_CRT_SCRATCH_ELEMENTS, work.size)), dtype=np.int64)
     residues = []
-    # numpy's setting is local to this thread and context, and restored.
-    buffer = np.setbufsize(_CRT_UFUNC_BUFFER)
-    try:
-        for start in range(0, len(primes), per_pass):
-            p = np.array(primes[start : start + per_pass], dtype=np.int64)
-            k = len(p)
-            a = work[: n * n * k].reshape(n, n, k)
-            if array:
-                # x % p is the residue of each signed int64 entry.
-                np.remainder(rows[:, :, None], p, out=a)
-            else:
-                _limb_residues(a.reshape(n * n, k), limbs, p, scratch)
-            residues += _det_mod(a, p, scratch)
-    finally:
-        np.setbufsize(buffer)
+    for start in range(0, len(primes), per_pass):
+        p = np.array(primes[start : start + per_pass], dtype=np.int64)
+        k = len(p)
+        a = work[: n * n * k].reshape(n, n, k)
+        if array:
+            # x % p is the residue of each signed int64 entry.
+            np.remainder(rows[:, :, None], p, out=a)
+        else:
+            _limb_residues(a.reshape(n * n, k), limbs, p, scratch)
+        residues += _det_mod(a, p, scratch)
     total = 0
     for r, q in zip(residues, primes):
         share = modulus // q
-        total += sign * r * pow(pow(prev, n - 1, q) * share, -1, q) % q * share
+        total += r * pow(pow(prev, n - 1, q) * share, -1, q) % q * share
     total %= modulus
     return total - modulus if 2 * total > modulus else total
 

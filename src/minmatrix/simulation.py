@@ -43,6 +43,8 @@ class SimConfig:
             raise ValueError(f"process length must be >= 1, got {self.n}")
         if self.m < 2:
             raise ValueError(f"sample count must be >= 2, got {self.m}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         # The estimate is divided by sigma^2, and its sums over m paths

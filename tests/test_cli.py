@@ -257,6 +257,11 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err == "error: n_max must be >= 0, got -1\n"
 
+    def test_unknown_suite_is_named(self):
+        # The CLI's choices stop it first; the library names it itself.
+        with pytest.raises(ValueError, match="unknown suite 'nope'"):
+            verification.run_suites("nope", 3)
+
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "binomial", "--n-max", "10", "--format", "json")
         assert code == 0
@@ -372,6 +377,12 @@ class TestSimulateCommand:
 
     def test_m_one_is_usage_error(self, capsys):
         assert run(capsys, "simulate", "--n", "4", "--m", "1")[0] == 2
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "simulate", "--n", "3", "--m", "10", "--seed", "-1")
+        assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
+        # verify seeds random.Random, which takes any integer.
+        assert run(capsys, "verify", "--suite", "dets", "--n-max", "8", "--seed", "-1")[0] == 0
 
     def test_chunks_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

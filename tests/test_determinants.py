@@ -590,12 +590,12 @@ class TestInt64Phase:
 
 
 def crt(rows, det_crt=determinants._det_crt):
-    """The multi-modular route on its own, certified by the Hadamard bound,
-    on a copy of ``rows``: Python rows or an int64 array. Bound at import,
-    so the routing spy does not see these calls."""
+    """The multi-modular route on its own, on a whole matrix, given a copy
+    of ``rows``: Python rows or an int64 array. Bound at import, so the
+    routing spy does not see these calls."""
     if isinstance(rows, list):
-        return det_crt([row[:] for row in rows], determinants._hadamard(rows))
-    return det_crt(rows.copy(), determinants._hadamard(rows.tolist()))
+        return det_crt([row[:] for row in rows])
+    return det_crt(rows.copy())
 
 
 def residues_by_slice(rows, primes):
@@ -801,12 +801,12 @@ class TestMultiModular:
 
     @pytest.mark.parametrize("count", [1, 2, 5])
     @pytest.mark.parametrize("n", [1, 3, _INT64_MIN_DIM])
-    def test_results_near_half_the_modulus(self, count, n):
+    def test_results_near_half_the_modulus(self, monkeypatch, count, n):
         # M is the product of the first ``count`` primes and m of one
-        # fewer. With bound (M - 3) / 2 or (m + 1) / 2, exactly those
-        # primes are used: +-(M - 3) / 2 are the residues farthest from 0
-        # that the symmetric range holds, and +-(m + 1) / 2 would come
-        # back wrong with one prime fewer.
+        # fewer. With Hadamard's bound patched to (M - 3) / 2 or
+        # (m + 1) / 2, exactly those primes are used: +-(M - 3) / 2 are
+        # the residues farthest from 0 that the symmetric range holds, and
+        # +-(m + 1) / 2 would come back wrong with one prime fewer.
         primes = determinants._crt_primes(2**1000)[0][:count]
         modulus = prod(primes)
         rng = random.Random(count * 100 + n)
@@ -816,7 +816,8 @@ class TestMultiModular:
                 diagonal = [[target if r == c == 0 else int(r == c) for c in range(n)] for r in range(n)]
                 rows = unimodular_mix(rng, diagonal)
                 assert reference(rows) == target
-                assert determinants._det_crt(rows, value) == target
+                monkeypatch.setattr(determinants, "_hadamard", lambda rows, value=value: value)
+                assert determinants._det_crt(rows) == target
 
     def test_block_reduction_keeps_int64_past_the_reduction_interval(self):
         # L @ U with -1 in every off-diagonal entry of the unit triangular
@@ -844,7 +845,7 @@ class TestMultiModular:
         # The scratch comes off the budget first: what is left, just above
         # per_pass slices, still gives per_pass.
         scratch = determinants._CRT_SCRATCH_ELEMENTS
-        monkeypatch.setattr(determinants, "_CRT_PASS_ELEMENTS", (per_pass * n * n + scratch + n + 1) // 2)
+        monkeypatch.setattr(determinants, "_CRT_BUDGET_ELEMENTS", per_pass * n * n + scratch + n)
         passes = spy_passes(monkeypatch)
         assert crt(rows) == reference(rows)
         assert [k for k, _, _ in passes] == [per_pass] * (count // per_pass) + [count % per_pass] * (
@@ -864,7 +865,7 @@ class TestMultiModular:
         n = _INT64_MIN_DIM
         rows = random_rows(random.Random(3), n, -(2**5), 2**5)
         count = len(determinants._crt_primes(2 * determinants._hadamard(rows) + 1)[0])
-        budget = 2 * determinants._CRT_PASS_ELEMENTS - determinants._CRT_SCRATCH_ELEMENTS
+        budget = determinants._CRT_BUDGET_ELEMENTS - determinants._CRT_SCRATCH_ELEMENTS
         assert count < budget // (n * n)
         assert n * n * count < determinants._CRT_SCRATCH_ELEMENTS
         passes = spy_passes(monkeypatch)
@@ -934,7 +935,7 @@ class TestMultiModular:
         scratch = chunk_rows * (n - 1) * per_pass
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(determinants, "_CRT_SCRATCH_ELEMENTS", scratch)
-            patch.setattr(determinants, "_CRT_PASS_ELEMENTS", (per_pass * n * n + scratch + 1) // 2)
+            patch.setattr(determinants, "_CRT_BUDGET_ELEMENTS", per_pass * n * n + scratch)
             passes = spy_passes(patch)
             value = crt(np.array(rows, dtype=np.int64) if width == 0 else rows)
         assert value == reference(rows)
@@ -953,48 +954,76 @@ class TestMultiModular:
                 event(f"plant {plant} in a chunked step")
 
     def test_numpy_buffer_size_is_restored(self, monkeypatch):
-        # The route runs with numpy's ufunc buffers at _CRT_UFUNC_BUFFER
-        # elements and gives the caller's size back, also when it raises.
+        # det_bareiss runs both numpy routes with numpy's ufunc buffers at
+        # _UFUNC_BUFFER elements and gives the caller's size back: after
+        # int64 steps alone (A_150), a hand-off (lam*I - A_120), entries
+        # past int64 (a 64-bit delta matrix), and a route that raises.
         before = np.getbufsize()
-        rows = random_rows(random.Random(5), 30, -(2**70), 2**70)
-        assert crt(rows) == reference(rows)
-        assert np.getbufsize() == before
+        seen = []
+
+        def spy(name):
+            route = getattr(determinants, name)
+
+            def spy_route(*args):
+                seen.append((name, np.getbufsize()))
+                return route(*args)
+
+            monkeypatch.setattr(determinants, name, spy_route)
+
+        spy("_det_int64")
+        spy("_det_mod")
+        inc = increments(random.Random(48), 48)
+        delta = build_delta_matrix(inc)
+        cases = [
+            (build_min_matrix(150), 1, {"_det_int64"}),
+            (char_matrix(120, 5), charpoly(120)(5), {"_det_int64", "_det_mod"}),
+            (delta, delta_det_closed(inc), {"_det_mod"}),
+        ]
+        for matrix, expected, routes in cases:
+            seen.clear()
+            assert det_bareiss(matrix) == expected
+            assert {name for name, _ in seen} == routes
+            assert {size for _, size in seen} == {determinants._UFUNC_BUFFER} != {before}
+            assert np.getbufsize() == before
 
         class Stop(Exception):
             pass
 
-        def stop(a, p, scratch):
-            assert np.getbufsize() == determinants._CRT_UFUNC_BUFFER != before
+        def stop(*args):
             raise Stop
 
-        monkeypatch.setattr(determinants, "_det_mod", stop)
-        with pytest.raises(Stop):
-            crt(rows)
-        assert np.getbufsize() == before
+        for name, matrix in (("_det_int64", build_min_matrix(150)), ("_det_mod", delta)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(determinants, name, stop)
+                with pytest.raises(Stop):
+                    det_bareiss(matrix)
+            assert np.getbufsize() == before
 
     def test_working_set_follows_the_budget(self):
-        # A working array and a scratch of 2 * _CRT_PASS_ELEMENTS int64 in
+        # A working array and a scratch of _CRT_BUDGET_ELEMENTS int64 in
         # all, plus the entries' residue limbs and conversion, a few dozen
         # bytes each. lam*I - A_120 loads as one limb per entry; a
         # dimension-48 delta matrix of signed 64-bit increments as three.
         inc = increments(random.Random(48), 48)
         cases = [(char_matrix(120, 5), charpoly(120)(5)), (build_delta_matrix(inc), delta_det_closed(inc))]
-        budget = 2 * determinants._CRT_PASS_ELEMENTS - determinants._CRT_SCRATCH_ELEMENTS
+        budget = determinants._CRT_BUDGET_ELEMENTS - determinants._CRT_SCRATCH_ELEMENTS
         for matrix, expected in cases:
             rows = matrix.to_lists()
             n = len(rows)
-            bound = determinants._hadamard(rows)
-            count = len(determinants._crt_primes(2 * bound + 1)[0])
+            count = len(determinants._crt_primes(2 * determinants._hadamard(rows) + 1)[0])
             # More primes than one pass takes.
             assert count * n * n > budget
+            # Under the buffer size that det_bareiss sets.
+            buffer = np.setbufsize(determinants._UFUNC_BUFFER)
             tracemalloc.start()
             try:
-                value = determinants._det_crt(rows, bound)
+                value = determinants._det_crt(rows)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+                np.setbufsize(buffer)
             assert value == expected
-            assert peak < 16 * determinants._CRT_PASS_ELEMENTS + 64 * n * n
+            assert peak < 8 * determinants._CRT_BUDGET_ELEMENTS + 64 * n * n
 
     @settings(max_examples=60, deadline=None)
     @given(

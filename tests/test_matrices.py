@@ -203,6 +203,20 @@ class TestExactMatrix:
     def test_submatrix(self):
         m = build_min_matrix(4)
         assert m.submatrix([2, 4]).to_lists() == [[2, 2], [2, 4]]
+        with pytest.raises(ValueError, match="nonempty"):
+            m.submatrix([])
+        for bad in ([0], [2, 5]):
+            with pytest.raises(IndexError):
+                m.submatrix(bad)
+
+    def test_equality_hash_and_repr(self):
+        m = ExactMatrix([[1, 2], [2, 5]])
+        assert m == ExactMatrix([[1, 2], [2, 5]]) != ExactMatrix([[1, 2], [2, 4]])
+        assert m.__eq__(3) is NotImplemented and m != 3
+        assert hash(m) == hash(ExactMatrix([[1, 2], [2, 5]]))
+        assert len({m, ExactMatrix(m.to_lists()), build_min_matrix(2)}) == 2
+        assert repr(m) == "ExactMatrix([[1, 2], [2, 5]])"
+        assert eval(repr(m)) == m
 
 
 class TestStrictIntegers:

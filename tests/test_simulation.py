@@ -29,6 +29,7 @@ class TestConfigValidation:
             {"n": 3, "m": 10, "sigma": float("nan")},
             {"n": 3, "m": 10, "sigma": -float("inf")},
             {"n": 3, "m": 10, "sigma": float("inf")},
+            {"n": 3, "m": 10, "seed": -1},
         ],
     )
     def test_invalid(self, kwargs):

@@ -226,6 +226,10 @@ class TestCrossMethodAgreement:
         assert symfun(3, 2, method="nested") == 5
         with pytest.raises(ValueError):
             symfun(3, 2, method="magic")
+        with pytest.raises(ValueError, match="unknown method 'magic'"):
+            build_sym_table(3, method="magic")
+        with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+            build_sym_table(-1)
 
 
 POLYNOMIAL_METHODS = ("nested", "rec6", "rec7", "ratio")
