@@ -14,6 +14,9 @@ arithmetic, so every comparison is an exact equality.
 - otherwise: Bareiss in int64 for as long as an overflow certificate
   holds. Where the certificate fails, ``_det_crt`` finishes the active
   int64 block by Sylvester's identity.
+
+``_det_minors`` takes the same route and also returns the leading minors
+that the elimination read, which ``verify`` checks one family at a time.
 """
 
 from itertools import chain
@@ -135,12 +138,29 @@ def det_bareiss(matrix):
     elements. The setting is local to the thread and context, and the
     caller's is restored, also when a route raises.
     """
+    return _det_minors(matrix)[0]
+
+
+def _det_minors(matrix):
+    """det_bareiss's determinant of ``matrix``, by the same route, and the
+    leading principal minors its elimination read on the way: minors[m] is
+    the determinant of the leading (m + 1) x (m + 1) block.
+
+    Until a row swap, the pivot of Bareiss step m is that minor (Bareiss
+    1968), and the last entry left is the determinant. Both loops record
+    them: ``_eliminate`` below dimension 24, the int64 phase from 24 up.
+    The record stops at the first row swap or hand-off to the multi-modular
+    route, and that route records none. So minors holds all n minors
+    exactly when neither happened, and a shorter list is the sign that one
+    did (or that a pivot column was zero: the determinant is then 0).
+    """
     # The matrix's own rows, read and never changed: only the Python-int
     # loop consumes its rows, and it gets a copy.
     rows = matrix._rows
     n = len(rows)
+    minors = []
     if n < _INT64_MIN_DIM:
-        return _eliminate(matrix.to_lists())
+        return _eliminate(matrix.to_lists(), minors), minors
     import numpy as np
 
     buffer = np.setbufsize(_UFUNC_BUFFER)
@@ -148,22 +168,28 @@ def det_bareiss(matrix):
         try:
             a = np.fromiter(chain.from_iterable(rows), np.int64, n * n).reshape(n, n)
         except OverflowError:
-            return _det_crt(rows)
-        return _det_int64(a)
+            return _det_crt(rows), minors
+        return _det_int64(a, minors), minors
     finally:
         np.setbufsize(buffer)
 
 
-def _eliminate(rows):
+def _eliminate(rows, minors=None):
     """Python-int Bareiss elimination of the square matrix ``rows``, which
-    is consumed."""
+    is consumed. Each pivot, and then the determinant, is appended to the
+    list ``minors`` until the first row swap (see ``_det_minors``)."""
     # Rows shrink as elimination proceeds: at each step the active block's
     # pivot column is index 0 of every remaining row.
     n = len(rows)
+    if minors is None:
+        minors = []
     sign = 1
     prev = 1
     for step in range(n - 1):
         if rows[step][0] == 0:
+            # Pivots after a swap are not leading minors: they go to a list
+            # that nobody reads.
+            minors = []
             for r in range(step + 1, n):
                 if rows[r][0] != 0:
                     rows[step], rows[r] = rows[r], rows[step]
@@ -173,6 +199,7 @@ def _eliminate(rows):
                 return 0
         pivot_row = rows[step]
         pivot = pivot_row[0]
+        minors.append(pivot)
         pivot_tail = pivot_row[1:]
         for r in range(step + 1, n):
             row = rows[r]
@@ -182,7 +209,9 @@ def _eliminate(rows):
                 for x, y in zip(row[1:], pivot_tail)
             ]
         prev = pivot
-    return sign * rows[n - 1][0]
+    det = sign * rows[n - 1][0]
+    minors.append(det)
+    return det
 
 
 def _abs_max(a):
@@ -190,10 +219,12 @@ def _abs_max(a):
     return max(int(a.max()), -int(a.min()))
 
 
-def _det_int64(a):
+def _det_int64(a, minors):
     """Bareiss elimination of the int64 array ``a`` (consumed) for as long
     as the overflow certificate holds. Its maxima are Python ints, so an
     entry -2**63 counts as 2**63; every update that passes is below 2**63.
+    Each pivot, and then the determinant, is appended to the list
+    ``minors`` until the first row swap or hand-off (see ``_det_minors``).
 
     Each step divides by prev exactly: the inverse of prev's odd part mod
     2**64 and a right shift by its power of two. A bound on the active
@@ -223,6 +254,9 @@ def _det_int64(a):
             a[[step, r], step:] = a[[r, step], step:]
             sign = -sign
             pivot = int(a[step, step])
+            # Pivots after a swap are not leading minors.
+            minors = []
+        minors.append(pivot)
         active = a[step:, step:]
         lead = active[1:, 0]
         pivot_tail = active[0, 1:]
@@ -271,7 +305,9 @@ def _det_int64(a):
             if t:
                 block >>= t
         prev = pivot
-    return sign * int(a[n - 1, n - 1])
+    det = sign * int(a[n - 1, n - 1])
+    minors.append(det)
+    return det
 
 
 # Primes below 2**_CRT_PRIME_BITS in descending order, found on first use.

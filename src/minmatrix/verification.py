@@ -5,6 +5,15 @@ returns one CheckResult, with the first counterexample when it fails.
 Each suite runs a family of checks over cases up to a size bound; the
 CLI `verify` command runs the suites. The acceptance tests call the same
 checks with their own, larger case lists.
+
+The determinant corollary is checked two ways. ``check_min_dets`` and
+``check_c_dets`` run one ``det_bareiss`` per matrix; acceptance criterion 1
+runs them on about 5,000 matrices, and the dets suite on n <= 8. The
+sweeps ``check_min_minors`` and ``check_c_minors`` read det A_n and
+det C_{n,k} for every n <= n_max off the leading minors of one elimination
+of A_{n_max} and one of C_{n_max,k} per k: A_n is the leading block of
+A_{n_max}, and C_{n,k} that of C_{n_max,k}. That is O(n_max) eliminations
+in place of O(n_max^2), and every leading minor is checked.
 """
 
 import math
@@ -13,6 +22,7 @@ from dataclasses import dataclass, field
 
 from . import SUITES
 from .determinants import (
+    _det_minors,
     delta_det_closed,
     det_bareiss,
     det_c_matrix,
@@ -30,11 +40,21 @@ from .symmetric import (
     METHODS,
     binomial_identity_check,
     build_sym_table,
+    symfun,
     symfun_closed,
 )
 
 #: Every method but the exponential minor enumeration.
 POLYNOMIAL_METHODS = ("closed", "nested", "rec6", "rec7", "ratio")
+
+# Largest n_max run_suites accepts, 4096. The determinant sweep builds the
+# dense n_max x n_max matrix A_{n_max} first; this keeps it to 2**24 list
+# slots, whose pointers alone take 134 MB.
+_N_MAX_LIMIT = math.isqrt(1 << 24)
+
+# Largest n at which the dets suite also runs det_bareiss on each matrix
+# alone, next to the sweeps.
+_PER_MATRIX_N_MAX = 8
 
 
 @dataclass
@@ -82,6 +102,45 @@ def check_c_dets(cases):
         "shifted matrix determinant equals its shift",
         cases,
         lambda nk: det_bareiss(build_c_matrix(*nk)) == det_c_matrix(*nk),
+        _nk,
+    )
+
+
+def _leading_minors(matrix):
+    """The leading principal minors that one det_bareiss elimination of
+    matrix reads, entry m that of the leading (m + 1) x (m + 1) block. Each
+    minor that a row swap or a hand-off left unread is None, which equals
+    no determinant."""
+    minors = _det_minors(matrix)[1]
+    return minors + [None] * (matrix.dim - len(minors))
+
+
+def check_min_minors(n_max):
+    """det A_n = 1 for every n <= n_max, read off the leading minors of one
+    elimination of A_{n_max}."""
+    minors = _leading_minors(build_min_matrix(n_max)) if n_max else []
+    return _sweep(
+        "every leading minor of the min matrix equals 1",
+        range(1, n_max + 1),
+        lambda n: minors[n - 1] == det_min_matrix(n),
+        _n,
+    )
+
+
+def check_c_minors(n_max):
+    """det C_{n,k} = k for every 1 < k < n <= n_max, read off the leading
+    minors of one elimination of C_{n_max,k} per k."""
+
+    def cases():
+        for k in range(2, n_max):
+            minors = _leading_minors(build_c_matrix(n_max, k))
+            # The leading block of dimension n - k + 1 is C_{n,k}.
+            yield from ((n, k, minors[n - k]) for n in range(k + 1, n_max + 1))
+
+    return _sweep(
+        "every leading minor of the shifted matrix equals its shift",
+        cases(),
+        lambda case: case[2] == det_c_matrix(case[0], case[1]),
         _nk,
     )
 
@@ -141,9 +200,12 @@ def suite_dets(n_max, seed=0):
     rng = random.Random(seed)
     delta, theta = random_increments(rng, min(n_max, 12))
     scale_cases = [([rng.randint(1, 9) for _ in range(rng.randint(1, 8))], rng.randint(-5, 5)) for _ in range(50)]
+    small = min(n_max, _PER_MATRIX_N_MAX)
     return [
-        check_min_dets(range(1, n_max + 1)),
-        check_c_dets([(n, k) for n in range(3, n_max + 1) for k in range(2, n)]),
+        check_min_dets(range(1, small + 1)),
+        check_c_dets([(n, k) for n in range(3, small + 1) for k in range(2, n)]),
+        check_min_minors(n_max),
+        check_c_minors(n_max),
         check_delta_dets(delta),
         check_theta_dets(theta),
         check_delta_scaling(scale_cases),
@@ -179,10 +241,16 @@ def check_trace(ns):
 
 
 def check_top(ns):
+    """S(n, n) by every polynomial method but the closed form, whose
+    C(2n, 0) reads nothing, equals det A_n, the leading n-minor of one
+    elimination of A_{max(ns)}."""
+    ns = list(ns)
+    minors = _leading_minors(build_min_matrix(max(ns))) if ns else []
+    methods = [method for method in POLYNOMIAL_METHODS if method != "closed"]
     return _sweep(
-        "top symmetric function equals the determinant 1",
+        "top symmetric function equals the determinant",
         ns,
-        lambda n: symfun_closed(n, n) == 1,
+        lambda n: all(symfun(n, n, method) == minors[n - 1] for method in methods),
         _n,
     )
 
@@ -258,6 +326,11 @@ def run_suites(suite, n_max, seed=0):
     combined check results."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if n_max > _N_MAX_LIMIT:
+        raise ValueError(
+            f"--n-max must be <= {_N_MAX_LIMIT}, got {n_max}: "
+            f"verify builds a dense n_max x n_max matrix"
+        )
     results = []
     for name in SUITES if suite == "all" else (suite,):
         if name == "dets":

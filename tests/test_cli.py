@@ -257,6 +257,26 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err == "error: n_max must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("n_max", [10**20, verification._N_MAX_LIMIT + 1])
+    def test_huge_n_max_is_refused_before_building(self, capsys, monkeypatch, n_max):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a matrix or table was built")
+
+        for name in ("build_min_matrix", "build_c_matrix", "build_delta_matrix",
+                     "build_theta_matrix", "build_sym_table"):
+            monkeypatch.setattr(verification, name, refuse)
+        code, out, err = run(capsys, "verify", "--n-max", str(n_max))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --n-max must be <= 4096, got {n_max}: "
+            "verify builds a dense n_max x n_max matrix\n"
+        )
+
+    def test_help_states_the_n_max_limit(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert f"0 to {verification._N_MAX_LIMIT}" in capsys.readouterr().out
+
     def test_unknown_suite_is_named(self):
         # The CLI's choices stop it first; the library names it itself.
         with pytest.raises(ValueError, match="unknown suite 'nope'"):
@@ -446,6 +466,11 @@ print(json.dumps({"code": code, "numpy": numpy, "modules": modules}))
 _CLI_MODULES = ["cli", "determinants", "matrices"]
 
 
+# All that a verify command loads.
+_VERIFY_MODULES = ["cli", "dataclasses", "determinants", "fibonacci", "matrices", "symmetric",
+                   "verification"]
+
+
 def _case(argv, loads, modules=_CLI_MODULES):
     return pytest.param(argv, loads, modules, id=f"{' '.join(argv)}-{loads}")
 
@@ -460,9 +485,11 @@ class TestNumpyLoading:
             _case(["matrix", "c", "--n", "30", "--k", "8"], False),
             _case(["matrix", "c", "--n", "30", "--k", "8", "--format", "csv"], False,
                   ["cli", "csv", "determinants", "matrices"]),
-            _case(["verify", "--suite", "all", "--n-max", "16"], False,
-                  ["cli", "dataclasses", "determinants", "fibonacci", "matrices", "symmetric",
-                   "verification"]),
+            _case(["verify", "--suite", "all", "--n-max", "16"], False, _VERIFY_MODULES),
+            # The sweep's largest matrix, A_{n_max}, takes the int64 phase
+            # from dimension 24 up.
+            _case(["verify", "--suite", "dets", "--n-max", "23"], False, _VERIFY_MODULES),
+            _case(["verify", "--suite", "dets", "--n-max", "24"], True, _VERIFY_MODULES),
             _case(["det", "c", "--n", "25", "--k", "5", "--method", "both"], False),  # dimension 21
             _case(["det", "min", "--n", "23", "--method", "bareiss"], False),
             # A one-shot min or c determinant below cli._ONE_SHOT_DIM runs

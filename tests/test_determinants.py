@@ -182,17 +182,17 @@ def phases(monkeypatch):
     det_crt = determinants._det_crt
     inside = []
 
-    def spy_int64(a):
+    def spy_int64(a, *args):
         seen["int64"].append(len(a))
         inside.append(a)
         try:
-            return det_int64(a)
+            return det_int64(a, *args)
         finally:
             inside.pop()
 
-    def spy_eliminate(rows):
+    def spy_eliminate(rows, *args):
         seen["python"].append(len(rows))
-        return eliminate(rows)
+        return eliminate(rows, *args)
 
     def spy_crt(rows, *args):
         seen["crt"].append(len(rows))
@@ -1125,3 +1125,70 @@ class TestRouting:
             assert route(scaled_ones_plus_identity(n, t), 1 + n * t) == ([], [], [], [])
         t = 2**40
         assert route(scaled_ones_plus_identity(48, t), 1 + 48 * t) == ([48], [], [48], [48])
+
+
+def leading_minors(rows):
+    """Every leading principal minor of rows, each by the Python-int loop."""
+    return [reference([row[:m] for row in rows[:m]]) for m in range(1, len(rows) + 1)]
+
+
+def unit_lu(rng, n):
+    """L * U with L unit lower and U unit upper triangular, off-diagonal
+    entries in -1..1: every leading minor is 1."""
+    lower = [[int(r == c) or (rng.randint(-1, 1) if c < r else 0) for c in range(n)] for r in range(n)]
+    upper = [[int(r == c) or (rng.randint(-1, 1) if c > r else 0) for c in range(n)] for r in range(n)]
+    return [[sum(lower[r][t] * upper[t][c] for t in range(n)) for c in range(n)] for r in range(n)]
+
+
+class TestLeadingMinors:
+    """_det_minors: det_bareiss's determinant and route, and the leading
+    minors that its elimination reads up to a row swap or hand-off."""
+
+    @pytest.mark.parametrize("n", [1, 2, 12, _INT64_MIN_DIM - 1, _INT64_MIN_DIM, 40])
+    def test_record_is_every_leading_minor(self, phases, n):
+        rng = random.Random(n)
+        reads = []
+        for rows in (unit_lu(rng, n), scaled_identity_plus_ones(n, 1), scaled_identity_plus_ones(n, 3)):
+            expected = leading_minors(rows)
+            for seen in phases.values():
+                seen.clear()
+            det, minors = determinants._det_minors(ExactMatrix(rows))
+            assert det == det_bareiss(ExactMatrix(rows)) == expected[-1]
+            assert phases["int64" if n >= _INT64_MIN_DIM else "python"] == [n] * 2
+            # A zero leading minor makes its step swap rows; a hand-off of
+            # h rows comes at step n - h, whose pivot is read first.
+            read = expected.index(0) if 0 in expected else n
+            for handed in phases["handed"]:
+                read = min(read, n - handed + 1)
+            assert minors == expected[:read]
+            reads.append(read)
+        # L * U and I + J read every minor. 3*I + J, whose minors are
+        # 3**(m - 1) * (m + 3), leaves int64 from dimension 24 up, at step 18.
+        assert reads == [n, n, n if n < _INT64_MIN_DIM else 19]
+
+    @pytest.mark.parametrize("n", [12, 30])
+    @pytest.mark.parametrize("step", [0, 5])
+    def test_swap_stops_the_record(self, phases, n, step):
+        # Row step agrees with row 0 on the first step + 1 columns, so the
+        # leading (step + 1)-minor is 0 and step `step` swaps rows.
+        rng = random.Random(step)
+        while True:
+            rows = random_rows(rng, n, -3, 3)
+            rows[step][: step + 1] = rows[0][: step + 1] if step else [0]
+            expected = leading_minors(rows)
+            if all(expected[:step]) and expected[-1]:
+                break
+        det, minors = determinants._det_minors(ExactMatrix(rows))
+        assert det == expected[-1]
+        assert minors == expected[:step]
+        # Any hand-off comes after the swap.
+        assert all(handed < n - step for handed in phases["handed"])
+
+    def test_entries_past_int64_record_nothing(self):
+        inc = increments(random.Random(24), 24)
+        assert determinants._det_minors(build_delta_matrix(inc)) == (delta_det_closed(inc), [])
+
+    def test_paper_matrices_record_every_minor(self):
+        assert determinants._det_minors(build_min_matrix(150)) == (1, [1] * 150)
+        assert determinants._det_minors(build_c_matrix(189, 40)) == (40, [40] * 150)
+        assert determinants._det_minors(build_c_matrix(20, 5)) == (5, [5] * 16)
