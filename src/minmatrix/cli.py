@@ -320,7 +320,7 @@ def build_parser():
 
     p_sim = sub.add_parser("simulate", parents=[output],
                            help="random-walk covariance estimation")
-    p_sim.add_argument("--n", type=int, required=True)
+    p_sim.add_argument("--n", type=int, required=True, help="process length, 1 to 4096")
     p_sim.add_argument("--m", type=int, required=True)
     p_sim.add_argument("--sigma", type=float, default=1.0)
     p_sim.add_argument("--seed", type=int, default=0)

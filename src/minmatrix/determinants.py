@@ -10,7 +10,8 @@ arithmetic, so every comparison is an exact equality.
   is also the reference the other two routes are tested against;
 - an entry that does not convert to int64: elimination modulo many
   word-size primes at once and Chinese remaindering (``_det_crt``),
-  certified by Hadamard's bound;
+  certified by Hadamard's bound on the matrix or on its differenced form,
+  whichever is smaller (``_hadamard``);
 - otherwise: Bareiss in int64 for as long as an overflow certificate
   holds. Where the certificate fails, ``_det_crt`` finishes the active
   int64 block by Sylvester's identity.
@@ -19,8 +20,9 @@ arithmetic, so every comparison is an exact equality.
 that the elimination read, which ``verify`` checks one family at a time.
 """
 
-from itertools import chain
+from itertools import chain, islice, repeat
 from math import isqrt, prod
+from operator import mul, sub
 
 from .matrices import _check_increments
 
@@ -52,13 +54,14 @@ _CRT_REDUCE_EVERY = ((1 << 63) - (1 << _CRT_PRIME_BITS)) >> (2 * _CRT_PRIME_BITS
 # eliminates modulo max(1, (_CRT_BUDGET_ELEMENTS - _CRT_SCRATCH_ELEMENTS)
 # // n**2) primes at once, n**2 int64 each, whatever the prime count, up
 # to n = 478, where one prime fills the budget. That is 99 primes per pass
-# at n = 48, where 64-bit delta matrices need about 115, 24 at n = 96 and
-# 19 at n = 108, the largest block that char_matrix(120, lam) hands off.
-# numpy's inner loops run along the prime axis, so short passes cost more
-# per element: char_matrix(120, 5), whose block needs 33 primes, took 38,
-# 43, 54 and 90 ms at 33, 19, 10 and 5 primes per pass, and one pass of 33
-# raised the process's peak RSS by 1.3 MB (2-vCPU x86-64 host, Python
-# 3.11, numpy 2.4).
+# at n = 48, where 64-bit delta matrices need about 109, 24 at n = 96 and
+# 19 at n = 108, the largest block that char_matrix(120, lam) hands off;
+# those blocks need 8-15 primes, one pass. numpy's inner loops run along
+# the prime axis, so short passes cost more per element: char_matrix(120,
+# 5) with Hadamard's bound on the block alone, 33 primes, took 38, 43, 54
+# and 90 ms at 33, 19, 10 and 5 primes per pass, and one pass of 33 raised
+# the process's peak RSS by 1.3 MB (2-vCPU x86-64 host, Python 3.11,
+# numpy 2.4).
 _CRT_BUDGET_ELEMENTS = 294_912
 # Elements of the scratch through which each elimination step applies its
 # update, a chunk of rows at a time, and a limb sum past the first group
@@ -98,14 +101,17 @@ def det_bareiss(matrix):
 
     An entry outside int64's [-2**63, 2**63): the determinant is computed
     modulo the fewest primes p < 2**28 whose product M exceeds 2*H + 1,
-    where H = prod(isqrt(sum_j x_ij**2) + 1) is Hadamard's bound, by
-    Gaussian elimination in numpy int64 for as many primes at once as a
+    by Gaussian elimination in numpy int64 for as many primes at once as a
     working array and a fixed scratch of 2.4 MB together hold, and rebuilt
     by the Chinese remainder theorem in the symmetric range (-M/2, M/2).
-    Since |det| <= H, the result is certified, not probabilistic (Abbott,
-    Bronstein & Mulders, ISSAC 1999; von zur Gathen & Gerhard, Modern
-    Computer Algebra, 5.5). Per prime, only the pivots' modular inverses
-    are computed in Python.
+    H is the smaller of Hadamard's bound prod(isqrt(sum_j x_ij**2) + 1) on
+    the matrix X and on D = Δ·X·Δᵀ, X with each row less the row above it
+    and then each entry less its left neighbour. det Δ = 1, so
+    |det X| = |det D| <= H and the result is certified, not probabilistic
+    (Abbott, Bronstein & Mulders, ISSAC 1999; von zur Gathen & Gerhard,
+    Modern Computer Algebra, 5.5). The paper's cumulative matrices leave
+    D nearly diagonal: a delta matrix leaves diag(i_1, ..., i_n). Per
+    prime, only the pivots' modular inverses are computed in Python.
 
     Otherwise the matrix starts in a vectorised numpy int64 phase.
     Before each step it certifies that the update pivot*x - lead*y cannot
@@ -361,9 +367,36 @@ def _crt_primes(bound, prev=1):
 
 
 def _hadamard(rows):
-    """Hadamard's bound on |det|: the product of the row norms, each
-    rounded up to an integer."""
-    return prod(isqrt(sum(x * x for x in row)) + 1 for row in rows)
+    """A bound on |det| of the square matrix ``rows``: the smaller of
+    Hadamard's bound on ``rows`` and on D = Δ·rows·Δᵀ, each the product of
+    the row norms rounded up to an integer.
+
+    Δ is unit lower bidiagonal, with -1 below the diagonal: D is each row
+    less the row above it, then each entry less its left neighbour. Since
+    det Δ = 1, det D = det ``rows``, so both bounds hold. The paper's
+    matrices are cumulative, entry (i, j) a prefix sum at min(i, j), and
+    leave little of D: a delta matrix leaves diag(i_1, ..., i_n). The
+    blocks that lam*I - A_120 hands off, whose entries are minors of
+    lam*I less a cumulative matrix, keep much of that structure: D's bound
+    shortens their certificate by 510-750 bits.
+
+    D is built a row at a time. The product of the rows' (max |x| + 1) is
+    at most Hadamard's bound on ``rows``; where D's bound is no larger,
+    that one is the smaller and the row norms of ``rows`` are not summed.
+    """
+    differenced = floor = 1
+    above = repeat(0)
+    for row in rows:
+        floor *= max(max(row), -min(row)) + 1
+        # Row less the row above, then each entry less its left neighbour;
+        # d[0] has no left neighbour.
+        d = list(map(sub, row, above))
+        e = list(map(sub, islice(d, 1, None), d))
+        differenced *= isqrt(sum(map(mul, e, e), d[0] * d[0])) + 1
+        above = row
+    if differenced <= floor:
+        return differenced
+    return min(differenced, prod(isqrt(sum(map(mul, row, row))) + 1 for row in rows))
 
 
 def _det_crt(rows, prev=1):
@@ -374,14 +407,17 @@ def _det_crt(rows, prev=1):
     B and the previous pivot prev of Bareiss steps on A. Every Bareiss
     intermediate is a minor of A, so by Sylvester's identity the result is
     det A times the sign of the row swaps, which the caller applies
-    (Bareiss 1968, Math. Comp. 22). Hadamard's bound H(B) >= |det B| gives
-    the certificate H(B) // |prev|**(m - 1), from the block alone: the
-    fewest primes whose product M exceeds twice it plus 1 fix the result
-    as the unique residue mod M in the symmetric range. Primes that divide
-    prev are skipped, so the inverse of prev**(m - 1) mod q turns det B
-    mod q into the result mod q. A prime never has to be dropped: a zero
-    pivot mod p is swapped within that prime's slice, and a column that is
-    all zero mod p means the determinant is 0 mod p.
+    (Bareiss 1968, Math. Comp. 22). The bound H(B) >= |det B| of
+    ``_hadamard``, the smaller of Hadamard's bounds on B and on its
+    differenced form Δ·B·Δᵀ, gives the certificate H(B) // |prev|**(m - 1),
+    from the block alone: the fewest primes whose product M exceeds twice
+    it plus 1 fix the result as the unique residue mod M in the symmetric
+    range. The blocks that lam*I - A_120 hands off need 8-15 primes by it,
+    27-40 by Hadamard's bound on B alone. Primes that divide prev are
+    skipped, so the inverse of prev**(m - 1) mod q turns det B mod q into
+    the result mod q. A prime never has to be dropped: a zero pivot mod p
+    is swapped within that prime's slice, and a column that is all zero
+    mod p means the determinant is 0 mod p.
 
     ``rows`` is only read. An int64 array, the form of a hand-off block, is
     reduced mod p entry by entry. Python rows, of entries of any size, are

@@ -21,6 +21,10 @@ from . import DISTRIBUTIONS
 
 _CHUNK_STEPS = 2**18  # steps per chunk past 8 chunks: 2 MiB of float64
 
+# Largest n a config accepts, 4096: the n x n float64 accumulator then
+# holds at most 2**24 entries, 134 MB, the limit of verify's --n-max.
+_N_LIMIT = math.isqrt(1 << 24)
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -29,7 +33,7 @@ class SimConfig:
     Reproducibility contract: results are a deterministic function of
     the config. Each of the `chunks` chunks of paths draws from its own
     spawned substream: 8 chunks (m if m < 8) while m * n <= 2**21, and
-    about 2**18 steps a chunk above that.
+    about 2**18 steps a chunk above that. n is at most 4096 (_N_LIMIT).
     """
 
     n: int
@@ -58,6 +62,11 @@ class SimConfig:
         if not math.isfinite(scale):
             raise ValueError(
                 f"m * n * sigma^2 must be finite, got m={self.m}, n={self.n}, sigma={self.sigma}"
+            )
+        if self.n > _N_LIMIT:
+            raise ValueError(
+                f"--n must be <= {_N_LIMIT}, got {self.n}: "
+                f"simulate accumulates an n x n covariance matrix"
             )
         if self.dist not in DISTRIBUTIONS:
             raise ValueError(f"dist must be one of {DISTRIBUTIONS}, got {self.dist!r}")

@@ -38,7 +38,8 @@ from .matrices import (
 )
 from .symmetric import (
     METHODS,
-    binomial_identity_check,
+    _check_nk,
+    binomial,
     build_sym_table,
     symfun,
     symfun_closed,
@@ -292,12 +293,34 @@ def suite_symfun(n_max):
 
 
 def check_binomial_identity(cases, n_max):
-    return _sweep(
-        f"difference-recurrence binomial identity up to n={n_max}",
-        cases,
-        lambda nk: binomial_identity_check(*nk),
-        _nk,
-    )
+    """binomial_identity_check at each (n, k) of cases, with one running
+    sum per k in place of its n - k + 1 binomials per case.
+
+    The sum at (n, k) is sum_{i=1}^{n-k+1} C(n+k-1-i, n-k+1-i), the one at
+    (n - 1, k) plus its i = 1 term C(n+k-2, n-k), and its C(n+k-1, n-k-1)
+    is the left side at (n - 1, k). Each case adds the terms since its k's
+    last case, and a k starts again from n = k - 1, where the sum is empty,
+    only where the cases go back in n. The suite's cases, n by n, then cost
+    O(n_max**2) binomials and O(n_max) live integers in all.
+    """
+    sums = {}  # k -> (n, the sum and the left side at (n, k))
+
+    def holds(nk):
+        n, k = nk
+        _check_nk(n, k)
+        state = sums.get(k)
+        if state is None or state[0] > n:
+            # n = k - 1: the empty sum, and the left side there.
+            state = (k - 1, 0, binomial(2 * k - 1, -1))
+        last, total, left = state
+        for m in range(last + 1, n + 1):
+            total += binomial(m + k - 2, m - k)
+        before = left if last == n - 1 else binomial(n + k - 1, n - k - 1)
+        left = binomial(n + k, n - k)
+        sums[k] = (n, total, left)
+        return left == before + total
+
+    return _sweep(f"difference-recurrence binomial identity up to n={n_max}", cases, holds, _nk)
 
 
 def suite_binomial(n_max):

@@ -475,6 +475,21 @@ def _case(argv, loads, modules=_CLI_MODULES):
     return pytest.param(argv, loads, modules, id=f"{' '.join(argv)}-{loads}")
 
 
+def _probe(argv):
+    """_NUMPY_PROBE's report on cli.main(argv) in a fresh interpreter, and
+    what the command wrote to stderr."""
+    import minmatrix
+
+    src = str(Path(minmatrix.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(done.stdout), done.stderr
+
+
 class TestNumpyLoading:
     @pytest.mark.parametrize(
         "argv, loads, modules",
@@ -506,20 +521,26 @@ class TestNumpyLoading:
         ],
     )
     def test_numpy_loads_only_where_it_computes(self, argv, loads, modules):
-        import minmatrix
-
-        src = str(Path(minmatrix.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", _NUMPY_PROBE, *argv],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert json.loads(done.stdout) == {
+        assert _probe(argv)[0] == {
             "code": 0,
             "numpy": [False, False, loads],
             "modules": [[], _CLI_MODULES, modules],
         }
+
+    @pytest.mark.parametrize("n", [4097, 10**20])
+    def test_simulate_refuses_n_above_the_limit_before_numpy(self, n):
+        report, err = _probe(["simulate", "--n", str(n), "--m", "2"])
+        assert report == {
+            "code": 2,
+            "numpy": [False, False, False],
+            "modules": [[], _CLI_MODULES, ["cli", "dataclasses", "determinants", "matrices", "simulation"]],
+        }
+        assert err == f"error: --n must be <= 4096, got {n}: simulate accumulates an n x n covariance matrix\n"
+
+    def test_help_states_the_simulate_n_limit(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        assert "1 to 4096" in capsys.readouterr().out
 
 
 # Run in a fresh interpreter with numpy already imported: the counts of

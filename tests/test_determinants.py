@@ -656,6 +656,96 @@ def spy_passes(monkeypatch):
     return passes
 
 
+def plain_hadamard(rows):
+    """Hadamard's bound on rows alone: the product of the row norms, each
+    rounded up to an integer."""
+    return prod(isqrt(sum(x * x for x in row)) + 1 for row in rows)
+
+
+def differenced(rows):
+    """Δ·rows·Δᵀ, written out: each row less the row above it, then each
+    entry less its left neighbour."""
+    n = len(rows)
+    down = [[rows[r][c] - (rows[r - 1][c] if r else 0) for c in range(n)] for r in range(n)]
+    return [[row[c] - (row[c - 1] if c else 0) for c in range(n)] for row in down]
+
+
+@st.composite
+def bound_matrices(draw):
+    """Square matrices of dimension 1-30: random rows or the cumulative
+    rows of a delta matrix, with entries from single digits to past 2**64,
+    and perhaps -2**63 planted in one entry or one row set to zero."""
+    n = draw(st.integers(1, 30))
+    rng = draw(st.randoms(use_true_random=False))
+    bits = draw(st.sampled_from([4, 31, 63, 66]))
+    top = 9 if bits == 4 else 2**bits
+    kind = draw(st.sampled_from(["random", "cumulative"]))
+    if kind == "random":
+        rows = random_rows(rng, n, -top, top)
+    else:
+        rows = build_delta_matrix([rng.randint(-top, top) for _ in range(n)]).to_lists()
+    plant = draw(st.sampled_from(["none", "-2**63", "zero row"]))
+    if plant == "-2**63":
+        rows[rng.randrange(n)][rng.randrange(n)] = -(2**63)
+    elif plant == "zero row":
+        rows[rng.randrange(n)] = [0] * n
+    event(f"{kind}, entries up to {top if bits == 4 else f'2**{bits}'}, plant {plant}")
+    return rows
+
+
+class TestBound:
+    @settings(max_examples=150, deadline=None)
+    @given(bound_matrices())
+    def test_bound_holds_and_is_the_smaller(self, rows):
+        bound = determinants._hadamard(rows)
+        assert bound >= abs(reference(rows))
+        # Δ is unimodular, so the differenced matrix has the same
+        # determinant, and the bound is the smaller of the two Hadamard's.
+        assert reference(differenced(rows)) == reference(rows)
+        plain, diff = plain_hadamard(rows), plain_hadamard(differenced(rows))
+        event("differenced smaller" if diff < plain else "plain smaller" if plain < diff else "equal")
+        assert bound == min(plain, diff)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(1, 2**66), min_size=1, max_size=30),
+        st.sampled_from([1, -1]),
+    )
+    def test_delta_matrix_bound_is_the_increments(self, magnitudes, sign):
+        # Δ·A·Δᵀ = diag(i_1, ..., i_n) for a delta matrix A. With increments
+        # of one sign, |P_r| >= |i_r| bounds each row norm of A below, so
+        # the differenced bound is the smaller.
+        inc = [sign * m for m in magnitudes]
+        rows = build_delta_matrix(inc).to_lists()
+        assert differenced(rows) == [[x if r == c else 0 for c, x in enumerate(inc)] for r in range(len(inc))]
+        assert determinants._hadamard(rows) == prod(abs(i) + 1 for i in inc)
+
+    @pytest.mark.parametrize("case", ["dense", "delta"])
+    def test_plain_bound_where_differencing_is_worse(self, case):
+        # A dense random matrix has no cumulative structure: differencing
+        # sums up to four entries into each, and lengthens every row. On
+        # the delta matrix of (100, -200), rows (100, 100) and (100, -100),
+        # differencing leaves (100, 0) and (0, -200), a larger product.
+        if case == "dense":
+            rows = random_rows(random.Random(7), 12, -(2**40), 2**40)
+        else:
+            rows = build_delta_matrix([100, -200]).to_lists()
+        plain, diff = plain_hadamard(rows), plain_hadamard(differenced(rows))
+        assert plain < diff
+        assert determinants._hadamard(rows) == plain
+
+    @pytest.mark.parametrize("lam", [-3, -2, -1, 2, 3, 4, 5])
+    def test_char_matrix_hand_off_takes_one_short_pass(self, monkeypatch, phases, lam):
+        # det(lam*I - A_120) has 120-289 bits at these lam. The differenced
+        # bound on each hand-off block certifies it with 8-15 primes, one
+        # pass, where Hadamard's bound on the block took 27-40.
+        passes = spy_passes(monkeypatch)
+        assert det_bareiss(char_matrix(120, lam)) == charpoly(120)(lam)
+        assert len(phases["handed"]) == 1
+        [(count, _, _)] = passes
+        assert count <= 16
+
+
 class TestMultiModular:
     def test_primes_are_the_largest_below_the_limit(self, monkeypatch):
         monkeypatch.setattr(determinants, "_crt_prime_table", ())
@@ -878,14 +968,15 @@ class TestMultiModular:
 
     @pytest.mark.parametrize(
         "kind, n, passes",
-        [("delta", 48, [99, 18]), ("char", 108, [19, 14]), ("delta", 96, [24] * 9 + [20])],
+        [("delta", 48, [99, 10]), ("char", 108, [15]), ("delta", 96, [24] * 9 + [2])],
         ids=["delta48", "char120", "delta96"],
     )
     def test_passes_at_the_library_budget(self, monkeypatch, kind, n, passes):
         # The budget less the scratch, over n**2 int64 per prime: 99 primes
         # per pass at n = 48, where this delta matrix of signed 64-bit
-        # increments needs 117, 24 at n = 96, and 19 for the 108-row block
-        # that lam*I - A_120 hands off at lam = 5.
+        # increments needs 109, 24 at n = 96, where it needs 218, and 19
+        # for the 108-row block that lam*I - A_120 hands off at lam = 5,
+        # which needs 15.
         if kind == "delta":
             inc = increments(random.Random(n), n)
             matrix, expected = build_delta_matrix(inc), delta_det_closed(inc)

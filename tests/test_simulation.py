@@ -36,6 +36,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
 
+    def test_n_limit(self):
+        # The accumulator is n x n: 4096 is accepted (and never run here),
+        # one more is refused with a message that names the option.
+        assert SimConfig(n=4096, m=2).n == 4096
+        for n in (4097, 10**20):
+            with pytest.raises(ValueError, match=f"^--n must be <= 4096, got {n}: "):
+                SimConfig(n=n, m=2)
+
 
 class TestChunks:
     @pytest.mark.parametrize(

@@ -1,11 +1,16 @@
-"""The determinant sweeps of `minmatrix.verification`: det A_n and
-det C_{n,k} for every n <= n_max, read off the leading minors of one
-elimination per family, and check_top, which reads the same record."""
+"""The sweeps of `minmatrix.verification`: det A_n and det C_{n,k} for
+every n <= n_max, read off the leading minors of one elimination per
+family, check_top, which reads the same record, and the binomial
+identity's running sums."""
+
+import random
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from minmatrix import ExactMatrix, build_c_matrix, build_min_matrix, determinants, verification
+from minmatrix import ExactMatrix, build_c_matrix, build_min_matrix, determinants, symmetric, verification
 from minmatrix.determinants import _INT64_MIN_DIM
 
 MIN_SWEEP = "every leading minor of the min matrix equals 1"
@@ -232,3 +237,47 @@ class TestSizeLimit:
         for name in ("suite_dets", "suite_symfun", "suite_binomial", "suite_fibonacci"):
             monkeypatch.setattr(verification, name, lambda *args, **kwargs: [])
         assert verification.run_suites("all", verification._N_MAX_LIMIT) == []
+
+
+class TestBinomialSweep:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 40), st.sampled_from(["suite", "shuffled"]), st.data())
+    def test_same_first_counterexample_as_each_case_alone(self, n_max, order, data):
+        # binomial is off by one at one argument: one that a case reads,
+        # as its left side, its C(n+k-1, n-k-1) or a term of its sum, or
+        # one that no case reads. The running sums and a loop of
+        # binomial_identity_check, one case at a time, agree on the first
+        # counterexample, also where a shuffled case list goes back in n.
+        cases = [(n, k) for n in range(n_max + 1) for k in range(n + 1)]
+        if order == "shuffled":
+            random.Random(n_max).shuffle(cases)
+        n, k = data.draw(st.sampled_from(cases))
+        which = data.draw(st.sampled_from(["left", "middle", "term", "unread"]))
+        if which == "left":
+            wrong = (n + k, n - k)
+        elif which == "middle":
+            wrong = (n + k - 1, n - k - 1)
+        elif which == "term":
+            i = data.draw(st.integers(1, n - k + 1))
+            wrong = (n + k - 1 - i, n - k + 1 - i)
+        else:
+            wrong = (2 * n_max + 1, 0)
+        binomial = symmetric.binomial
+
+        def off_by_one(a, b):
+            return binomial(a, b) + ((a, b) == wrong)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(symmetric, "binomial", off_by_one)
+            patch.setattr(verification, "binomial", off_by_one)
+            result = verification.check_binomial_identity(cases, n_max)
+            first = next((case for case in cases if not symmetric.binomial_identity_check(*case)), None)
+        event(f"{which}, {'fails' if first else 'passes'}")
+        if first is None:
+            assert result.passed
+        else:
+            assert counterexample(result) == f"n={first[0]}, k={first[1]}"
+
+    def test_invalid_case_raises(self):
+        with pytest.raises(ValueError, match="require 0 <= k <= n"):
+            verification.check_binomial_identity([(2, 1), (1, 2)], 2)
