@@ -315,7 +315,8 @@ def build_parser():
                               help="run the identity verification suites")
     p_verify.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p_verify.add_argument("--n-max", type=int, default=12,
-                          help="largest n of the checks, 0 to 4096 (default 12)")
+                          help="largest n of the checks, 0 to 600, so that --suite all "
+                               "runs within about 60 s (default 12)")
     p_verify.add_argument("--seed", type=int, default=0)
 
     p_sim = sub.add_parser("simulate", parents=[output],

@@ -14,11 +14,25 @@ det C_{n,k} for every n <= n_max off the leading minors of one elimination
 of A_{n_max} and one of C_{n_max,k} per k: A_n is the leading block of
 A_{n_max}, and C_{n,k} that of C_{n_max,k}. That is O(n_max) eliminations
 in place of O(n_max^2), and every leading minor is checked.
+
+The symfun suite checks S(n, k) = C(n+k, n-k) for 1 <= k <= n <= n_max.
+Each check streams columns from ``symmetric._columns``, k-major, so only
+the current column of each method is live and no table is built:
+
+  six-way agreement     all six methods, minors reading the principal
+                        minors of A_n, for n <= 12
+  polynomial agreement  closed, nested, rec6, rec7 and ratio, 12 < n
+  trace                 S(n, 1) off column 1 of each polynomial method,
+                        against the diagonal prefix sums of one A_{n_max}
+  growth                S(n, k) < S(n + 1, k) down each column of the
+                        rec7 fill: a property of one method, not two legs
+
+S(n, n) = det A_n = 1 is the dets suite's leading-minor sweep.
 """
 
-import math
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate, islice, pairwise
 
 from . import SUITES
 from .determinants import (
@@ -36,22 +50,16 @@ from .matrices import (
     build_min_matrix,
     build_theta_matrix,
 )
-from .symmetric import (
-    METHODS,
-    _check_nk,
-    binomial,
-    build_sym_table,
-    symfun,
-    symfun_closed,
-)
+from .symmetric import METHODS, _check_nk, _columns, binomial
 
 #: Every method but the exponential minor enumeration.
 POLYNOMIAL_METHODS = ("closed", "nested", "rec6", "rec7", "ratio")
 
-# Largest n_max run_suites accepts, 4096. The determinant sweep builds the
-# dense n_max x n_max matrix A_{n_max} first; this keeps it to 2**24 list
-# slots, whose pointers alone take 134 MB.
-_N_MAX_LIMIT = math.isqrt(1 << 24)
+# Largest n_max run_suites accepts: the largest multiple of 100 at which
+# verify --suite all ran within a budget of 60 s, on a 2-vCPU x86-64 host
+# with Python 3.11. 600 took 32 s, 700 took 64 s; the dets sweep, about
+# n_max**3.5, is most of it.
+_N_MAX_LIMIT = 600
 
 # Largest n at which the dets suite also runs det_bareiss on each matrix
 # alone, next to the sweeps.
@@ -213,82 +221,71 @@ def suite_dets(n_max, seed=0):
     ]
 
 
-def _tables_agree(tables, methods):
-    return lambda nk: len({tables[m][nk] for m in methods}) == 1
+def _agreement(name, methods, n_max, n_min):
+    """The methods agree on S(n, k) at every 1 <= k <= n, n_min <= n <= n_max."""
+
+    def cases():
+        every_k = zip(*(_columns(n_max, m) for m in methods))
+        for k, columns in enumerate(islice(every_k, 1, None), start=1):
+            start = max(n_min, k)
+            # Column k holds S(k, k), ..., S(n_max, k).
+            rows = islice(zip(*columns), start - k, None)
+            yield from ((n, k, values) for n, values in zip(range(start, n_max + 1), rows))
+
+    return _sweep(name, cases(), lambda case: len(set(case[2])) == 1, _nk)
 
 
-def check_six_way(tables, cases, n_max):
-    """The tables of all six methods agree at each (n, k) of cases."""
-    return _sweep(f"six-way agreement up to n={n_max}", cases, _tables_agree(tables, METHODS), _nk)
+def check_six_way(n_max):
+    """All six methods agree at every 1 <= k <= n <= min(n_max, 12)."""
+    n_max = min(n_max, 12)
+    return _agreement(f"six-way agreement up to n={n_max}", METHODS, n_max, 1)
 
 
-def check_polynomial_agreement(tables, cases, n_max):
-    """The tables of every method but minors agree at each (n, k) of cases."""
+def check_polynomial_agreement(n_max):
+    """Every method but minors agrees at every 1 <= k <= n, 12 < n <= n_max,
+    where check_six_way stops."""
+    name = f"polynomial-method agreement up to n={n_max}"
+    return _agreement(name, POLYNOMIAL_METHODS, n_max, 13)
+
+
+def check_trace(n_max):
+    """S(n, 1) by each polynomial method, off its column 1, equals the trace
+    of A_n for every n <= n_max: the n-th prefix sum of the diagonal of one
+    A_{n_max}, whose leading block is A_n."""
+
+    def cases():
+        if not n_max:
+            return
+        matrix = build_min_matrix(n_max)
+        traces = accumulate(matrix.entry(i, i) for i in range(1, n_max + 1))
+        ones = [next(islice(_columns(n_max, m), 1, None)) for m in POLYNOMIAL_METHODS]
+        yield from zip(range(1, n_max + 1), traces, zip(*ones))
+
     return _sweep(
-        f"polynomial-method agreement up to n={n_max}",
-        cases,
-        _tables_agree(tables, POLYNOMIAL_METHODS),
-        _nk,
+        "first symmetric function equals the trace of A_n",
+        cases(),
+        lambda case: set(case[2]) == {case[1]},
+        lambda case: _n(case[0]),
     )
 
 
-def check_trace(ns):
-    return _sweep(
-        "first symmetric function equals the trace n(n+1)/2",
-        ns,
-        lambda n: symfun_closed(n, 1) == n * (n + 1) // 2,
-        _n,
-    )
+def check_growth(n_max):
+    """S(n, k) < S(n + 1, k) for 1 <= k <= n < n_max, down each column of
+    the rec7 fill."""
 
+    def cases():
+        for k, column in enumerate(islice(_columns(n_max, "rec7"), 1, None), start=1):
+            yield from ((n, k, pair) for n, pair in enumerate(pairwise(column), start=k))
 
-def check_top(ns):
-    """S(n, n) by every polynomial method but the closed form, whose
-    C(2n, 0) reads nothing, equals det A_n, the leading n-minor of one
-    elimination of A_{max(ns)}."""
-    ns = list(ns)
-    minors = _leading_minors(build_min_matrix(max(ns))) if ns else []
-    methods = [method for method in POLYNOMIAL_METHODS if method != "closed"]
-    return _sweep(
-        "top symmetric function equals the determinant",
-        ns,
-        lambda n: all(symfun(n, n, method) == minors[n - 1] for method in methods),
-        _n,
-    )
-
-
-def check_reflection(cases):
-    return _sweep(
-        "binomial reflection C(n+k, n-k) = C(n+k, 2k)",
-        cases,
-        lambda nk: symfun_closed(*nk) == math.comb(nk[0] + nk[1], 2 * nk[1]),
-        _nk,
-    )
-
-
-def check_growth(cases):
-    return _sweep(
-        "strict growth in n for fixed k",
-        cases,
-        lambda nk: symfun_closed(nk[0], nk[1]) < symfun_closed(nk[0] + 1, nk[1]),
-        _nk,
-    )
+    return _sweep("strict growth in n for fixed k", cases(), lambda case: case[2][0] < case[2][1], _nk)
 
 
 def suite_symfun(n_max):
-    brute_max = min(n_max, 12)
-    tables = {method: build_sym_table(n_max, method) for method in POLYNOMIAL_METHODS}
-    tables["minors"] = build_sym_table(brute_max, "minors")
     return [
-        check_six_way(
-            tables, [(n, k) for n in range(1, brute_max + 1) for k in range(1, n + 1)], brute_max
-        ),
-        check_polynomial_agreement(
-            tables, [(n, k) for n in range(brute_max + 1, n_max + 1) for k in range(1, n + 1)], n_max
-        ),
-        check_trace(range(1, n_max + 1)),
-        check_top(range(1, n_max + 1)),
-        check_reflection([(n, k) for n in range(1, n_max + 1) for k in range(n + 1)]),
-        check_growth([(n, k) for n in range(1, n_max) for k in range(1, n + 1)]),
+        check_six_way(n_max),
+        check_polynomial_agreement(n_max),
+        check_trace(n_max),
+        check_growth(n_max),
     ]
 
 
@@ -352,7 +349,7 @@ def run_suites(suite, n_max, seed=0):
     if n_max > _N_MAX_LIMIT:
         raise ValueError(
             f"--n-max must be <= {_N_MAX_LIMIT}, got {n_max}: "
-            f"verify builds a dense n_max x n_max matrix"
+            "the limit keeps verify --suite all within about 60 s"
         )
     results = []
     for name in SUITES if suite == "all" else (suite,):

@@ -3,8 +3,8 @@ pass/fail line with its measured runtime. Run with `pytest -s
 tests/test_acceptance.py` to see the lines as they complete.
 
 Criteria 1-6 run the checks of `minmatrix.verification`, the same ones
-behind `minmatrix verify`, over their own case lists, and require each to
-pass with no notes, so a check that had nothing to check fails."""
+behind `minmatrix verify`, over their own sizes or case lists, and require
+each to pass with no notes, so a check that had nothing to check fails."""
 
 import random
 import time
@@ -12,9 +12,7 @@ import time
 import pytest
 
 from minmatrix import (
-    METHODS,
     SimConfig,
-    build_sym_table,
     char_matrix,
     charpoly,
     covariance_deviation,
@@ -68,22 +66,18 @@ def test_criterion_2_closed_forms_vs_oracle():
 
 def test_criterion_3a_six_way_agreement_to_12():
     with _Criterion(3, "six-way symmetric-function agreement, n<=12", 60):
-        tables = {m: build_sym_table(12, m) for m in METHODS}
-        cases = [(n, k) for n in range(1, 13) for k in range(1, n + 1)]
-        _passed(verification.check_six_way(tables, cases, 12))
+        _passed(verification.check_six_way(12))
 
 
 def test_criterion_3b_five_way_agreement_to_60():
     with _Criterion(3, "five polynomial methods agree, 12<n<=60", 10):
-        tables = {m: build_sym_table(60, m) for m in verification.POLYNOMIAL_METHODS}
-        cases = [(n, k) for n in range(13, 61) for k in range(1, n + 1)]
-        _passed(verification.check_polynomial_agreement(tables, cases, 60))
+        _passed(verification.check_polynomial_agreement(60))
 
 
 def test_criterion_4_trace_and_top_identities():
-    with _Criterion(4, "S_1 = n(n+1)/2 and S_n = 1 for n<=60"):
-        _passed(verification.check_trace(range(1, 61)))
-        _passed(verification.check_top(range(1, 61)))
+    with _Criterion(4, "S_1 = trace(A_n) and S_n = det(A_n) = 1 for n<=60"):
+        _passed(verification.check_trace(60))
+        _passed(verification.check_min_minors(60))
 
 
 def test_criterion_5_binomial_identity():

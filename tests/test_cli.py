@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -257,19 +256,19 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err == "error: n_max must be >= 0, got -1\n"
 
-    @pytest.mark.parametrize("n_max", [10**20, verification._N_MAX_LIMIT + 1])
+    @pytest.mark.parametrize("n_max", [10**20, 4097, verification._N_MAX_LIMIT + 1])
     def test_huge_n_max_is_refused_before_building(self, capsys, monkeypatch, n_max):
         def refuse(*args, **kwargs):
-            raise AssertionError("a matrix or table was built")
+            raise AssertionError("a matrix or a column was built")
 
         for name in ("build_min_matrix", "build_c_matrix", "build_delta_matrix",
-                     "build_theta_matrix", "build_sym_table"):
+                     "build_theta_matrix", "_columns"):
             monkeypatch.setattr(verification, name, refuse)
         code, out, err = run(capsys, "verify", "--n-max", str(n_max))
         assert (code, out) == (2, "")
         assert err == (
-            f"error: --n-max must be <= 4096, got {n_max}: "
-            "verify builds a dense n_max x n_max matrix\n"
+            f"error: --n-max must be <= 600, got {n_max}: "
+            "the limit keeps verify --suite all within about 60 s\n"
         )
 
     def test_help_states_the_n_max_limit(self, capsys):
@@ -298,19 +297,18 @@ class TestSixWayAgreement:
         assert f"[pass] six-way agreement up to n={brute_max}" in out.splitlines()
         assert out.endswith("all checks passed\n")
 
-    @pytest.mark.parametrize("method", ["minors", "nested", "rec6", "rec7", "ratio"])
+    @pytest.mark.parametrize("method", ["closed", "minors", "nested", "rec6", "rec7", "ratio"])
     def test_verify_fails_when_one_table_is_wrong(self, capsys, monkeypatch, method):
-        real = verification.build_sym_table
+        real = verification._columns
 
-        def corrupted(n_max, name="closed"):
-            table = real(n_max, name)
-            if name == method:
-                columns = [list(column) for column in table.columns]
-                columns[2][4 - 2] += 1  # S(4, 2)
-                table = dataclasses.replace(table, columns=tuple(map(tuple, columns)))
-            return table
+        def corrupted(n_max, name):
+            for k, column in enumerate(real(n_max, name)):
+                column = list(column)
+                if name == method and k == 2:
+                    column[4 - 2] += 1  # S(4, 2)
+                yield column
 
-        monkeypatch.setattr(verification, "build_sym_table", corrupted)
+        monkeypatch.setattr(verification, "_columns", corrupted)
         code, out, _ = run(capsys, "verify", "--suite", "symfun", "--n-max", "8")
         assert code == 1
         assert "[FAIL] six-way agreement up to n=8 (counterexample: n=4, k=2)" in out

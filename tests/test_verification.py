@@ -1,9 +1,10 @@
 """The sweeps of `minmatrix.verification`: det A_n and det C_{n,k} for
 every n <= n_max, read off the leading minors of one elimination per
-family, check_top, which reads the same record, and the binomial
-identity's running sums."""
+family, the symmetric-function checks, which stream each method's
+columns, and the binomial identity's running sums."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,49 +189,104 @@ class TestShortRecord:
         assert counterexample(verification.check_c_minors(40)) == "n=3, k=2"
 
 
-class TestCheckTop:
-    def test_passes(self):
-        result = verification.check_top(range(1, 61))
-        assert (result.passed, result.notes) == (True, [])
-        assert verification.check_top([]).notes == ["vacuous: no cases"]
+def _corrupt_column(monkeypatch, method, n, k, by=1):
+    """Make ``method``'s column source in verification off by ``by`` at
+    S(n, k)."""
+    columns = verification._columns
 
-    @pytest.mark.parametrize(
-        "corrupt, n_max, step",
-        [(_corrupt_eliminate, 12, 4), (_corrupt_int64, 60, 40)],
-        ids=["eliminate", "int64"],
-    )
-    def test_wrong_pivot_fails(self, monkeypatch, corrupt, n_max, step):
-        faults = corrupt(monkeypatch, corner=1, step=step)
-        assert counterexample(verification.check_top(range(1, n_max + 1))) == f"n={step + 2}"
-        assert faults == [step]
+    def corrupted(n_max, name):
+        for j, column in enumerate(columns(n_max, name)):
+            column = list(column)
+            if (name, j) == (method, k) and n <= n_max:
+                column[n - k] += by
+            yield column
 
-    def test_reads_one_elimination(self, monkeypatch):
-        calls = []
-        det_minors = verification._det_minors
+    monkeypatch.setattr(verification, "_columns", corrupted)
 
-        def spy(matrix):
-            calls.append(matrix.dim)
-            return det_minors(matrix)
 
-        monkeypatch.setattr(verification, "_det_minors", spy)
-        assert verification.check_top(range(1, 31)).passed
-        assert calls == [30]
+class TestSymfunSweeps:
+    @pytest.mark.parametrize("n_max", [*range(15), 40])
+    def test_pass_and_vacuous_notes(self, n_max):
+        # Each check and whether it has no case at this n_max.
+        checks = [
+            (verification.check_six_way(n_max), n_max < 1),
+            (verification.check_polynomial_agreement(n_max), n_max < 13),
+            (verification.check_trace(n_max), n_max < 1),
+            (verification.check_growth(n_max), n_max < 2),
+        ]
+        for result, vacuous in checks:
+            assert result.passed, (result.name, result.detail)
+            assert result.notes == (["vacuous: no cases"] if vacuous else [])
+        assert verification.suite_symfun(n_max) == [result for result, _ in checks]
+
+    @pytest.mark.parametrize("method", symmetric.METHODS)
+    def test_agreement_fails_at_a_wrong_value(self, monkeypatch, method):
+        # Six-way agreement reads n <= 12 and the polynomial methods 12 < n:
+        # each is made wrong at its last or its first case.
+        n, k = (12, 12) if method == "minors" else (13, 1)
+        _corrupt_column(monkeypatch, method, n, k)
+        six_way = verification.check_six_way(20)
+        polynomial = verification.check_polynomial_agreement(40)
+        if method == "minors":
+            assert counterexample(six_way) == "n=12, k=12"
+            assert polynomial.passed
+        else:
+            assert six_way.passed
+            assert counterexample(polynomial) == "n=13, k=1"
+
+    @pytest.mark.parametrize("method", verification.POLYNOMIAL_METHODS)
+    def test_trace_fails_at_a_wrong_column(self, monkeypatch, method):
+        _corrupt_column(monkeypatch, method, 17, 1)
+        assert counterexample(verification.check_trace(30)) == "n=17"
+
+    def test_trace_reads_the_matrix(self, monkeypatch):
+        # The diagonal of one A_30 gives every trace: one wrong entry makes
+        # every trace from its row on wrong.
+        built = []
+
+        def wrong_diagonal(n):
+            built.append(n)
+            rows = build_min_matrix(n).to_lists()
+            rows[20][20] += 1
+            return ExactMatrix(rows)
+
+        monkeypatch.setattr(verification, "build_min_matrix", wrong_diagonal)
+        assert counterexample(verification.check_trace(30)) == "n=21"
+        assert built == [30]
+
+    def test_growth_reads_the_rec7_fill(self, monkeypatch):
+        # S(10, 4) = C(14, 6) = 3003 lifted past S(11, 4) = C(15, 7) = 6435.
+        _corrupt_column(monkeypatch, "rec7", 10, 4, by=3432)
+        assert counterexample(verification.check_growth(20)) == "n=10, k=4"
+
+    def test_peak_memory_holds_columns_not_tables(self):
+        # Only the current column of each method is live: O(n_max**2) bits
+        # for the agreement, where five tables of the triangle hold
+        # O(n_max**3) bits (about 10 MB at n_max = 240).
+        tracemalloc.start()
+        try:
+            results = verification.suite_symfun(240)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(result.passed for result in results)
+        assert peak < 2.5e6, peak
 
 
 class TestSizeLimit:
     @pytest.fixture
     def no_builds(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a matrix or table was built")
+            raise AssertionError("a matrix or a column was built")
 
         for name in ("build_min_matrix", "build_c_matrix", "build_delta_matrix",
-                     "build_theta_matrix", "build_sym_table"):
+                     "build_theta_matrix", "_columns"):
             monkeypatch.setattr(verification, name, refuse)
 
-    @pytest.mark.parametrize("n_max", [10**20, verification._N_MAX_LIMIT + 1])
+    @pytest.mark.parametrize("n_max", [10**20, 4097, verification._N_MAX_LIMIT + 1])
     @pytest.mark.parametrize("suite", ["dets", "symfun", "binomial", "fibonacci", "all"])
     def test_refused_before_building(self, no_builds, suite, n_max):
-        with pytest.raises(ValueError, match=f"^--n-max must be <= 4096, got {n_max}: "):
+        with pytest.raises(ValueError, match=f"^--n-max must be <= 600, got {n_max}: "):
             verification.run_suites(suite, n_max)
 
     def test_limit_itself_is_accepted(self, monkeypatch):
