@@ -86,19 +86,31 @@ def _parse_increments(text):
         raise ValueError(f"increment list must be comma-separated integers, got {text!r}")
 
 
-# Each matrix kind: the options it needs, its builder and its closed-form
-# determinant. The lambdas look the layer functions up when called, so a
-# function patched into this module's globals is the one that runs.
+# Largest dimension of the dense matrix that `matrix` and `det --method
+# bareiss|both` build: 2**24 entries, the limit of simulate's --n.
+_DENSE_DIM_LIMIT = 4096
+
+# Each matrix kind: the options it needs, its dimension, its builder and its
+# closed-form determinant. The lambdas look the layer functions up when
+# called, so a function patched into this module's globals is the one that
+# runs. A k that the builder refuses counts as 1 in the dimension of c.
 _KINDS = {
-    "min": (("n",), lambda a: build_min_matrix(a.n), lambda a: det_min_matrix(a.n)),
-    "c": (("n", "k"), lambda a: build_c_matrix(a.n, a.k), lambda a: det_c_matrix(a.n, a.k)),
+    "min": (("n",), lambda a: a.n, lambda a: build_min_matrix(a.n), lambda a: det_min_matrix(a.n)),
+    "c": (
+        ("n", "k"),
+        lambda a: a.n - max(a.k, 1) + 1,
+        lambda a: build_c_matrix(a.n, a.k),
+        lambda a: det_c_matrix(a.n, a.k),
+    ),
     "delta": (
         ("inc",),
+        lambda a: len(_parse_increments(a.inc)),
         lambda a: build_delta_matrix(_parse_increments(a.inc)),
         lambda a: delta_det_closed(_parse_increments(a.inc)),
     ),
     "theta": (
         ("inc",),
+        lambda a: len(_parse_increments(a.inc)) - 1,
         lambda a: build_theta_matrix(_parse_increments(a.inc)),
         lambda a: theta_det_closed(_parse_increments(a.inc)),
     ),
@@ -107,15 +119,27 @@ _KINDS = {
 
 def _kind(args):
     """The builder and closed-form determinant of args.kind, once every
-    option the kind needs is given and no other."""
-    options, build, closed = _KINDS[args.kind]
+    option the kind needs is given and no other. The builder refuses a
+    dimension above _DENSE_DIM_LIMIT before it allocates anything."""
+    options, dim, build, closed = _KINDS[args.kind]
     if any(getattr(args, name) is None for name in options):
         needed = " and ".join(f"--{name}" for name in options)
         raise ValueError(f"{args.command} {args.kind} requires {needed}")
     for name in ("n", "k", "inc"):
         if name not in options and getattr(args, name) is not None:
             raise ValueError(f"{args.command} {args.kind} does not take --{name}")
-    return build, closed
+
+    def build_dense(args):
+        size = dim(args)
+        if size > _DENSE_DIM_LIMIT:
+            option = "--inc" if "inc" in options else f"--n {args.n}"
+            raise ValueError(
+                f"{option} gives dimension {size}, above {_DENSE_DIM_LIMIT}: "
+                f"{args.command} builds the dense {args.kind} matrix"
+            )
+        return build(args)
+
+    return build_dense, closed
 
 
 def cmd_matrix(args):
@@ -295,7 +319,10 @@ def build_parser():
     )
     kind = argparse.ArgumentParser(add_help=False)
     kind.add_argument("kind", choices=tuple(_KINDS))
-    kind.add_argument("--n", type=int)
+    kind.add_argument("--n", type=int,
+                      help="dimension of min; c has dimension n - k + 1. matrix and "
+                           "det --method bareiss|both build the dense matrix, of "
+                           f"dimension at most {_DENSE_DIM_LIMIT}")
     kind.add_argument("--k", type=int)
     kind.add_argument("--inc", help="comma-separated increments, e.g. 2,3,4")
 

@@ -12,9 +12,11 @@ arithmetic, so every comparison is an exact equality.
   word-size primes at once and Chinese remaindering (``_det_crt``),
   certified by Hadamard's bound on the matrix or on its differenced form,
   whichever is smaller (``_hadamard``);
-- otherwise: Bareiss in int64 for as long as an overflow certificate
-  holds. Where the certificate fails, ``_det_crt`` finishes the active
-  int64 block by Sylvester's identity.
+- otherwise: Bareiss in fixed-width words for as long as an overflow
+  certificate holds, in 32-bit words from the start and widened once to
+  64-bit words at the first step whose certificate fails 2**31. Where the
+  certificate fails 2**63, ``_det_crt`` finishes the active int64 block by
+  Sylvester's identity.
 
 ``_det_minors`` takes the same route and also returns the leading minors
 that the elimination read, which ``verify`` checks one family at a time.
@@ -26,7 +28,7 @@ from operator import mul, sub
 
 from .matrices import _check_increments
 
-# Smallest dimension at which det_bareiss tries the int64 phase. With
+# Smallest dimension at which det_bareiss tries the fixed-width phase. With
 # the carried bound and the exact division by an inverse, the int64 route
 # (array conversion included) overtakes the Python-int loop at dimension
 # 14-16 on C_{d+1,2} and C_{d+9,10}, the slowest cases, and at 12-14 on
@@ -79,9 +81,9 @@ _CRT_LIMB_GROUP = 8
 # Elements of each buffer numpy's ufuncs use while det_bareiss runs either
 # numpy route, in place of numpy's 8,192. The multi-modular route runs
 # nearly every operation along the prime axis, a loop of a few dozen to a
-# few hundred elements, and the int64 phase on strided views of the active
-# block; numpy buffers each operand of such an operation to lengthen its
-# loop. Buffers of 1,024 elements stay in the first-level cache: with them,
+# few hundred elements, and the fixed-width phase on strided views of the
+# active block; numpy buffers each operand of such an operation to lengthen
+# its loop. Buffers of 1,024 elements stay in the first-level cache: with them,
 # delta matrices of 64-bit increments took about 10 % less time,
 # char_matrix(120, lam) about 30 % less and A_150 and C_{n,k} of dimension
 # 150 about 9 % less, and the tracemalloc peak of det_bareiss fell by about
@@ -113,32 +115,37 @@ def det_bareiss(matrix):
     D nearly diagonal: a delta matrix leaves diag(i_1, ..., i_n). Per
     prime, only the pivots' modular inverses are computed in Python.
 
-    Otherwise the matrix starts in a vectorised numpy int64 phase.
-    Before each step it certifies that the update pivot*x - lead*y cannot
-    overflow:
+    Otherwise the matrix starts in a vectorised numpy phase in fixed-width
+    words of w bits. Before each step it certifies that the update
+    pivot*x - lead*y cannot overflow:
 
-        |pivot| * max|block| + max|lead column| * max|pivot row| < 2**63,
+        |pivot| * max|block| + max|lead column| * max|pivot row| < 2**(w-1),
 
-    computed in Python ints, so -2**63 counts as 2**63: against a nonzero
-    factor it fails the test and the matrix hands off at step 0. The
-    certificate has two tiers. The first takes M = max|active block|, pivot
-    row and column included, and tests (|pivot| + M) * M < 2**63; every
-    factor above is at most M, so this implies the exact test. Only when it
-    fails is the exact test computed, and only its failure hands off. So the
-    step at which a matrix leaves int64 is the step at which the exact test
-    alone would fail. M is not measured at every step: no new entry exceeds
+    computed in Python ints, so -2**(w-1) counts as 2**(w-1). The phase
+    starts with w = 32, and at the first step whose certificate fails 2**31
+    the array is widened once to int64 and the same step is tested against
+    2**63. Against a nonzero factor an entry -2**63 fails that test, and the
+    matrix hands off at step 0. The certificate has two tiers. The first
+    takes M = max|active block|, pivot row and column included, and tests
+    (|pivot| + M) * M < 2**(w-1); every factor above is at most M, so this
+    implies the exact test. Only when it fails is the exact test computed,
+    and only its failure widens the word or hands off. So the step at which
+    a matrix leaves int64 is the step at which the exact 64-bit test alone
+    would fail. M is not measured at every step: no new entry exceeds
     (|pivot| + M) * M / |prev|, so a bound on M carries from step to step,
     and the block is measured by two reductions only where the bound fails
     the first tier. The certified update N = pivot*x - lead*y has
-    |N| < 2**63, so the exact division N / prev is a multiplication by the
-    inverse of prev's odd part mod 2**64, in wrapping uint64 arithmetic, and
-    a right shift by prev's power of two (Jebelean, J. Symb. Comput. 15,
-    1993). Where prev divides pivot, only the outer product lead*y is
-    divided, so after step 0 a constant pivot costs no full-block
-    multiplication. When the certificate fails, the multi-modular route
-    finishes the active block and the int64 work is kept; ``_det_crt``
-    states that hand-off. A_n and C_{n,k} never hand off, so they never pay
-    for that route.
+    |N| < 2**(w-1), so the exact division N / prev is a multiplication by
+    the inverse of prev's odd part mod 2**w, in wrapping unsigned
+    arithmetic, and a right shift by prev's power of two (Jebelean, J.
+    Symb. Comput. 15, 1993). Where prev divides pivot, only the outer
+    product lead*y is divided, so after step 0 a constant pivot costs no
+    full-block multiplication. When the 64-bit certificate fails, the
+    multi-modular route finishes the active block and the fixed-width work
+    is kept; ``_det_crt`` states that hand-off. A_150 and C_{n,k} of
+    dimension 150 with k <= 100 stay in 32-bit words to the end. No A_n or
+    C_{n,k} that ``verify`` reaches hands off, so they never pay for that
+    route.
 
     Both numpy routes run with numpy's ufunc buffers at _UFUNC_BUFFER
     elements. The setting is local to the thread and context, and the
@@ -154,7 +161,8 @@ def _det_minors(matrix):
 
     Until a row swap, the pivot of Bareiss step m is that minor (Bareiss
     1968), and the last entry left is the determinant. Both loops record
-    them: ``_eliminate`` below dimension 24, the int64 phase from 24 up.
+    them: ``_eliminate`` below dimension 24, the fixed-width phase from 24
+    up, whose record runs across its widening from 32-bit to 64-bit words.
     The record stops at the first row swap or hand-off to the multi-modular
     route, and that route records none. So minors holds all n minors
     exactly when neither happened, and a shorter list is the sign that one
@@ -226,30 +234,48 @@ def _abs_max(a):
 
 
 def _det_int64(a, minors):
-    """Bareiss elimination of the int64 array ``a`` (consumed) for as long
-    as the overflow certificate holds. Its maxima are Python ints, so an
-    entry -2**63 counts as 2**63; every update that passes is below 2**63.
-    Each pivot, and then the determinant, is appended to the list
-    ``minors`` until the first row swap or hand-off (see ``_det_minors``).
+    """Bareiss elimination of the int64 array ``a`` (consumed) in
+    fixed-width words for as long as the overflow certificate holds. Its
+    maxima are Python ints, so an entry -2**(w-1) counts as 2**(w-1); every
+    update that passes is below 2**(w-1) for the word of w bits. Each pivot,
+    and then the determinant, is appended to the list ``minors`` until the
+    first row swap or hand-off (see ``_det_minors``).
+
+    The phase starts in 32-bit words: step 0's certificate is tested
+    against 2**31 first, and where it passes, ``a`` is narrowed to int32.
+    At the first step whose certificate fails 2**31, ``a`` is widened to
+    int64 once and that step is tested against 2**63. One loop serves both
+    words; only the dtypes, the limit and the modulus of prev's inverse
+    change.
 
     Each step divides by prev exactly: the inverse of prev's odd part mod
-    2**64 and a right shift by its power of two. A bound on the active
+    2**w and a right shift by its power of two. A bound on the active
     block's max, carried from step to step, spares the reductions of the
     certificate's first tier wherever it passes.
 
-    Where the certificate fails, ``_det_crt`` finishes the active block,
-    given the int64 array itself and the previous pivot, and the sign of
-    the row swaps so far is applied to its result."""
+    Where the 64-bit certificate fails, ``_det_crt`` finishes the active
+    block, given the int64 array itself and the previous pivot, and the sign
+    of the row swaps so far is applied to its result."""
     import numpy as np
 
     n = len(a)
     sign = 1
     prev = 1
+    # The word: its signed and unsigned dtypes, 2**w and the certificate's
+    # limit 2**(w-1), read at call time so that a patched _INT64_LIMIT
+    # bounds both words.
+    signed, unsigned, modulus, limit = np.int32, np.uint32, 1 << 32, min(1 << 31, _INT64_LIMIT)
     # An upper bound on max|active block|, carried from step to step. At
     # _INT64_LIMIT it fails the coarse test, so step 0 measures.
     most = _INT64_LIMIT
-    # One scratch array serves every step's outer product.
+    # One scratch array serves every step's outer product, in either word.
+    # The update runs on unsigned views of ``a`` and of the scratch, taken
+    # again whenever ``a`` changes word.
     scratch = np.empty((n - 1) * (n - 1), dtype=np.uint64)
+    unsigned_a, outer_buffer = a.view(np.uint64), scratch
+    # The int64 input. A widening writes the active block back into it: its
+    # rows and columns before that step are not read again.
+    int64_a = a
     for step in range(n - 1):
         pivot = int(a[step, step])
         if pivot == 0:
@@ -264,51 +290,67 @@ def _det_int64(a, minors):
             minors = []
         minors.append(pivot)
         active = a[step:, step:]
-        lead = active[1:, 0]
-        pivot_tail = active[0, 1:]
-        block = active[1:, 1:]
         # The two-tier certificate of det_bareiss: the coarse test implies
-        # the exact one, which alone decides the hand-off. A carried bound
-        # that passes the coarse test implies that the measured max would,
-        # so the block is measured only where the carried bound fails.
+        # the exact one, which alone decides the widening and the hand-off.
+        # A carried bound that passes the coarse test implies that the
+        # measured max would, so the block is measured only where the
+        # carried bound fails.
         growth = (abs(pivot) + most) * most
-        if growth >= _INT64_LIMIT:
+        if growth >= limit:
             most = _abs_max(active)
             growth = (abs(pivot) + most) * most
-            if growth >= _INT64_LIMIT:
-                growth = abs(pivot) * _abs_max(block) + _abs_max(lead) * _abs_max(pivot_tail)
-                if growth >= _INT64_LIMIT:
-                    return sign * _det_crt(active, prev)
-        # Each N = pivot*x - lead*y has |N| <= growth < 2**63, so no entry
-        # of the next active block exceeds growth // |prev|.
+            if growth >= limit:
+                growth = abs(pivot) * _abs_max(active[1:, 1:])
+                growth += _abs_max(active[1:, 0]) * _abs_max(active[0, 1:])
+                if growth >= limit and signed is np.int32:
+                    # The exact test decides at 64 bits as well.
+                    signed, unsigned, modulus, limit = np.int64, np.uint64, 1 << 64, _INT64_LIMIT
+        if a.dtype != signed:
+            # Once at step 0 to narrow, once at the widening step. A
+            # certificate that passes 2**31 bounds every block entry below
+            # it; only the pivot, read before as a Python int, or a pivot
+            # row or column whose product with the other is zero, can wrap,
+            # and the update reads them only mod 2**32.
+            if signed is np.int32:
+                a = a.astype(np.int32)
+            else:
+                int64_a[step:, step:] = active
+                a = int64_a
+            unsigned_a, outer_buffer = a.view(unsigned), scratch.view(unsigned)
+            active = a[step:, step:]
+        if growth >= limit:
+            return sign * _det_crt(active, prev)
+        # Each N = pivot*x - lead*y has |N| <= growth < 2**(w-1), so no
+        # entry of the next active block exceeds growth // |prev|.
         most = growth // abs(prev)
         # prev divides N. With prev = 2**t * o, o odd, N / o is N times the
-        # inverse of o mod 2**64, exact in wrapping uint64 arithmetic since
-        # |N / o| < 2**63, and N / prev is N / o shifted right by t.
+        # inverse of o mod 2**w, exact in wrapping unsigned arithmetic since
+        # |N / o| < 2**(w-1), and N / prev is N / o shifted right by t.
         t = (prev & -prev).bit_length() - 1
-        inverse = pow(prev >> t, -1, 1 << 64)
-        size = n - 1 - step
-        outer = scratch[: size * size].reshape(size, size)
-        scaled_lead = lead.view(np.uint64)
-        if inverse != 1:
-            scaled_lead = scaled_lead * inverse
-        np.multiply(scaled_lead[:, None], pivot_tail.view(np.uint64), out=outer)
+        inverse = pow(prev >> t, -1, modulus)
         quotient, rest = divmod(pivot, prev)
+        size = n - 1 - step
+        outer = outer_buffer[: size * size].reshape(size, size)
+        lead = unsigned_a[step + 1 :, step]
+        if inverse != 1:
+            lead = lead * inverse
+        np.multiply(lead[:, None], unsigned_a[step, step + 1 :], out=outer)
+        wide = unsigned_a[step + 1 :, step + 1 :]
         if rest == 0:
             # prev divides lead*y as well, and |lead*y| <= growth, so the
             # outer product holds lead*y / o exactly and the shift by t
             # finishes the division.
-            exact = outer.view(np.int64)
             if t:
+                exact = outer.view(signed)
                 exact >>= t
             if quotient != 1:
-                block *= quotient
-            block -= exact
+                wide *= quotient % modulus
+            wide -= outer
         else:
-            wide = block.view(np.uint64)
-            wide *= pivot * inverse % (1 << 64)
+            wide *= pivot * inverse % modulus
             wide -= outer
             if t:
+                block = a[step + 1 :, step + 1 :]
                 block >>= t
         prev = pivot
     det = sign * int(a[n - 1, n - 1])

@@ -143,6 +143,66 @@ class TestDetCommand:
         assert out.splitlines()[-1] == "agree"
 
 
+class TestDenseLimit:
+    """`matrix` and `det --method bareiss|both` refuse a dense matrix past
+    dimension 4096, 2**24 entries, before they build anything."""
+
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a matrix was built")
+
+        for name in ("build_min_matrix", "build_c_matrix", "build_delta_matrix", "build_theta_matrix"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("n", [10**20, 2**63, 4097])
+    @pytest.mark.parametrize(
+        "command",
+        [["matrix"], ["det", "--method", "bareiss"], ["det", "--method", "both"]],
+        ids=["matrix", "bareiss", "both"],
+    )
+    def test_min_is_refused_before_building(self, capsys, no_build, n, command):
+        code, out, err = run(capsys, *command, "min", "--n", str(n))
+        assert (code, out) == (2, "")
+        assert err == f"error: --n {n} gives dimension {n}, above 4096: {command[0]} builds the dense min matrix\n"
+
+    @pytest.mark.parametrize("n", [10**20, 2**63, 4098])
+    def test_c_dimension_is_n_minus_k_plus_1(self, capsys, no_build, n):
+        code, out, err = run(capsys, "det", "c", "--n", str(n), "--k", "2", "--method", "both")
+        assert (code, out) == (2, "")
+        assert err == f"error: --n {n} gives dimension {n - 1}, above 4096: det builds the dense c matrix\n"
+
+    def test_delta_names_its_increments(self, capsys, no_build):
+        code, out, err = run(capsys, "matrix", "delta", "--inc", ",".join(["1"] * 4097))
+        assert (code, out) == (2, "")
+        assert err == "error: --inc gives dimension 4097, above 4096: matrix builds the dense delta matrix\n"
+
+    @pytest.mark.parametrize("n", [10**20, 2**63, 4097])
+    def test_closed_forms_still_answer(self, capsys, no_build, n):
+        assert run(capsys, "det", "min", "--n", str(n), "--method", "closed") == (0, "closed: 1\n", "")
+        assert run(capsys, "det", "c", "--n", str(n), "--k", "7") == (0, "closed: 7\n", "")
+
+    def test_the_limit_itself_is_built(self, capsys, monkeypatch):
+        built = []
+
+        def build(n, k=None):
+            built.append((n, k))
+            return build_min_matrix(1)
+
+        monkeypatch.setattr(cli, "build_min_matrix", build)
+        monkeypatch.setattr(cli, "build_c_matrix", build)
+        assert run(capsys, "matrix", "min", "--n", "4096")[0] == 0
+        # A huge n with a k just below it is a small dense matrix.
+        assert run(capsys, "matrix", "c", "--n", str(10**20), "--k", str(10**20 - 4095))[0] == 0
+        assert built == [(4096, None), (10**20, 10**20 - 4095)]
+
+    @pytest.mark.parametrize("command", ["matrix", "det"])
+    def test_help_states_the_limit(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "dimension at most 4096" in " ".join(capsys.readouterr().out.split())
+
+
 class TestSymfunCommand:
     def test_all_methods_agree_at_n3(self, capsys):
         code, out, _ = run(capsys, "symfun", "--n", "3", "--method", "all")

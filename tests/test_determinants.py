@@ -7,7 +7,7 @@ from math import isqrt, prod
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from minmatrix import (
@@ -142,16 +142,21 @@ def reference(rows):
     return _eliminate([row[:] for row in rows])
 
 
-def exact_certificate_hand_off(rows):
+def exact_certificate_hand_off(rows, limit=2**63, passed=None):
     """Bareiss in Python ints that tests only the exact overflow
-    certificate, |pivot| * max|block| + max|lead| * max|pivot row| < 2**63,
+    certificate, |pivot| * max|block| + max|lead| * max|pivot row| < limit,
     at every step: the size of the block left where it first fails, or
-    None. The oracle for the int64 phase's hand-off step."""
+    None. Against 2**63 it is the oracle for the fixed-width phase's
+    hand-off step, against 2**31 for the step at which the phase widens
+    from 32-bit to 64-bit words. Each step that passes is appended to the
+    list ``passed``, if given, as (swapped, prev): whether the step swapped
+    rows, and the previous pivot it divides by."""
     rows = [row[:] for row in rows]
     n = len(rows)
     prev = 1
     for step in range(n - 1):
-        if rows[step][0] == 0:
+        swapped = rows[step][0] == 0
+        if swapped:
             swap = next((r for r in range(step + 1, n) if rows[r][0] != 0), None)
             if swap is None:
                 return None
@@ -160,8 +165,10 @@ def exact_certificate_hand_off(rows):
         below = rows[step + 1 :]
         block = max(abs(x) for row in below for x in row[1:])
         lead = max(abs(row[0]) for row in below)
-        if abs(pivot) * block + lead * max(map(abs, pivot_tail)) >= 2**63:
+        if abs(pivot) * block + lead * max(map(abs, pivot_tail)) >= limit:
             return n - step
+        if passed is not None:
+            passed.append((swapped, prev))
         for r in range(step + 1, n):
             row = rows[r]
             rows[r] = [(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], pivot_tail)]
@@ -264,6 +271,28 @@ def lead_with_fewer_twos(n, a01):
 
 def twos(x):
     return (x & -x).bit_length() - 1
+
+
+def sheared(rows, c):
+    """rows with c times row 0 added to the last row: the same
+    determinant, and the same block after step 0, whose update cancels the
+    shear, but a step-0 certificate of about 2 * c * max|row 0|."""
+    rows = [row[:] for row in rows]
+    rows[-1] = [x + c * y for x, y in zip(rows[-1], rows[0])]
+    return rows
+
+
+def spy_abs_max(monkeypatch):
+    """Record the shape of every array the certificate measures."""
+    shapes = []
+    abs_max = determinants._abs_max
+
+    def spy(a):
+        shapes.append(a.shape)
+        return abs_max(a)
+
+    monkeypatch.setattr(determinants, "_abs_max", spy)
+    return shapes
 
 
 def signed_permutation(n):
@@ -509,22 +538,31 @@ class TestInt64Phase:
         assert phases["handed"] == ([] if handed is None else [handed])
 
     def test_carried_bound_skips_most_reductions(self, monkeypatch):
-        # Both matrices take 149 int64 steps. Step 0 measures the whole
-        # matrix; after that the bound carried from step to step spares
-        # the reduction on at least every other step.
-        shapes = []
-        abs_max = determinants._abs_max
+        # A_150 and C_{219,70} with 2**40 times row 0 added to the last
+        # row: the same determinants, but step 0's certificate fails 2**31,
+        # so both widen at once and take 149 int64 steps. Step 0 measures
+        # the whole matrix; after that the bound carried from step to step
+        # spares the reduction on at least every other step.
+        shapes = spy_abs_max(monkeypatch)
+        for matrix, value in ((build_min_matrix(150), 1), (build_c_matrix(219, 70), 70)):
+            shapes.clear()
+            assert det_bareiss(ExactMatrix(sheared(matrix.to_lists(), 2**40))) == value
+            assert shapes[0] == (150, 150)
+            assert len(shapes) <= 149 // 2
 
-        def spy(a):
-            shapes.append(a.shape)
-            return abs_max(a)
-
-        monkeypatch.setattr(determinants, "_abs_max", spy)
+    def test_32_bit_phase_reductions_are_pinned(self, monkeypatch):
+        # Against 2**31 the carried bound fails sooner: A_150 is measured
+        # on every other step, as at 64 bits, but C_{219,70}, whose block
+        # max stays near 70 * 149 while the bound grows 150-fold a step, on
+        # nearly every step. Both stay in 32-bit words to the end.
+        shapes = spy_abs_max(monkeypatch)
+        counts = []
         for matrix, value in ((build_min_matrix(150), 1), (build_c_matrix(219, 70), 70)):
             shapes.clear()
             assert det_bareiss(matrix) == value
-            assert shapes[0] == (150, 150)
-            assert len(shapes) <= 149 // 2
+            assert exact_certificate_hand_off(matrix.to_lists(), 2**31) is None
+            counts.append(len(shapes))
+        assert counts == [73, 137]
 
     @pytest.mark.parametrize(
         "rows",
@@ -587,6 +625,147 @@ class TestInt64Phase:
         for e, sign in planted:
             rows[rng.randrange(n)][rng.randrange(n)] = sign * 2**e
         assert det_bareiss(ExactMatrix(rows)) == reference(rows)
+
+
+def block_upper(n, c, starts, zero_starts, rng, spread=2):
+    """A block upper triangular matrix: zero below its diagonal blocks,
+    which begin at 0 and at each of ``starts`` and ``zero_starts``. Each
+    block is dense, small entries with c added on its diagonal, so the
+    leading minors, and with them the pivots, grow like powers of c. A
+    block that begins at one of ``zero_starts`` has 0 in its top-left
+    corner: its leading minor is 0, and the step there swaps rows. Above
+    the blocks, entries are small and sparse."""
+    bounds = sorted({0, n} | set(starts) | set(zero_starts))
+    rows = [[0] * n for _ in range(n)]
+    for first, end in zip(bounds, bounds[1:]):
+        for r in range(first, end):
+            for col in range(first, n):
+                if col < end or rng.random() < 0.3:
+                    rows[r][col] = rng.randint(-spread, spread) + c * (r == col)
+        if first in zero_starts:
+            rows[first][first] = 0
+    return rows
+
+
+# Entries at the 32-bit limit and past it, all inside int64.
+WORD_PLANTS = (2**31 - 1, -(2**31 - 1), -(2**31), 2**31, 2**40, -(2**63))
+
+
+@st.composite
+def word_matrices(draw):
+    """Matrices of dimension 24-32 for the fixed-width phase: the paper's
+    A_n and C_{n,k}, whose 32-bit certificate holds to the end, or
+    block_upper matrices, whose growth c and blocks set the step at which
+    the phase widens to 64 bits and perhaps hands off, with row swaps where
+    the zero_starts are. Perhaps with entries of WORD_PLANTS planted
+    anywhere, in the lead column over a zero pivot row, or as the pivot
+    over a zero block."""
+    n = draw(st.integers(_INT64_MIN_DIM, 32))
+    # Entries from a seeded generator: drawn one by one, they would be far
+    # more data than hypothesis takes for one example.
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 200))
+        rows = (build_min_matrix(n) if k == 1 else build_c_matrix(n + k - 1, k)).to_lists()
+    else:
+        c = draw(st.sampled_from([1, 2, 3, -2, 6, 12, 33, 2**8]))
+        starts = draw(st.sets(st.integers(1, n - 1), max_size=3))
+        zero_starts = draw(st.sets(st.integers(0, n - 2), max_size=4))
+        rows = block_upper(n, c, starts, zero_starts, rng, draw(st.sampled_from([1, 2])))
+    where = draw(st.sampled_from(["anywhere", "lead", "pivot"]))
+    for value in draw(st.lists(st.sampled_from(WORD_PLANTS), max_size=2)):
+        if where == "anywhere":
+            rows[rng.randrange(n)][rng.randrange(n)] = value
+        elif where == "lead":
+            rows[0][1:] = [0] * (n - 1)
+            rows[rng.randrange(1, n)][0] = value
+        else:
+            for row in rows[1:]:
+                row[1:] = [0] * (n - 1)
+            rows[0][0] = value
+    return rows
+
+
+def widening_with_swaps():
+    """A block_upper matrix of dimension 30 whose pivots grow like 3**m:
+    it swaps rows at steps 1, 4 and 15, widens to 64 bits at step 10 and
+    hands off at step 21."""
+    return block_upper(30, 3, {9, 25}, {1, 15}, random.Random(30))
+
+
+def paper_plant(value, where=(5, 7)):
+    """C_{41,12}, of dimension 30, with ``value`` planted at ``where``."""
+    rows = build_c_matrix(30 + 11, 12).to_lists()
+    rows[where[0]][where[1]] = value
+    return rows
+
+
+class TestFixedWidthWords:
+    """The fixed-width phase in 32-bit words, widened once to 64 bits,
+    against the Python-int loop: the same determinant and the same record
+    of leading minors."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(word_matrices())
+    # A_30 and C_{69,40}: 32-bit to the end, C with an even prev.
+    @example(build_min_matrix(30).to_lists())
+    @example(build_c_matrix(69, 40).to_lists())
+    # At the 32-bit limit: each widens at step 0.
+    @example(paper_plant(2**31 - 1))
+    @example(paper_plant(-(2**31 - 1)))
+    @example(paper_plant(-(2**31)))
+    # -2**31 or 2**40 as the pivot over a zero block, and 2**40 in the lead
+    # column over a zero pivot row: the certificate passes 2**31, so the
+    # array is narrowed, and 2**40 wraps. The record keeps the true pivot.
+    @example([[-(2**31)] + [1] * 29] + [[1] + [0] * 29 for _ in range(29)])
+    @example([[2**40] + [1] * 29] + [[1] + [0] * 29 for _ in range(29)])
+    @example([[3] + [0] * 29] + paper_plant(2**40, (4, 0))[1:])
+    @example(widening_with_swaps())
+    def test_words_match_reference(self, phases, rows):
+        for seen in phases.values():
+            seen.clear()
+        n = len(rows)
+        narrow, wide = [], []
+        widened = exact_certificate_hand_off(rows, 2**31, narrow)
+        handed = exact_certificate_hand_off(rows, 2**63, wide)
+        expected_minors = []
+        expected = _eliminate([row[:] for row in rows], expected_minors)
+        det, minors = determinants._det_minors(ExactMatrix(rows))
+        assert det == expected
+        # The record runs across the widening. It stops where the
+        # Python-int loop's does, at a row swap or a zero column, or at the
+        # hand-off step, whose pivot is read first.
+        read = len(expected_minors) if handed is None else min(len(expected_minors), n - handed + 1)
+        assert minors == expected_minors[:read]
+        assert phases["int64"] == [n]
+        assert phases["handed"] == ([] if handed is None else [handed])
+        if widened is None:
+            event("32-bit to the end")
+        else:
+            step = n - widened
+            event("widens at step 0" if step == 0 else "widens after step 0")
+            if any(swapped for swapped, _ in narrow) and any(swapped for swapped, _ in wide[step + 1 :]):
+                event("row swaps before and after the widening")
+            if handed is not None:
+                event("widens, then hands off")
+        if any(prev % 2 == 0 for _, prev in narrow):
+            event("even prev in 32-bit words")
+        for value in WORD_PLANTS[:3]:
+            if any(value in row for row in rows):
+                event(f"planted {value}")
+
+    @pytest.mark.parametrize("lam, handed", [(-3, 108), (2, 91), (5, 108)])
+    def test_char_matrix_widens_then_hands_off(self, phases, lam, handed):
+        # lam*I - A_120 leaves 32-bit words some steps before it leaves
+        # int64 (test_char_matrix_hand_off_is_pinned pins the block handed
+        # off). Its leading m-minor is charpoly(m)(lam), and the record
+        # holds every one up to the hand-off step's.
+        rows = char_matrix(120, lam).to_lists()
+        assert handed < exact_certificate_hand_off(rows, 2**31) < 120
+        det, minors = determinants._det_minors(ExactMatrix(rows))
+        assert det == charpoly(120)(lam)
+        assert minors == [charpoly(m)(lam) for m in range(1, 120 - handed + 2)]
+        assert phases["handed"] == [handed]
 
 
 def crt(rows, det_crt=determinants._det_crt):
