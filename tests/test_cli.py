@@ -267,6 +267,62 @@ class TestSymfunCommand:
         assert out.splitlines()[0] == "k,method,value"
 
 
+class TestSymfunLimit:
+    """`symfun` refuses n above 4096 before it computes anything, except for
+    one k by the closed form, which answers at any n. No size here is
+    computed: the limit itself runs against stubs."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        calls = []
+
+        def symfun(n, k, method):
+            calls.append((n, k, method))
+            return 0
+
+        def row(n, method):
+            calls.append((n, "all", method))
+            return [0] * (n + 1)
+
+        monkeypatch.setattr(symmetric, "symfun", symfun)
+        monkeypatch.setattr(symmetric, "_symfun_row", row)
+        return calls
+
+    @pytest.mark.parametrize("n, k", [(4097, 2), (2**63, 2), (10**20, 2), (10**20, 10**20 - 10)])
+    @pytest.mark.parametrize("method", ["nested", "rec6", "rec7", "ratio", "minors", "all"])
+    def test_refused_before_computing(self, capsys, computed, n, k, method):
+        code, out, err = run(capsys, "symfun", "--n", str(n), "--k", str(k), "--method", method)
+        assert (code, out, computed) == (2, "", [])
+        assert err == (
+            f"error: --n must be <= 4096, got {n}: symfun --method {method} runs down to row n; "
+            "--method closed answers one k at any n\n"
+        )
+
+    @pytest.mark.parametrize("n", [4097, 10**20])
+    @pytest.mark.parametrize("method", ["closed", "rec7"])
+    def test_k_all_is_refused_for_every_method(self, capsys, computed, n, method):
+        code, out, err = run(capsys, "symfun", "--n", str(n), "--method", method)
+        assert (code, out, computed) == (2, "", [])
+        assert err == f"error: --n must be <= 4096, got {n}: symfun --k all computes n + 1 values\n"
+
+    @pytest.mark.parametrize("k", [2, 10**20 - 10])
+    def test_closed_answers_one_k_at_any_n(self, capsys, k):
+        n = 10**20
+        code, out, err = run(capsys, "symfun", "--n", str(n), "--k", str(k))
+        assert (code, out, err) == (0, f"k={k} closed: {math.comb(n + k, n - k)}\n", "")
+
+    def test_the_limit_itself_is_computed(self, capsys, computed):
+        assert run(capsys, "symfun", "--n", "4096", "--k", "2", "--method", "rec6")[0] == 0
+        assert run(capsys, "symfun", "--n", "4096", "--method", "ratio")[0] == 0
+        assert computed == [(4096, 2, "rec6"), (4096, "all", "ratio")]
+
+    def test_help_states_the_limit(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["symfun", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "at most 4096; any n >= 0 for a single --k by --method closed" in help_text
+
+
 class TestVerifyCommand:
     def test_fibonacci_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "fibonacci", "--n-max", "100")

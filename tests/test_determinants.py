@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from itertools import accumulate
 from math import isqrt, prod
 
 import numpy as np
@@ -876,14 +877,17 @@ class TestBound:
     @settings(max_examples=150, deadline=None)
     @given(bound_matrices())
     def test_bound_holds_and_is_the_smaller(self, rows):
-        bound = determinants._hadamard(rows)
+        bound, bounded = determinants._hadamard(rows)
         assert bound >= abs(reference(rows))
         # Δ is unimodular, so the differenced matrix has the same
         # determinant, and the bound is the smaller of the two Hadamard's.
+        # The rows that come with it are the matrix it bounds, the
+        # differenced one on a tie.
         assert reference(differenced(rows)) == reference(rows)
         plain, diff = plain_hadamard(rows), plain_hadamard(differenced(rows))
         event("differenced smaller" if diff < plain else "plain smaller" if plain < diff else "equal")
         assert bound == min(plain, diff)
+        assert bounded == (differenced(rows) if diff <= plain else rows)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -896,8 +900,9 @@ class TestBound:
         # the differenced bound is the smaller.
         inc = [sign * m for m in magnitudes]
         rows = build_delta_matrix(inc).to_lists()
-        assert differenced(rows) == [[x if r == c else 0 for c, x in enumerate(inc)] for r in range(len(inc))]
-        assert determinants._hadamard(rows) == prod(abs(i) + 1 for i in inc)
+        diagonal = [[x if r == c else 0 for c, x in enumerate(inc)] for r in range(len(inc))]
+        assert differenced(rows) == diagonal
+        assert determinants._hadamard(rows) == (prod(abs(i) + 1 for i in inc), diagonal)
 
     @pytest.mark.parametrize("case", ["dense", "delta"])
     def test_plain_bound_where_differencing_is_worse(self, case):
@@ -911,7 +916,10 @@ class TestBound:
             rows = build_delta_matrix([100, -200]).to_lists()
         plain, diff = plain_hadamard(rows), plain_hadamard(differenced(rows))
         assert plain < diff
-        assert determinants._hadamard(rows) == plain
+        bound, bounded = determinants._hadamard(rows)
+        assert (bound, bounded) == (plain, rows)
+        # The input rows themselves, not a copy.
+        assert bounded is rows
 
     @pytest.mark.parametrize("lam", [-3, -2, -1, 2, 3, 4, 5])
     def test_char_matrix_hand_off_takes_one_short_pass(self, monkeypatch, phases, lam):
@@ -991,14 +999,15 @@ class TestMultiModular:
             assert crt(rows) == expected
             if bits < 63:
                 # The same rows as one int64 array, the form of a hand-off
-                # block, which loads without the 32-bit limbs.
+                # block.
                 assert crt(np.array(rows, dtype=np.int64)) == expected
             assert det_bareiss(ExactMatrix(rows)) == expected
 
-    # Python rows load as 32-bit limbs whatever their size. det_bareiss
-    # sends entries that fit int64, -2**63 included, to the int64 phase,
-    # whose hand-off passes the block as an int64 array; larger entries
-    # go to the multi-modular route at once, as limbs.
+    # The rows eliminated load as one int64 array where every entry fits,
+    # else as 32-bit limbs. det_bareiss sends entries that fit int64,
+    # -2**63 included, to the int64 phase, whose hand-off passes the block
+    # as an int64 array; larger entries go to the multi-modular route at
+    # once.
     @pytest.mark.parametrize(
         "big", [2**63 - 1, 2**63, 2**64, 2**200], ids=["2**63-1", "2**63", "2**64", "2**200"]
     )
@@ -1085,7 +1094,7 @@ class TestMultiModular:
                 diagonal = [[target if r == c == 0 else int(r == c) for c in range(n)] for r in range(n)]
                 rows = unimodular_mix(rng, diagonal)
                 assert reference(rows) == target
-                monkeypatch.setattr(determinants, "_hadamard", lambda rows, value=value: value)
+                monkeypatch.setattr(determinants, "_hadamard", lambda rows, value=value: (value, rows))
                 assert determinants._det_crt(rows) == target
 
     def test_block_reduction_keeps_int64_past_the_reduction_interval(self):
@@ -1093,12 +1102,16 @@ class TestMultiModular:
         # factors L and U: elimination mod p recovers L and U, so every
         # update subtracts (p - 1)**2 from each entry below and right of
         # the pivot, the most the bound allows. Without the periodic
-        # reduction int64 would overflow after 128 steps.
+        # reduction int64 would overflow after 128 steps. L @ U's own
+        # differenced form is tridiagonal, so the route is given the
+        # matrix whose differenced form L @ U is, and eliminates that.
         n = determinants._CRT_REDUCE_EVERY + 13
-        rows = [
+        lu = [
             [sum((1 if t == r else -1) * (1 if t == c else -1) for t in range(min(r, c) + 1)) for c in range(n)]
             for r in range(n)
         ]
+        rows = undifferenced(lu)
+        assert determinants._hadamard(rows)[1] == lu
         assert crt(rows) == 1
 
     @pytest.mark.parametrize("per_pass", [1, 3, 7])
@@ -1108,7 +1121,7 @@ class TestMultiModular:
             rows = char_matrix(n, 5).to_lists()
         else:
             rows = random_rows(random.Random(n), n, -(2**41), 2**41)
-        count = len(determinants._crt_primes(2 * determinants._hadamard(rows) + 1)[0])
+        count = len(determinants._crt_primes(2 * determinants._hadamard(rows)[0] + 1)[0])
         # Every pass but the last is full, and the last is partial.
         assert count > per_pass and (per_pass == 1 or count % per_pass)
         # The scratch comes off the budget first: what is left, just above
@@ -1133,7 +1146,7 @@ class TestMultiModular:
         # working array, the scratch holds that row.
         n = _INT64_MIN_DIM
         rows = random_rows(random.Random(3), n, -(2**5), 2**5)
-        count = len(determinants._crt_primes(2 * determinants._hadamard(rows) + 1)[0])
+        count = len(determinants._crt_primes(2 * determinants._hadamard(rows)[0] + 1)[0])
         budget = determinants._CRT_BUDGET_ELEMENTS - determinants._CRT_SCRATCH_ELEMENTS
         assert count < budget // (n * n)
         assert n * n * count < determinants._CRT_SCRATCH_ELEMENTS
@@ -1180,11 +1193,13 @@ class TestMultiModular:
     def test_passes_and_chunks_match_reference(self, n, width, per_pass, chunk_rows, plant, rng):
         # width 0 is an int64 array, the form of a hand-off block; width w
         # is Python rows whose largest entry takes w 32-bit limbs, 9 being
-        # the first width that takes a second group. A small budget gives
-        # passes of per_pass primes, and a small scratch chunks every
-        # step's update, down to one row per chunk. A pivot, or a whole
-        # column, that is zero modulo the first prime only is swapped, or
-        # zeroes that prime's determinant, inside such a chunked step.
+        # the first width that takes a second group. Rows whose entries
+        # all fit int64 (width 1, and 2 below 2**63) load as one int64
+        # array instead. A small budget gives passes of per_pass primes,
+        # and a small scratch chunks every step's update, down to one row
+        # per chunk. A pivot, or a whole column, that is zero modulo the
+        # first prime only is swapped, or zeroes that prime's determinant,
+        # inside such a chunked step.
         q = determinants._crt_primes(1)[0][0]
         if width:
             top = 2 ** (32 * width) - 1
@@ -1271,16 +1286,17 @@ class TestMultiModular:
 
     def test_working_set_follows_the_budget(self):
         # A working array and a scratch of _CRT_BUDGET_ELEMENTS int64 in
-        # all, plus the entries' residue limbs and conversion, a few dozen
-        # bytes each. lam*I - A_120 loads as one limb per entry; a
-        # dimension-48 delta matrix of signed 64-bit increments as three.
+        # all, plus the entries' load and conversion, a few dozen bytes
+        # each. The differenced form of lam*I - A_120 loads as one int64
+        # array; that of a dimension-48 delta matrix of signed 64-bit
+        # increments, their diagonal, as two 32-bit limbs per entry.
         inc = increments(random.Random(48), 48)
         cases = [(char_matrix(120, 5), charpoly(120)(5)), (build_delta_matrix(inc), delta_det_closed(inc))]
         budget = determinants._CRT_BUDGET_ELEMENTS - determinants._CRT_SCRATCH_ELEMENTS
         for matrix, expected in cases:
             rows = matrix.to_lists()
             n = len(rows)
-            count = len(determinants._crt_primes(2 * determinants._hadamard(rows) + 1)[0])
+            count = len(determinants._crt_primes(2 * determinants._hadamard(rows)[0] + 1)[0])
             # More primes than one pass takes.
             assert count * n * n > budget
             # Under the buffer size that det_bareiss sets.
@@ -1313,6 +1329,184 @@ class TestMultiModular:
 
 def increments(rng, count):
     return [rng.choice((-1, 1)) * rng.randrange(2**63, 2**64) for _ in range(count)]
+
+
+def undifferenced(d):
+    """L·d·Lᵀ for the all-ones lower triangle L = Δ⁻¹: entry (i, j) sums
+    d over rows <= i and columns <= j, so differenced() gives d back."""
+    down = [list(accumulate(column)) for column in zip(*d)]
+    return [list(accumulate(row)) for row in zip(*down)]
+
+
+def bareiss_block(rows, steps):
+    """The active block and previous pivot after ``steps`` Bareiss steps
+    on ``rows`` in Python ints, without row swaps: what a hand-off passes
+    to the multi-modular route."""
+    prev = 1
+    for _ in range(steps):
+        pivot, *tail = rows[0]
+        rows = [[(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in rows[1:]]
+        prev = pivot
+    return rows, prev
+
+
+def spy_steps(monkeypatch):
+    """Record each call of _det_mod: the shape of every chunk of the block
+    its updates subtract from, and the count of modular inverses it
+    computes."""
+    calls = []
+    inside = []
+    det_mod = determinants._det_mod
+
+    class Block(np.ndarray):
+        def __isub__(self, other):
+            calls[-1]["updates"].append(self.shape)
+            return super().__isub__(other)
+
+    def spy(a, p, scratch):
+        calls.append({"updates": [], "inverses": 0, "primes": len(p)})
+        inside.append(True)
+        try:
+            return det_mod(a.view(Block), p, scratch)
+        finally:
+            inside.pop()
+
+    def spy_pow(*args):
+        # The module's every pow, the Chinese remaindering's included:
+        # only those inside _det_mod are its inverses.
+        if inside:
+            calls[-1]["inverses"] += 1
+        return pow(*args)
+
+    monkeypatch.setattr(determinants, "_det_mod", spy)
+    monkeypatch.setattr(determinants, "pow", spy_pow, raising=False)
+    return calls
+
+
+class TestDifferencedElimination:
+    """The multi-modular route eliminates the rows that _hadamard bounds,
+    D = Δ·X·Δᵀ where its bound is no larger, else X itself, and each step
+    of _det_mod updates only the span of rows whose lead is nonzero mod
+    some prime and the span of columns whose pivot-row entry is."""
+
+    @pytest.mark.parametrize("taken", ["D", "X"])
+    def test_whole_matrix(self, taken):
+        # A random tridiagonal D of 40-bit entries, summed up into X, has
+        # the smaller differenced bound; a dense random X has the smaller
+        # plain one. Python rows and an int64 array load alike.
+        rng = random.Random(taken)
+        n = 30
+        if taken == "D":
+            d = [[rng.randint(-(2**40), 2**40) if abs(r - c) <= 1 else 0 for c in range(n)] for r in range(n)]
+            rows = undifferenced(d)
+            assert determinants._hadamard(rows)[1] == differenced(rows) == d
+        else:
+            rows = random_rows(rng, n, -(2**40), 2**40)
+            assert determinants._hadamard(rows)[1] is rows
+        expected = reference(rows)
+        assert crt(rows) == expected
+        assert crt(np.array(rows, dtype=np.int64)) == expected
+
+    @pytest.mark.parametrize("taken", ["D", "X"])
+    def test_hand_off(self, taken):
+        # The block after 10 steps on 3*I - A_40 keeps the cumulative
+        # structure, so D is taken; the block after 5 steps on a random
+        # matrix has none, so X is. Both pass prev > 1, as a hand-off does.
+        if taken == "D":
+            rows, steps = char_matrix(40, 3).to_lists(), 10
+        else:
+            rows, steps = random_rows(random.Random(5), 30), 5
+        block, prev = bareiss_block(rows, steps)
+        assert abs(prev) > 1
+        bounded = determinants._hadamard(block)[1]
+        assert bounded == differenced(block) if taken == "D" else bounded is block
+        expected = reference(rows)
+        assert determinants._det_crt(np.array(block, dtype=np.int64), prev) == expected
+        assert determinants._det_crt(block, prev) == expected
+
+    @pytest.mark.parametrize("planted", [0, 268_435_399], ids=["zero", "largest prime"])
+    def test_diagonal_zero_pivot_without_a_row_to_swap(self, monkeypatch, planted):
+        # A delta matrix leaves D = diag(increments). An increment of 0, or
+        # of the largest prime, is a pivot that is zero mod every prime or
+        # mod that one, with nothing below it to swap in: that residue of
+        # the determinant is 0, and no step updates or inverts anything.
+        assert determinants._crt_primes(1)[0] == [268_435_399]
+        inc = increments(random.Random(48), 48)
+        inc[17] = planted
+        rows = build_delta_matrix(inc).to_lists()
+        assert determinants._hadamard(rows)[1] == differenced(rows)
+        steps = spy_steps(monkeypatch)
+        assert crt(rows) == reference(rows) == delta_det_closed(inc)
+        assert [(call["updates"], call["inverses"]) for call in steps] == [([], 0)] * len(steps)
+
+    def test_zero_pivot_mod_one_prime_swaps_inside_the_span(self, monkeypatch):
+        # D's pivot at step s is a multiple of the first prime q, and the
+        # entry below it is not: q's slice swaps rows s and s + 1 and the
+        # other primes' slices do not. Row s + 1's lead is nonzero mod
+        # those primes, column s + 1 of the pivot row is nonzero mod all,
+        # so the step updates that one entry and nothing else.
+        rng = random.Random(11)
+        n, s = 30, 12
+        primes = determinants._crt_primes(2**200)[0][:3]
+        q = primes[0]
+        d = [[rng.randint(2**30, 2**40) * (r == c) for c in range(n)] for r in range(n)]
+        d[s][s] = q * rng.randint(1, 2**12)
+        d[s + 1][s], d[s][s + 1] = rng.randint(1, 2**12), rng.randint(1, 2**12)
+        rows = undifferenced(d)
+        assert determinants._hadamard(rows)[1] == d
+        expected = reference(rows)
+        assert expected % q != 0
+        steps = spy_steps(monkeypatch)
+        assert residues_by_slice(d, primes) == [expected % p for p in primes]
+        assert crt(rows) == expected
+        for call in steps:
+            assert call["updates"] == [(1, 1, call["primes"])]
+            assert call["inverses"] == call["primes"]
+
+    def test_hand_off_whose_differenced_entries_overflow_int64(self, monkeypatch, phases):
+        # Increments 2**62, then -(2**63 + 1), 2**63 + 2, ...: the prefix
+        # sums stay near +-2**62, so the matrix converts to int64, and the
+        # int64 phase hands all 30 rows off at step 0. D = diag(increments)
+        # has the smaller bound but entries past int64, so it loads as
+        # 32-bit limbs.
+        n = 30
+        inc = [2**62] + [(-1) ** i * (2**63 + i) for i in range(1, n)]
+        rows = build_delta_matrix(inc).to_lists()
+        assert max(max(map(abs, row)) for row in rows) < 2**63 <= max(map(abs, inc))
+        limbs = []
+        limb_residues = determinants._limb_residues
+
+        def spy(out, limbs_in, p, scratch):
+            limbs.append(limbs_in.shape)
+            return limb_residues(out, limbs_in, p, scratch)
+
+        monkeypatch.setattr(determinants, "_limb_residues", spy)
+        assert det_bareiss(ExactMatrix(rows)) == reference(rows) == delta_det_closed(inc)
+        assert_one_hand_off(phases, n, n)
+        assert limbs and {shape for shape in limbs} == {(n * n, 2)}
+
+    def test_spans_on_delta_and_char_matrices(self, monkeypatch, phases):
+        # A dimension-48 delta matrix of 64-bit increments: D is diagonal,
+        # so its two passes, of 99 and 10 primes, make no update and no
+        # inverse. The blocks that lam*I - A_120 hands off have a
+        # tridiagonal D: every step updates one entry, one row.
+        steps = spy_steps(monkeypatch)
+        inc = increments(random.Random(48), 48)
+        assert det_bareiss(build_delta_matrix(inc)) == delta_det_closed(inc)
+        assert [(call["primes"], call["updates"], call["inverses"]) for call in steps] == [
+            (99, [], 0),
+            (10, [], 0),
+        ]
+        poly = charpoly(120)
+        for lam in (-3, -2, -1, 2, 3, 4, 5):
+            steps.clear()
+            phases["handed"].clear()
+            assert det_bareiss(char_matrix(120, lam)) == poly(lam)
+            [handed] = phases["handed"]
+            [call] = steps
+            k = call["primes"]
+            assert call["updates"] == [(1, 1, k)] * (handed - 1)
+            assert call["inverses"] == k * (handed - 1)
 
 
 class TestRouting:
