@@ -163,16 +163,16 @@ def cmd_matrix(args):
 
 # A `det` process computes one determinant. For min and c, whose Bareiss
 # intermediates stay small, the Python-int loop below this dimension costs
-# less than numpy's import plus det_bareiss's int64 route. Whole process,
-# median of 11 alternating runs (2 vCPUs, one CPU pinned, Python 3.11,
-# numpy 2.4), det_bareiss against _eliminate:
-#   det c --n 40 --k 7 (dim 34)    231 ms   97 ms
-#   det min --n 80                 196 ms  112 ms
-#   det min --n 120                209 ms  153 ms
-#   det min --n 160                206 ms  273 ms
-#   det c --n 89 --k 30 (dim 60)   221 ms  129 ms
-#   det c --n 149 --k 50 (dim 100) 237 ms  177 ms
-#   det c --n 209 --k 70 (dim 140) 225 ms  250 ms
+# less than numpy's import plus det_bareiss's multi-modular route. Whole
+# process, median of 11 alternating runs (2 vCPUs, one CPU pinned, Python
+# 3.11, numpy 2.4), det_bareiss against _eliminate:
+#   det c --n 40 --k 7 (dim 34)    202 ms   81 ms
+#   det min --n 80                 164 ms   78 ms
+#   det min --n 120                233 ms  169 ms
+#   det min --n 160                239 ms  276 ms
+#   det c --n 89 --k 30 (dim 60)   152 ms   71 ms
+#   det c --n 149 --k 50 (dim 100) 182 ms  131 ms
+#   det c --n 209 --k 70 (dim 140) 242 ms  281 ms
 # Once numpy is loaded its import is paid, so det_bareiss's route stands.
 _ONE_SHOT_DIM = 128
 

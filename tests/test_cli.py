@@ -615,8 +615,8 @@ class TestNumpyLoading:
             _case(["matrix", "c", "--n", "30", "--k", "8", "--format", "csv"], False,
                   ["cli", "csv", "determinants", "matrices"]),
             _case(["verify", "--suite", "all", "--n-max", "16"], False, _VERIFY_MODULES),
-            # The sweep's largest matrix, A_{n_max}, takes the int64 phase
-            # from dimension 24 up.
+            # The sweep's largest matrix, A_{n_max}, takes the multi-modular
+            # route from dimension 24 up.
             _case(["verify", "--suite", "dets", "--n-max", "23"], False, _VERIFY_MODULES),
             _case(["verify", "--suite", "dets", "--n-max", "24"], True, _VERIFY_MODULES),
             _case(["det", "c", "--n", "25", "--k", "5", "--method", "both"], False),  # dimension 21
@@ -658,12 +658,12 @@ class TestNumpyLoading:
 
 
 # Run in a fresh interpreter with numpy already imported: the counts of
-# det_bareiss's int64 route and of _eliminate in one `det c` call.
+# det_bareiss's multi-modular route and of _eliminate in one `det c` call.
 _LOADED_NUMPY_PROBE = """
 import contextlib, io, json, sys
 import numpy
 from minmatrix import cli, determinants
-calls = {"int64": 0, "eliminate": 0}
+calls = {"crt": 0, "eliminate": 0}
 
 def counted(name, function):
     def spy(*args):
@@ -671,7 +671,7 @@ def counted(name, function):
         return function(*args)
     return spy
 
-determinants._det_int64 = counted("int64", determinants._det_int64)
+determinants._det_crt = counted("crt", determinants._det_crt)
 cli._eliminate = counted("eliminate", cli._eliminate)
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = cli.main(["det", "c", "--n", "46", "--k", "7", "--method", "both"])
@@ -690,7 +690,7 @@ class TestOneShotDet:
             [sys.executable, "-c", _LOADED_NUMPY_PROBE],
             capture_output=True, text=True, env=env, check=True,
         )
-        assert json.loads(done.stdout) == {"code": 0, "tail": "agree", "int64": 1, "eliminate": 0}
+        assert json.loads(done.stdout) == {"code": 0, "tail": "agree", "crt": 1, "eliminate": 0}
 
     @pytest.mark.parametrize("dim", [24, 34, 127, 128])
     @pytest.mark.parametrize("kind, k", [("min", 1), ("c", 2), ("c", 3), ("c", 64), ("c", 2**70)])

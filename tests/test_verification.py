@@ -6,13 +6,12 @@ columns, and the binomial identity's running sums."""
 import random
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from minmatrix import ExactMatrix, build_c_matrix, build_min_matrix, determinants, symmetric, verification
-from minmatrix.determinants import _INT64_MIN_DIM
+from minmatrix.determinants import _CRT_MIN_DIM
 
 MIN_SWEEP = "every leading minor of the min matrix equals 1"
 C_SWEEP = "every leading minor of the shifted matrix equals its shift"
@@ -84,31 +83,23 @@ def _corrupt_eliminate(monkeypatch, corner, step):
     return faults
 
 
-def _corrupt_int64(monkeypatch, corner, step):
-    """Make the int64 phase's update at ``step`` of a matrix whose top-left
-    entry is ``corner`` leave its next pivot off by one. Each step applies
-    its update by one in-place subtraction on a view of the active block,
-    whose entry (0, 0) is the next pivot. Returns the count of faults."""
-    det_int64 = determinants._det_int64
+def _corrupt_crt(monkeypatch, corner, step):
+    """Make the multi-modular route's elimination of a matrix whose top-left
+    entry is ``corner`` read the pivot of step + 1 off by one, as a faulty
+    update at ``step`` would leave it: the leading (step + 2)-minor and
+    every later one come out wrong. The route eliminates the differenced
+    form, whose top-left entry is the matrix's own. Returns the count of
+    faults put in."""
+    det_mod = determinants._det_mod
     faults = []
-    done = []
-
-    class Block(np.ndarray):
-        def __isub__(self, other):
-            result = super().__isub__(other)
-            done.append(None)
-            if len(done) == step + 1:
-                self[0, 0] += 1
-                faults.append(step)
-            return result
 
     def corrupted(a, *args):
-        if a[0, 0] != corner:
-            return det_int64(a, *args)
-        done.clear()
-        return det_int64(a.view(Block), *args)
+        if (a[0, 0] == corner).all():
+            a[step + 1, step + 1] += 1
+            faults.append(step)
+        return det_mod(a, *args)
 
-    monkeypatch.setattr(determinants, "_det_int64", corrupted)
+    monkeypatch.setattr(determinants, "_det_mod", corrupted)
     return faults
 
 
@@ -130,24 +121,24 @@ class TestCorruptedUpdate:
         assert faults == [6]
         assert verification.check_c_minors(16).passed
 
-    def test_int64_route_c(self, monkeypatch):
-        # C_{40,7} has dimension 34, so it takes the int64 phase.
-        assert build_c_matrix(40, 7).dim >= _INT64_MIN_DIM
-        faults = _corrupt_int64(monkeypatch, corner=7, step=20)
+    def test_crt_route_c(self, monkeypatch):
+        # C_{40,7} has dimension 34, so it takes the multi-modular route.
+        assert build_c_matrix(40, 7).dim >= _CRT_MIN_DIM
+        faults = _corrupt_crt(monkeypatch, corner=7, step=20)
         assert counterexample(verification.check_c_minors(40)) == "n=28, k=7"
         assert faults == [20]
         assert verification.check_min_minors(40).passed
 
-    def test_int64_route_min(self, monkeypatch):
-        faults = _corrupt_int64(monkeypatch, corner=1, step=30)
+    def test_crt_route_min(self, monkeypatch):
+        faults = _corrupt_crt(monkeypatch, corner=1, step=30)
         assert counterexample(verification.check_min_minors(40)) == "n=32"
         assert faults == [30]
         assert verification.check_c_minors(40).passed
 
 
 class TestShortRecord:
-    """A record cut short by a row swap or a hand-off fails the sweep at
-    the first minor it lacks, even where the determinant is right."""
+    """A record cut short by a row swap fails the sweep at the first minor
+    it lacks, even where the determinant is right."""
 
     @pytest.mark.parametrize("kept", [0, 3, 13])
     def test_swap_cuts_the_record(self, monkeypatch, kept):
@@ -175,18 +166,6 @@ class TestShortRecord:
         assert minors == []
         monkeypatch.setattr(verification, "build_min_matrix", lambda n: matrix)
         assert counterexample(verification.check_min_minors(5)) == "n=1"
-
-    def test_hand_off_cuts_the_record(self, monkeypatch):
-        # With an overflow limit of 32, step 0's exact certificate, 41 on
-        # A_40 and 84 on C_{40,2}, fails: the int64 phase hands both to the
-        # multi-modular route at once. The determinants stay right; of the
-        # minors, only the first pivot is read.
-        monkeypatch.setattr(determinants, "_INT64_LIMIT", 32)
-        assert determinants.det_bareiss(build_min_matrix(40)) == 1
-        assert determinants.det_bareiss(build_c_matrix(40, 2)) == 2
-        assert determinants._det_minors(build_min_matrix(40)) == (1, [1])
-        assert counterexample(verification.check_min_minors(40)) == "n=2"
-        assert counterexample(verification.check_c_minors(40)) == "n=3, k=2"
 
 
 def _corrupt_column(monkeypatch, method, n, k, by=1):
