@@ -18,9 +18,9 @@ arithmetic, so every comparison is an exact equality.
 that the elimination read, which ``verify`` checks one family at a time.
 """
 
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from math import isqrt, prod
-from operator import mul, sub
+from operator import mul
 
 from .matrices import _check_increments
 
@@ -57,28 +57,14 @@ _CRT_REDUCE_EVERY = ((1 << 63) - (1 << _CRT_PRIME_BITS)) >> (2 * _CRT_PRIME_BITS
 # 2.4).
 _CRT_BUDGET_ELEMENTS = 294_912
 # Elements of the scratch through which each elimination step applies its
-# update, a chunk of rows at a time, and a limb sum past the first group
-# is added: 65,536 int64, 512 KiB. With the same primes per pass, 16,384
-# to 65,536 took the same time within noise, 4,096 was 15-30 % slower and
-# 131,072 up to 12 % slower on char_matrix(120, lam) (same host). A
-# scratch of 16,384, whose budget gives one pass of 120 primes at n = 48,
-# was no faster either.
+# update, a chunk of rows at a time, and each pass loads the residues of
+# the matrix's nonzero entries, a chunk of entries at a time: 65,536
+# int64, 512 KiB. With the same primes per pass, 16,384 to 65,536 took
+# the same time within noise, 4,096 was 15-30 % slower and 131,072 up to
+# 12 % slower on char_matrix(120, lam) (same host). A scratch of 16,384,
+# whose budget gives one pass of 120 primes at n = 48, was no faster
+# either.
 _CRT_SCRATCH_ELEMENTS = 65_536
-# Signed 32-bit limbs summed per matrix product before a reduction mod p:
-# each limb times a weight below 2**28 is below 2**60 in magnitude, so 8
-# of them and a residue below p stay inside int64. Entries below 2**256
-# take one group.
-_CRT_LIMB_GROUP = 8
-# Elements of each buffer numpy's ufuncs use while det_bareiss runs the
-# multi-modular route, in place of numpy's 8,192. The route runs nearly
-# every operation along the prime axis, a loop of one to a few hundred
-# elements, and numpy buffers each operand of such an operation to
-# lengthen its loop. Buffers of 1,024 elements stay in the first-level
-# cache: with them, delta matrices of 64-bit increments took about 10 %
-# less time and char_matrix(120, lam) about 30 % less, and the tracemalloc
-# peak of det_bareiss fell by about 0.1 MB (2-vCPU x86-64 host, Python
-# 3.11, numpy 2.4).
-_UFUNC_BUFFER = 1024
 
 
 def det_bareiss(matrix):
@@ -111,15 +97,11 @@ def det_bareiss(matrix):
     is, and computes the pivots' modular inverses, the only per-prime
     Python work, only where neither span is empty: a diagonal D makes no
     update and no inverse. A_150 and the C_{n,k} of dimension 150 take
-    about 2.3-4.8 ms this way, lam*I - A_120 about 8-13 ms at lam = 4 and
-    12-18 ms at lam = 5, whose 16 primes take two passes, and a
-    dimension-48 delta matrix of 64-bit increments about 5-8 ms (in
-    process, medians of 21 calls on one CPU, over two sessions on a shared
-    2-vCPU x86-64 host, Python 3.11, numpy 2.4).
-
-    The route runs with numpy's ufunc buffers at _UFUNC_BUFFER elements.
-    The setting is local to the thread and context, and the caller's is
-    restored, also when the route raises.
+    about 2.3-2.5 ms this way, lam*I - A_120 about 7 ms at lam = 4 and
+    10 ms at lam = 5, whose 16 primes take two passes, and a dimension-48
+    delta matrix of 64-bit increments about 2.8-2.9 ms (in process,
+    medians of 21 calls on one CPU, over two sessions on a shared 2-vCPU
+    x86-64 host, Python 3.11, numpy 2.4).
     """
     return _det_minors(matrix, record=False)[0]
 
@@ -152,13 +134,7 @@ def _det_minors(matrix, record=True):
     minors = [] if record else None
     if len(rows) < _CRT_MIN_DIM:
         return _eliminate(matrix.to_lists(), minors), minors
-    import numpy as np
-
-    buffer = np.setbufsize(_UFUNC_BUFFER)
-    try:
-        return _det_crt(rows, minors), minors
-    finally:
-        np.setbufsize(buffer)
+    return _det_crt(rows, minors), minors
 
 
 def _eliminate(rows, minors=None):
@@ -256,9 +232,9 @@ def _norm_ceiling(s):
 
 
 def _norm_product(a):
-    """Hadamard's bound on the int64 array ``a``: the product of its row
-    norms, each rounded up to an integer. The squares are summed in Python
-    ints, over the nonzero entries alone."""
+    """Hadamard's bound on the integer array ``a``, int64 or object: the
+    product of its row norms, each rounded up to an integer. The squares
+    are summed in Python ints, over the nonzero entries alone."""
     import numpy as np
 
     values = a[a != 0].tolist()
@@ -268,29 +244,25 @@ def _norm_product(a):
 
 
 def _hadamard(rows):
-    """A bound on |det| of the square matrix ``rows``, Python rows that are
-    only read, and the matrix it bounds: the smaller of Hadamard's bound on
-    ``rows`` and on D = Δ·rows·Δᵀ, each the product of the row norms
-    rounded up to integers, with D where its bound is no larger, else
-    ``rows``.
+    """A bound on |det| of the square matrix X = ``rows``, Python rows that
+    are only read, and the matrix it bounds as a new array: the smaller of
+    Hadamard's bound on X and on D = Δ·X·Δᵀ, each the product of the row
+    norms rounded up to integers, with D where its bound is no larger,
+    else X.
 
     Δ is unit lower bidiagonal, with -1 below the diagonal: D is each row
     less the row above it, then each entry less its left neighbour. Since
-    det Δ = 1, det D = det ``rows``, so both bounds hold, and either
-    matrix may be eliminated in place of the other. The paper's matrices
-    are cumulative, entry (i, j) a prefix sum at min(i, j), and leave
-    little of D: A_n leaves the identity, a delta matrix
-    diag(i_1, ..., i_n), a theta matrix a diagonal and one entry below it,
-    and lam*I - A_n a tridiagonal D.
+    det Δ = 1, det D = det X, so both bounds hold, and either matrix may be
+    eliminated in place of the other. The paper's matrices are cumulative,
+    entry (i, j) a prefix sum at min(i, j), and leave little of D: A_n
+    leaves the identity, a delta matrix diag(i_1, ..., i_n), a theta matrix
+    a diagonal and one entry below it, and lam*I - A_n a tridiagonal D.
 
-    The product of the rows' max |x| is at most Hadamard's bound on
-    ``rows``; where D's bound is no larger, that one is the smaller and the
-    row norms of ``rows`` are not summed. Where every entry converts to
-    int64 with |x| < 2**61, D's entries, sums of four, fit as well: D comes
-    from two np.diff calls on that array, and the matrix bounded is
-    returned as an int64 array, D or ``rows``. Otherwise it is built a row
-    at a time in Python ints, and returned as new lists for D or as
-    ``rows`` itself.
+    X is an int64 array where every entry has |x| < 2**61, so that D's
+    entries, sums of four, fit as well, and an object array of Python ints
+    otherwise. Either way D comes from two np.diff calls. The product of
+    the rows' max |x| is at most Hadamard's bound on X; where D's bound is
+    no larger, that one is the smaller and X's row norms are not summed.
     """
     import numpy as np
 
@@ -299,29 +271,14 @@ def _hadamard(rows):
         x = np.fromiter(chain.from_iterable(rows), np.int64, n * n).reshape(n, n)
     except OverflowError:
         x = None
-    if x is not None and -(1 << 61) < int(x.min()) and int(x.max()) < 1 << 61:
-        d = np.diff(np.diff(x, axis=0, prepend=0), axis=1, prepend=0)
-        differenced = _norm_product(d)
-        if differenced <= prod(np.abs(x).max(axis=1).tolist()):
-            return differenced, d
-        plain = _norm_product(x)
-        return (differenced, d) if differenced <= plain else (plain, x)
-    differenced = floor = 1
-    above = repeat(0)
-    d_rows = []
-    for row in rows:
-        floor *= max(max(row), -min(row))
-        # Row less the row above, then each entry less its left neighbour;
-        # d[0] has no left neighbour.
-        d = list(map(sub, row, above))
-        d = [d[0], *map(sub, islice(d, 1, None), d)]
-        differenced *= _norm_ceiling(sum(map(mul, d, d)))
-        d_rows.append(d)
-        above = row
-    if differenced <= floor:
-        return differenced, d_rows
-    plain = prod(_norm_ceiling(sum(map(mul, row, row))) for row in rows)
-    return (differenced, d_rows) if differenced <= plain else (plain, rows)
+    if x is None or not (-(1 << 61) < int(x.min()) and int(x.max()) < 1 << 61):
+        x = np.array(rows, dtype=object)
+    d = np.diff(np.diff(x, axis=0, prepend=0), axis=1, prepend=0)
+    differenced = _norm_product(d)
+    if differenced <= prod(np.abs(x).max(axis=1).tolist()):
+        return differenced, d
+    plain = _norm_product(x)
+    return (differenced, d) if differenced <= plain else (plain, x)
 
 
 def _crt(columns, primes, modulus):
@@ -357,43 +314,44 @@ def _det_crt(rows, minors=None):
 
     The elimination runs on the matrix that ``_hadamard`` returns with the
     bound: D = Δ·X·Δᵀ where its bound is no larger, else X. det Δ = 1, so
-    the certificate, the primes and the passes do not depend on which. It
-    comes as an int64 array, or as Python rows, which convert to int64
-    where every entry fits, and are otherwise split into signed 32-bit
-    limbs: each pass sums them against the weights 2**(32*j) mod p in one
-    matrix product per _CRT_LIMB_GROUP limbs, reduced by one `%`.
+    the certificate, the primes and the passes do not depend on which. Only
+    its nonzero entries are loaded, into a zeroed working array: an int64
+    entry, below 2**61 in magnitude, as one limb, an object entry as signed
+    32-bit limbs, most significant first. Each residue is then reduced by
+    Horner's rule, r = (r * 2**32 + limb) % p from r = 0: r * 2**32 + limb
+    stays below 2**61 in magnitude.
 
     One working array of n*n int64 per prime and one scratch of at most
     _CRT_SCRATCH_ELEMENTS int64 serve every pass, both sized for the
-    primes a pass actually takes.
+    primes a pass actually takes; the load goes through the scratch a chunk
+    of entries at a time.
     """
     import numpy as np
 
     n = len(rows)
-    bound, rows = _hadamard(rows)
+    bound, x = _hadamard(rows)
     primes, modulus = _crt_primes(2 * bound + 1)
-    if isinstance(rows, np.ndarray):
-        entries = rows
+    nonzero = np.flatnonzero(x)
+    if x.dtype == object:
+        # |x| as 32-bit limbs, most significant first, each carrying the
+        # sign of x, one row of limbs per entry. Past 2**61 only: at least
+        # one entry is nonzero.
+        values = x.ravel()[nonzero].tolist()
+        width = -(-max(map(abs, values)).bit_length() // 32)
+        limbs = np.frombuffer(
+            b"".join(abs(v).to_bytes(4 * width, "big") for v in values), dtype=">u4"
+        ).astype(np.int64).reshape(len(values), width)
+        np.negative(limbs, out=limbs, where=np.array([v < 0 for v in values])[:, None])
+        del values
     else:
-        try:
-            entries = np.fromiter(chain.from_iterable(rows), np.int64, n * n).reshape(n, n)
-        except OverflowError:
-            entries = None
-            # |x| as 32-bit limbs, least significant first, each carrying
-            # the sign of x, one row of limbs per entry.
-            flat = [x for row in rows for x in row]
-            width = max(1, -(-max(map(abs, flat)).bit_length() // 32))
-            limbs = np.frombuffer(
-                b"".join(abs(x).to_bytes(4 * width, "little") for x in flat), dtype="<u4"
-            ).astype(np.int64).reshape(n * n, width)
-            np.negative(limbs, out=limbs, where=np.array([x < 0 for x in flat])[:, None])
-            # The conversion's transients are gone before the passes'
-            # arrays are allocated, so they do not add to them.
-            del flat
+        limbs = x.ravel()[nonzero, None]
+    # The matrix and its conversion are gone before the passes' arrays are
+    # allocated, so they do not add to them.
+    del x
     per_pass = min(len(primes), max(1, (_CRT_BUDGET_ELEMENTS - _CRT_SCRATCH_ELEMENTS) // (n * n)))
     work = np.empty(n * n * per_pass, dtype=np.int64)
     # At least one row of a pass's working array, so that a chunk of the
-    # elimination's update, or of the limb sums, holds at least one row.
+    # elimination's update, or of the load, holds at least one row.
     scratch = np.empty(max(n * per_pass, min(_CRT_SCRATCH_ELEMENTS, work.size)), dtype=np.int64)
     products = []
     swapped = n
@@ -401,11 +359,18 @@ def _det_crt(rows, minors=None):
         p = np.array(primes[start : start + per_pass], dtype=np.int64)
         k = len(p)
         a = work[: n * n * k].reshape(n, n, k)
-        if entries is not None:
-            # x % p is the residue of each signed int64 entry.
-            np.remainder(entries[:, :, None], p, out=a)
-        else:
-            _limb_residues(a.reshape(n * n, k), limbs, p, scratch)
+        a.fill(0)
+        entries = a.reshape(n * n, k)
+        chunk = len(scratch) // k
+        for first in range(0, len(nonzero), chunk):
+            part = limbs[first : first + chunk]
+            residues = scratch[: len(part) * k].reshape(len(part), k)
+            np.remainder(part[:, :1], p, out=residues)
+            for j in range(1, part.shape[1]):
+                residues <<= 32
+                residues += part[:, j, None]
+                residues %= p
+            entries[nonzero[first : first + chunk]] = residues
         prefix, first_swap = _det_mod(a, p, scratch)
         products.append(prefix)
         swapped = min(swapped, first_swap)
@@ -415,38 +380,6 @@ def _det_crt(rows, minors=None):
         minors += _crt(columns, primes, modulus)
     columns = chain.from_iterable(prefix[-1:].T.tolist() for prefix in products)
     return _crt(columns, primes, modulus)[0]
-
-
-def _limb_residues(out, limbs, p, scratch):
-    """Write into ``out`` (entries x primes) the residues in [0, p) of the
-    entries whose signed 32-bit limbs, least significant first, are the
-    rows of ``limbs``: the sum of limb j times 2**(32*j) mod p.
-
-    Each product is below 2**60 in magnitude, so _CRT_LIMB_GROUP of them,
-    and a residue carried from the group before, stay inside int64. The
-    first group's product is written into ``out`` itself; a later group's
-    goes through ``scratch`` a chunk of entries at a time.
-    """
-    import numpy as np
-
-    width = limbs.shape[1]
-    weights = np.empty((width, len(p)), dtype=np.int64)
-    weights[0] = 1
-    base = (1 << 32) % p
-    for j in range(1, width):
-        np.multiply(weights[j - 1], base, out=weights[j])
-        weights[j] %= p
-    group = _CRT_LIMB_GROUP
-    np.matmul(limbs[:, :group], weights[:group], out=out)
-    rows = len(scratch) // len(p)
-    for first in range(group, width, group):
-        out %= p
-        for r in range(0, len(out), rows):
-            chunk = out[r : r + rows]
-            part = scratch[: chunk.size].reshape(chunk.shape)
-            np.matmul(limbs[r : r + rows, first : first + group], weights[first : first + group], out=part)
-            chunk += part
-    out %= p
 
 
 def _det_mod(a, p, scratch):
@@ -466,7 +399,7 @@ def _det_mod(a, p, scratch):
     inverse. A diagonal ``a`` costs no update at all, a tridiagonal one
     (with no swap) one entry per step.
 
-    Entries of ``a`` start in (-p, p). Each step reduces the pivot column,
+    Entries of ``a`` start in [0, p). Each step reduces the pivot column,
     and the pivot row where it updates, so every factor of an update is in
     [0, p) and each update subtracts less than 2**56 from a block entry;
     the block is reduced every _CRT_REDUCE_EVERY steps, before it could

@@ -118,8 +118,8 @@ def check_c_dets(cases):
 def _leading_minors(matrix):
     """The leading principal minors that one det_bareiss elimination of
     matrix reads, entry m that of the leading (m + 1) x (m + 1) block. Each
-    minor that a row swap or a hand-off left unread is None, which equals
-    no determinant."""
+    minor that a row swap left unread is None, which equals no
+    determinant."""
     minors = _det_minors(matrix)[1]
     return minors + [None] * (matrix.dim - len(minors))
 

@@ -324,19 +324,13 @@ ORACLE_EXAMPLES = [
 ]
 
 ORACLE_BRANCHES = {
-    "numpy bound",
-    "list bound, int64 rows",
-    "list bound, entries past int64",
-    "limbs",
+    "int64 load",
+    "limb load",
     "singular",
     "row swap",
     "pivot zero mod the largest prime",
     "several passes",
 }
-
-
-def fits_int64(rows):
-    return all(-(2**63) <= x < 2**63 for row in rows for x in row)
 
 
 def run_route(rows, per_pass=None):
@@ -347,20 +341,14 @@ def run_route(rows, per_pass=None):
     taken = set()
     passes = []
     hadamard = determinants._hadamard
-    limb_residues = determinants._limb_residues
     det_mod = determinants._det_mod
 
     def spy_hadamard(rows):
+        # An int64 array loads each entry as one limb, an object array as
+        # signed 32-bit limbs.
         bound, bounded = hadamard(rows)
-        if isinstance(bounded, np.ndarray):
-            taken.add("numpy bound")
-        else:
-            taken.add("list bound, int64 rows" if fits_int64(rows) else "list bound, entries past int64")
+        taken.add("int64 load" if bounded.dtype == np.int64 else "limb load")
         return bound, bounded
-
-    def spy_limbs(*args):
-        taken.add("limbs")
-        return limb_residues(*args)
 
     def spy_det_mod(a, p, scratch):
         prefix, swapped = det_mod(a, p, scratch)
@@ -373,7 +361,6 @@ def run_route(rows, per_pass=None):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(determinants, "_hadamard", spy_hadamard)
-        patch.setattr(determinants, "_limb_residues", spy_limbs)
         patch.setattr(determinants, "_det_mod", spy_det_mod)
         if per_pass:
             budget = per_pass * n * n + determinants._CRT_SCRATCH_ELEMENTS
@@ -417,7 +404,7 @@ def oracle_matrices(draw):
         rows = random_rows(rng, n)
     signs = st.sampled_from([1, -1])
     if size == "near 2**63":
-        # From 2**61 up: the list bound on rows that fit int64.
+        # From 2**61 up: the limb load, also on rows that fit int64.
         near = st.builds(lambda offset, sign: sign * (2**63 - 1 - offset), st.integers(0, 2**61), signs)
         values = st.one_of(near, st.just(-(2**63)))
     else:
@@ -542,12 +529,6 @@ def differenced(rows):
     return [[row[c] - (row[c - 1] if c else 0) for c in range(n)] for row in down]
 
 
-def as_lists(bounded):
-    """The rows that _hadamard returns, an int64 array or Python rows, as
-    lists."""
-    return bounded.tolist() if isinstance(bounded, np.ndarray) else bounded
-
-
 @st.composite
 def bound_matrices(draw):
     """Square matrices of dimension 1-30: random rows or the cumulative
@@ -579,17 +560,17 @@ class TestBound:
         assert bound >= abs(reference(rows))
         # Δ is unimodular, so the differenced matrix has the same
         # determinant, and the bound is the smaller of the two Hadamard's.
-        # The rows that come with it are the matrix it bounds, the
-        # differenced one on a tie: an int64 array where every entry is
-        # below 2**61 in magnitude, else Python rows.
+        # The array that comes with it is the matrix it bounds, the
+        # differenced one on a tie: int64 where every entry is below 2**61
+        # in magnitude, else an object array of Python ints.
         assert reference(differenced(rows)) == reference(rows)
         plain, diff = plain_hadamard(rows), plain_hadamard(differenced(rows))
         event("differenced smaller" if diff < plain else "plain smaller" if plain < diff else "equal")
         assert bound == min(plain, diff)
-        assert as_lists(bounded) == (differenced(rows) if diff <= plain else rows)
+        assert bounded.tolist() == (differenced(rows) if diff <= plain else rows)
         small = all(abs(x) < 2**61 for row in rows for x in row)
-        assert isinstance(bounded, np.ndarray) == small
-        event("numpy bound" if small else "list bound")
+        assert bounded.dtype == (np.int64 if small else object)
+        event("int64 array" if small else "object array")
 
     def test_bound_is_the_ceiling(self):
         # Row norms are rounded up to their true ceiling: D = I bounds A_n
@@ -613,7 +594,7 @@ class TestBound:
         diagonal = [[x if r == c else 0 for c, x in enumerate(inc)] for r in range(len(inc))]
         assert differenced(rows) == diagonal
         bound, bounded = determinants._hadamard(rows)
-        assert (bound, as_lists(bounded)) == (prod(magnitudes), diagonal)
+        assert (bound, bounded.tolist()) == (prod(magnitudes), diagonal)
 
     @pytest.mark.parametrize("case", ["dense", "theta", "dense past 2**61"])
     def test_plain_bound_where_differencing_is_worse(self, case):
@@ -621,8 +602,7 @@ class TestBound:
         # sums up to four entries into each, and lengthens every row. On
         # the theta matrix of (-4, 1, 6), rows (-4, -3) and (-4, 3), of
         # norm 5, differencing leaves (-4, 1) and (0, 6), a larger product.
-        # Entries past 2**61 take the list path, which returns the input
-        # rows themselves, not a copy.
+        # Entries past 2**61 come back as an object array.
         if case == "theta":
             rows = build_theta_matrix([-4, 1, 6]).to_lists()
         else:
@@ -631,8 +611,8 @@ class TestBound:
         plain, diff = plain_hadamard(rows), plain_hadamard(differenced(rows))
         assert plain < diff
         bound, bounded = determinants._hadamard(rows)
-        assert (bound, as_lists(bounded)) == (plain, rows)
-        assert (bounded is rows) == (case == "dense past 2**61")
+        assert (bound, bounded.tolist()) == (plain, rows)
+        assert bounded.dtype == (object if case == "dense past 2**61" else np.int64)
 
 
 class TestMultiModular:
@@ -686,8 +666,8 @@ class TestMultiModular:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "0"
 
-    # Entries of 512 bits take two groups of eight 32-bit limbs, whose sums
-    # would leave int64 without a reduction between them.
+    # Entries of 512 bits take sixteen 32-bit limbs, each folded into the
+    # residue by Horner's rule.
     @pytest.mark.parametrize("n", [1, 2, 3, _CRT_MIN_DIM])
     @pytest.mark.parametrize("bits", [1, 30, 64, 200, 512])
     def test_small_and_threshold_dimensions(self, n, bits):
@@ -698,8 +678,8 @@ class TestMultiModular:
             assert crt(rows) == expected
             assert det_bareiss(ExactMatrix(rows)) == expected
 
-    # The rows eliminated load as one int64 array where every entry fits,
-    # else as 32-bit limbs; entries from 2**61 up take the list bound.
+    # The matrix eliminated loads each entry as one int64 limb where every
+    # entry is below 2**61 in magnitude, else as signed 32-bit limbs.
     @pytest.mark.parametrize(
         "big", [2**63 - 1, 2**63, 2**64, 2**200], ids=["2**63-1", "2**63", "2**64", "2**200"]
     )
@@ -773,9 +753,11 @@ class TestMultiModular:
     def test_results_near_half_the_modulus(self, monkeypatch, count, n):
         # M is the product of the first ``count`` primes and m of one
         # fewer. With Hadamard's bound patched to (M - 3) / 2 or
-        # (m + 1) / 2, exactly those primes are used: +-(M - 3) / 2 are
-        # the residues farthest from 0 that the symmetric range holds, and
-        # +-(m + 1) / 2 would come back wrong with one prime fewer.
+        # (m + 1) / 2, and the matrix it bounds left as it is, exactly
+        # those primes are used: +-(M - 3) / 2 are the residues farthest
+        # from 0 that the symmetric range holds, and +-(m + 1) / 2 would
+        # come back wrong with one prime fewer.
+        hadamard = determinants._hadamard
         primes = determinants._crt_primes(2**1000)[0][:count]
         modulus = prod(primes)
         rng = random.Random(count * 100 + n)
@@ -785,7 +767,7 @@ class TestMultiModular:
                 diagonal = [[target if r == c == 0 else int(r == c) for c in range(n)] for r in range(n)]
                 rows = unimodular_mix(rng, diagonal)
                 assert reference(rows) == target
-                monkeypatch.setattr(determinants, "_hadamard", lambda rows, value=value: (value, rows))
+                monkeypatch.setattr(determinants, "_hadamard", lambda rows, value=value: (value, hadamard(rows)[1]))
                 assert determinants._det_crt(rows) == target
 
     def test_block_reduction_keeps_int64_past_the_reduction_interval(self):
@@ -802,7 +784,7 @@ class TestMultiModular:
             for r in range(n)
         ]
         rows = undifferenced(lu)
-        assert as_lists(determinants._hadamard(rows)[1]) == lu
+        assert determinants._hadamard(rows)[1].tolist() == lu
         assert crt(rows) == 1
 
     @pytest.mark.parametrize("per_pass", [1, 3, 7])
@@ -882,11 +864,11 @@ class TestMultiModular:
     )
     def test_passes_and_chunks_match_reference(self, n, width, per_pass, chunk_rows, plant, rng):
         # width 0 is entries anywhere in int64; width w is entries whose
-        # largest takes w 32-bit limbs, 9 being the first width that takes
-        # a second group. Rows whose entries all fit int64 (width 0, 1, and
-        # 2 below 2**63) load as one int64 array instead. A small budget
-        # gives passes of per_pass primes, and a small scratch chunks every
-        # step's update, down to one row per chunk. A pivot, or a whole
+        # largest takes w 32-bit limbs. Where every entry is below 2**61
+        # in magnitude (width 1, and some of width 2) each loads as one
+        # int64 limb instead. A small budget gives passes of per_pass
+        # primes, and a small scratch chunks the load and every step's
+        # update, down to one row per chunk. A pivot, or a whole
         # column, that is zero modulo the first prime only is swapped, or
         # zeroes that prime's determinant, inside such a chunked step.
         q = determinants._crt_primes(1)[0][0]
@@ -927,70 +909,36 @@ class TestMultiModular:
             if chunk < n - 1 and plant != "none":
                 event(f"plant {plant} in a chunked step")
 
-    def test_numpy_buffer_size_is_restored(self, monkeypatch):
-        # det_bareiss runs the multi-modular route with numpy's ufunc
-        # buffers at _UFUNC_BUFFER elements and gives the caller's size
-        # back: after the numpy bound (A_150, lam*I - A_120), the list bound
-        # on entries past int64 (a 64-bit delta matrix), and a route that
-        # raises, in either.
-        before = np.getbufsize()
-        seen = []
-
-        def spy(name):
-            route = getattr(determinants, name)
-
-            def spy_route(*args):
-                seen.append((name, np.getbufsize()))
-                return route(*args)
-
-            monkeypatch.setattr(determinants, name, spy_route)
-
-        spy("_hadamard")
-        spy("_det_mod")
-        inc = increments(random.Random(48), 48)
-        delta = build_delta_matrix(inc)
-        cases = [
-            (build_min_matrix(150), 1),
-            (char_matrix(120, 5), charpoly(120)(5)),
-            (delta, delta_det_closed(inc)),
-        ]
-        for matrix, expected in cases:
-            seen.clear()
-            assert det_bareiss(matrix) == expected
-            assert {name for name, _ in seen} == {"_hadamard", "_det_mod"}
-            assert {size for _, size in seen} == {determinants._UFUNC_BUFFER} != {before}
-            assert np.getbufsize() == before
-
-        class Stop(Exception):
-            pass
-
-        def stop(*args):
-            raise Stop
-
-        for name, matrix in (("_hadamard", build_min_matrix(150)), ("_det_mod", delta)):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(determinants, name, stop)
-                with pytest.raises(Stop):
-                    det_bareiss(matrix)
-            assert np.getbufsize() == before
-
     def test_working_set_follows_the_budget(self):
         # A working array and a scratch of _CRT_BUDGET_ELEMENTS int64 in
-        # all, plus the entries' load and conversion, a few dozen bytes
-        # each. The differenced form of lam*I - A_120 loads as one int64
-        # array; that of a dimension-48 delta matrix of signed 64-bit
-        # increments, their diagonal, as two 32-bit limbs per entry.
+        # all, plus the entries' conversion and load, a few dozen bytes
+        # each. The differenced form of lam*I - A_120 is an int64 array;
+        # that of a dimension-48 delta matrix of signed 64-bit increments,
+        # their diagonal, an object array of two 32-bit limbs per entry.
+        # Dense dimension-48 matrices of 63-bit and of 70-bit entries load
+        # every entry, one int64 limb or three 32-bit limbs each, and
+        # convert more: the load goes through the scratch a chunk of
+        # entries at a time, not all at once. numpy's ufuncs add up to
+        # three buffers of np.getbufsize() elements to an operation on a
+        # strided view, such as a step's `column %= p`: about 110 KB at
+        # the default 8,192 and 99 primes. That size is the caller's
+        # setting, not the route's, so it is held at 1,024 here.
         inc = increments(random.Random(48), 48)
-        cases = [(char_matrix(120, 5), charpoly(120)(5)), (build_delta_matrix(inc), delta_det_closed(inc))]
+        rng = random.Random(63)
+        dense = [random_rows(rng, 48, -(2**bits), 2**bits) for bits in (63, 70)]
+        cases = [
+            (char_matrix(120, 5).to_lists(), charpoly(120)(5), 64),
+            (build_delta_matrix(inc).to_lists(), delta_det_closed(inc), 64),
+            (dense[0], reference(dense[0]), 128),
+            (dense[1], reference(dense[1]), 128),
+        ]
         budget = determinants._CRT_BUDGET_ELEMENTS - determinants._CRT_SCRATCH_ELEMENTS
-        for matrix, expected in cases:
-            rows = matrix.to_lists()
+        for rows, expected, per_entry in cases:
             n = len(rows)
             count = len(determinants._crt_primes(2 * determinants._hadamard(rows)[0] + 1)[0])
             # More primes than one pass takes.
             assert count * n * n > budget
-            # Under the buffer size that det_bareiss sets.
-            buffer = np.setbufsize(determinants._UFUNC_BUFFER)
+            buffer = np.setbufsize(1024)
             tracemalloc.start()
             try:
                 value = determinants._det_crt(rows)
@@ -999,7 +947,7 @@ class TestMultiModular:
                 tracemalloc.stop()
                 np.setbufsize(buffer)
             assert value == expected
-            assert peak < 8 * determinants._CRT_BUDGET_ELEMENTS + 64 * n * n
+            assert peak < 8 * determinants._CRT_BUDGET_ELEMENTS + per_entry * n * n
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1073,10 +1021,10 @@ class TestDifferencedElimination:
         if taken == "D":
             d = [[rng.randint(-(2**40), 2**40) if abs(r - c) <= 1 else 0 for c in range(n)] for r in range(n)]
             rows = undifferenced(d)
-            assert as_lists(determinants._hadamard(rows)[1]) == differenced(rows) == d
+            assert determinants._hadamard(rows)[1].tolist() == differenced(rows) == d
         else:
             rows = random_rows(rng, n, -(2**40), 2**40)
-            assert as_lists(determinants._hadamard(rows)[1]) == rows
+            assert determinants._hadamard(rows)[1].tolist() == rows
         assert crt(rows) == reference(rows)
 
     @pytest.mark.parametrize("planted", [0, LARGEST_PRIME], ids=["zero", "largest prime"])
@@ -1089,7 +1037,7 @@ class TestDifferencedElimination:
         inc = increments(random.Random(48), 48)
         inc[17] = planted
         rows = build_delta_matrix(inc).to_lists()
-        assert determinants._hadamard(rows)[1] == differenced(rows)
+        assert determinants._hadamard(rows)[1].tolist() == differenced(rows)
         steps = spy_steps(monkeypatch)
         assert crt(rows) == reference(rows) == delta_det_closed(inc)
         assert [(call["updates"], call["inverses"]) for call in steps] == [([], 0)] * len(steps)
@@ -1108,7 +1056,7 @@ class TestDifferencedElimination:
         d[s][s] = q * rng.randint(1, 2**12)
         d[s + 1][s], d[s][s + 1] = rng.randint(1, 2**12), rng.randint(1, 2**12)
         rows = undifferenced(d)
-        assert as_lists(determinants._hadamard(rows)[1]) == d
+        assert determinants._hadamard(rows)[1].tolist() == d
         expected = reference(rows)
         assert expected % q != 0
         steps = spy_steps(monkeypatch)
@@ -1118,26 +1066,21 @@ class TestDifferencedElimination:
             assert call["updates"] == [(1, 1, call["primes"])]
             assert call["inverses"] == call["primes"]
 
-    def test_differenced_entries_past_int64(self, monkeypatch, routes):
+    def test_differenced_entries_past_int64(self, routes):
         # Increments 2**62, then -(2**63 + 1), 2**63 + 2, ...: the prefix
         # sums stay near +-2**62, so the matrix converts to int64, but past
-        # 2**61 it takes the list bound. D = diag(increments) has the
-        # smaller bound but entries past int64, so it loads as 32-bit limbs.
+        # 2**61 it is built as an object array. D = diag(increments) has
+        # the smaller bound and entries past int64, which load as 32-bit
+        # limbs.
         n = 30
         inc = [2**62] + [(-1) ** i * (2**63 + i) for i in range(1, n)]
         rows = build_delta_matrix(inc).to_lists()
         assert max(max(map(abs, row)) for row in rows) < 2**63 <= max(map(abs, inc))
-        limbs = []
-        limb_residues = determinants._limb_residues
-
-        def spy(out, limbs_in, p, scratch):
-            limbs.append(limbs_in.shape)
-            return limb_residues(out, limbs_in, p, scratch)
-
-        monkeypatch.setattr(determinants, "_limb_residues", spy)
+        bounded = determinants._hadamard(rows)[1]
+        assert bounded.dtype == object
+        assert bounded.tolist() == [[x if r == c else 0 for c, x in enumerate(inc)] for r in range(n)]
         assert det_bareiss(ExactMatrix(rows)) == reference(rows) == delta_det_closed(inc)
         assert routes == {"python": [], "crt": [n]}
-        assert limbs and {shape for shape in limbs} == {(n * n, 2)}
 
     def test_spans_on_delta_and_char_matrices(self, monkeypatch):
         # A dimension-48 delta matrix of 64-bit increments: D is diagonal,
@@ -1174,7 +1117,7 @@ class TestRouting:
     def test_matrix_is_left_unchanged(self):
         # det_bareiss reads the matrix's own rows, so no route may write
         # to them: not the Python-int loop's row swaps, not the
-        # multi-modular route on either bound's path.
+        # multi-modular route, on an int64 or an object array.
         cases = [
             ExactMatrix([[0, 1, 2], [1, 0, 3], [2, 3, 0]]),
             build_c_matrix(60, 7),
