@@ -7,18 +7,14 @@ reported as one line on stderr). Payloads go to stdout, diagnostics to
 stderr. Big integers are rendered as full decimal strings in JSON and
 CSV so downstream consumers never overflow.
 
-`det --method bareiss|both` of a min or c matrix of dimension below 128
-runs the Python-int elimination when numpy is not yet loaded, since the
-one determinant costs less than numpy's import; otherwise it calls
-`det_bareiss`.
-
 A process loads only the modules its command runs. This module imports
 determinants and matrices, which `det` and `matrix` use; `symfun`,
 `verify` and `simulate` import symmetric, verification or simulation
-when they run, and json and csv load only for their output formats. The
-parser's choices come from the package's own tuples, so building it
-imports no library module. The parser is built once per process, and
-`main` looks each `cmd_*` function up by command name when it runs.
+when they run, json and csv load only for their output formats, and
+numpy loads only for `simulate`. The parser's choices come from the
+package's own tuples, so building it imports no library module. The
+parser is built once per process, and `main` looks each `cmd_*`
+function up by command name when it runs.
 """
 
 import argparse
@@ -27,7 +23,6 @@ from functools import cache
 
 from . import DISTRIBUTIONS, METHODS, SUITES, __version__
 from .determinants import (
-    _eliminate,
     delta_det_closed,
     det_bareiss,
     det_c_matrix,
@@ -161,33 +156,13 @@ def cmd_matrix(args):
     return EXIT_OK
 
 
-# A `det` process computes one determinant. For min and c, whose Bareiss
-# intermediates stay small, the Python-int loop below this dimension costs
-# less than numpy's import plus det_bareiss's multi-modular route. Whole
-# process, median of 11 alternating runs (2 vCPUs, one CPU pinned, Python
-# 3.11, numpy 2.4), det_bareiss against _eliminate:
-#   det c --n 40 --k 7 (dim 34)    202 ms   81 ms
-#   det min --n 80                 164 ms   78 ms
-#   det min --n 120                233 ms  169 ms
-#   det min --n 160                239 ms  276 ms
-#   det c --n 89 --k 30 (dim 60)   152 ms   71 ms
-#   det c --n 149 --k 50 (dim 100) 182 ms  131 ms
-#   det c --n 209 --k 70 (dim 140) 242 ms  281 ms
-# Once numpy is loaded its import is paid, so det_bareiss's route stands.
-_ONE_SHOT_DIM = 128
-
-
 def cmd_det(args):
     build, closed = _kind(args)
     values = {}
     if args.method in ("closed", "both"):
         values["closed"] = closed(args)
     if args.method in ("bareiss", "both"):
-        matrix = build(args)
-        if args.kind in ("min", "c") and matrix.dim < _ONE_SHOT_DIM and "numpy" not in sys.modules:
-            values["bareiss"] = _eliminate(matrix.to_lists())
-        else:
-            values["bareiss"] = det_bareiss(matrix)
+        values["bareiss"] = det_bareiss(build(args))
     agree = len(set(values.values())) == 1
     values = {name: str(v) for name, v in values.items()}
     lines = [f"{name}: {v}" for name, v in values.items()]
@@ -362,7 +337,7 @@ def build_parser():
     p_sim = sub.add_parser("simulate", parents=[output],
                            help="random-walk covariance estimation")
     p_sim.add_argument("--n", type=int, required=True, help="process length, 1 to 4096")
-    p_sim.add_argument("--m", type=int, required=True)
+    p_sim.add_argument("--m", type=int, required=True, help="sample paths, 2 to 268435456")
     p_sim.add_argument("--sigma", type=float, default=1.0)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--dist", choices=DISTRIBUTIONS, default="gaussian")

@@ -8,9 +8,9 @@ point; everything else is exact. Paths are drawn in chunks sized from m
 and n, so memory stays bounded for every m without a setting, and one
 step buffer serves every chunk.
 
-numpy is imported inside the functions that compute, as in
-determinants.py: importing this module, and so the package and its CLI,
-loads no numpy until a simulation runs.
+numpy is imported inside the functions that compute: importing this
+module, and so the package and its CLI, loads no numpy until a
+simulation runs. No other module uses numpy.
 """
 
 import math
@@ -25,6 +25,13 @@ _CHUNK_STEPS = 2**18  # steps per chunk past 8 chunks: 2 MiB of float64
 # holds at most 2**24 entries, 134 MB, the limit of verify's --n-max.
 _N_LIMIT = math.isqrt(1 << 24)
 
+# Largest m a config accepts: the largest power of two at which `simulate
+# --n 8` ended within 60 s on a 2-vCPU x86-64 host (Python 3.11, numpy
+# 2.4): 2**27 took 29 s, 2**28 58 s. A path costs more as n grows, about
+# n**2 for its outer product, so the limit bounds the run time at small n
+# only: at n = 4096, 2**12 paths took 41 s and 2**13 65 s.
+_M_LIMIT = 1 << 28
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -33,7 +40,8 @@ class SimConfig:
     Reproducibility contract: results are a deterministic function of
     the config. Each of the `chunks` chunks of paths draws from its own
     spawned substream: 8 chunks (m if m < 8) while m * n <= 2**21, and
-    about 2**18 steps a chunk above that. n is at most 4096 (_N_LIMIT).
+    about 2**18 steps a chunk above that. n is at most 4096 (_N_LIMIT) and
+    m at most 2**28 (_M_LIMIT).
     """
 
     n: int
@@ -67,6 +75,11 @@ class SimConfig:
             raise ValueError(
                 f"--n must be <= {_N_LIMIT}, got {self.n}: "
                 f"simulate accumulates an n x n covariance matrix"
+            )
+        if self.m > _M_LIMIT:
+            raise ValueError(
+                f"--m must be <= {_M_LIMIT}, got {self.m}: "
+                f"simulate draws m paths, and 2**28 of them take about a minute at --n 8"
             )
         if self.dist not in DISTRIBUTIONS:
             raise ValueError(f"dist must be one of {DISTRIBUTIONS}, got {self.dist!r}")

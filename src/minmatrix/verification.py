@@ -55,10 +55,12 @@ from .symmetric import METHODS, _check_nk, _columns, binomial
 #: Every method but the exponential minor enumeration.
 POLYNOMIAL_METHODS = ("closed", "nested", "rec6", "rec7", "ratio")
 
-# Largest n_max run_suites accepts: the largest multiple of 100 at which
-# verify --suite all ran within a budget of 60 s, on a 2-vCPU x86-64 host
-# with Python 3.11. 600 took 32 s, 700 took 64 s; the dets sweep, about
-# n_max**3.5, is most of it.
+# Largest n_max run_suites accepts, from a budget of 60 s for verify
+# --suite all on a 2-vCPU x86-64 host with Python 3.11, set when 600 took
+# 32 s and 700 took 64 s. A fresh `verify --suite all --n-max 600` process
+# now takes 14-18 s; in process the dets suite, about n_max**3 (n_max
+# eliminations, each forming D from n_max**2 entries), takes 6.6 s of it,
+# the binomial suite 4.4 s, and 700 takes 27 s in all.
 _N_MAX_LIMIT = 600
 
 # Largest n at which the dets suite also runs det_bareiss on each matrix

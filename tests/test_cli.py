@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from minmatrix import build_c_matrix, build_delta_matrix, build_min_matrix
-from minmatrix import cli, determinants, symmetric, verification
+from minmatrix import build_delta_matrix, build_min_matrix
+from minmatrix import cli, symmetric, verification
 from minmatrix.cli import main
 
 
@@ -459,12 +459,8 @@ def _plus_one(function, method=None):
 # every format the command must report the disagreement and exit 1.
 class TestDisagreement:
     @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
-    @pytest.mark.parametrize("route", ["det_bareiss", "_eliminate"])
+    @pytest.mark.parametrize("route", ["det_bareiss"])
     def test_det_both(self, capsys, monkeypatch, route, fmt):
-        if route == "_eliminate":  # the one-shot route, taken while numpy is not loaded
-            monkeypatch.delitem(sys.modules, "numpy", raising=False)
-        else:
-            monkeypatch.setattr(cli, "_ONE_SHOT_DIM", 0)
         monkeypatch.setattr(cli, route, _plus_one(getattr(cli, route)))
         code, out, _ = run(capsys, "det", "c", "--n", "8", "--k", "3", "--method", "both",
                            "--format", fmt)
@@ -576,7 +572,7 @@ import json
 print(json.dumps({"code": code, "numpy": numpy, "modules": modules}))
 """
 
-# What `import minmatrix.cli` loads, and all that a one-shot det loads.
+# What `import minmatrix.cli` loads, and all that a `det` command loads.
 _CLI_MODULES = ["cli", "determinants", "matrices"]
 
 
@@ -615,21 +611,18 @@ class TestNumpyLoading:
             _case(["matrix", "c", "--n", "30", "--k", "8", "--format", "csv"], False,
                   ["cli", "csv", "determinants", "matrices"]),
             _case(["verify", "--suite", "all", "--n-max", "16"], False, _VERIFY_MODULES),
-            # The sweep's largest matrix, A_{n_max}, takes the multi-modular
-            # route from dimension 24 up.
+            # Every elimination is in Python ints, whatever its dimension.
             _case(["verify", "--suite", "dets", "--n-max", "23"], False, _VERIFY_MODULES),
-            _case(["verify", "--suite", "dets", "--n-max", "24"], True, _VERIFY_MODULES),
+            _case(["verify", "--suite", "dets", "--n-max", "24"], False, _VERIFY_MODULES),
             _case(["det", "c", "--n", "25", "--k", "5", "--method", "both"], False),  # dimension 21
             _case(["det", "min", "--n", "23", "--method", "bareiss"], False),
-            # A one-shot min or c determinant below cli._ONE_SHOT_DIM runs
-            # _eliminate; delta, theta and larger dimensions keep det_bareiss.
             _case(["det", "min", "--n", "24", "--method", "bareiss"], False),
             _case(["det", "c", "--n", "40", "--k", "7", "--method", "both"], False),  # dimension 34
             _case(["det", "c", "--n", "40", "--k", "7", "--method", "both", "--format", "json"],
                   False, ["cli", "determinants", "json", "matrices"]),
             _case(["det", "min", "--n", "127", "--method", "bareiss"], False),
-            _case(["det", "min", "--n", "128", "--method", "bareiss"], True),
-            _case(["det", "delta", "--inc", ",".join(["2"] * 24), "--method", "both"], True),
+            _case(["det", "min", "--n", "128", "--method", "bareiss"], False),
+            _case(["det", "delta", "--inc", ",".join(["2"] * 24), "--method", "both"], False),
             _case(["simulate", "--n", "3", "--m", "10"], True,
                   ["cli", "dataclasses", "determinants", "matrices", "simulation"]),
         ],
@@ -651,56 +644,25 @@ class TestNumpyLoading:
         }
         assert err == f"error: --n must be <= 4096, got {n}: simulate accumulates an n x n covariance matrix\n"
 
+    @pytest.mark.parametrize("m", [2**63, 10**20])
+    def test_simulate_refuses_m_above_the_limit_before_numpy(self, m):
+        report, err = _probe(["simulate", "--n", "3", "--m", str(m)])
+        assert report == {
+            "code": 2,
+            "numpy": [False, False, False],
+            "modules": [[], _CLI_MODULES, ["cli", "dataclasses", "determinants", "matrices", "simulation"]],
+        }
+        assert err == (
+            f"error: --m must be <= 268435456, got {m}: "
+            "simulate draws m paths, and 2**28 of them take about a minute at --n 8\n"
+        )
+
     def test_help_states_the_simulate_n_limit(self, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--help"])
-        assert "1 to 4096" in capsys.readouterr().out
-
-
-# Run in a fresh interpreter with numpy already imported: the counts of
-# det_bareiss's multi-modular route and of _eliminate in one `det c` call.
-_LOADED_NUMPY_PROBE = """
-import contextlib, io, json, sys
-import numpy
-from minmatrix import cli, determinants
-calls = {"crt": 0, "eliminate": 0}
-
-def counted(name, function):
-    def spy(*args):
-        calls[name] += 1
-        return function(*args)
-    return spy
-
-determinants._det_crt = counted("crt", determinants._det_crt)
-cli._eliminate = counted("eliminate", cli._eliminate)
-with contextlib.redirect_stdout(io.StringIO()) as out:
-    code = cli.main(["det", "c", "--n", "46", "--k", "7", "--method", "both"])
-print(json.dumps({"code": code, "tail": out.getvalue().splitlines()[-1], **calls}))
-"""
-
-
-class TestOneShotDet:
-    def test_loaded_numpy_keeps_det_bareiss(self):
-        import minmatrix
-
-        src = str(Path(minmatrix.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", _LOADED_NUMPY_PROBE],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert json.loads(done.stdout) == {"code": 0, "tail": "agree", "crt": 1, "eliminate": 0}
-
-    @pytest.mark.parametrize("dim", [24, 34, 127, 128])
-    @pytest.mark.parametrize("kind, k", [("min", 1), ("c", 2), ("c", 3), ("c", 64), ("c", 2**70)])
-    def test_eliminate_equals_det_bareiss(self, kind, k, dim):
-        if kind == "min":
-            matrix, expected = build_min_matrix(dim), 1
-        else:
-            matrix, expected = build_c_matrix(dim + k - 1, k), k
-        assert matrix.dim == dim
-        assert determinants._eliminate(matrix.to_lists()) == determinants.det_bareiss(matrix) == expected
+        out = capsys.readouterr().out
+        assert "1 to 4096" in out
+        assert "2 to 268435456" in out
 
 
 class TestInternalErrors:

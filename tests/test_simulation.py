@@ -44,6 +44,14 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=f"^--n must be <= 4096, got {n}: "):
                 SimConfig(n=n, m=2)
 
+    def test_m_limit(self):
+        # 2**28 paths are accepted (and never run here), one more is
+        # refused with a message that names the option.
+        assert SimConfig(n=8, m=2**28).m == 2**28
+        for m in (2**28 + 1, 2**63, 10**20):
+            with pytest.raises(ValueError, match=f"^--m must be <= 268435456, got {m}: "):
+                SimConfig(n=8, m=m)
+
 
 class TestChunks:
     @pytest.mark.parametrize(

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from minmatrix import ExactMatrix, build_c_matrix, build_min_matrix, determinants, symmetric, verification
-from minmatrix.determinants import _CRT_MIN_DIM
+from minmatrix import ExactMatrix, build_min_matrix, determinants, symmetric, verification
 
 MIN_SWEEP = "every leading minor of the min matrix equals 1"
 C_SWEEP = "every leading minor of the shifted matrix equals its shift"
@@ -54,86 +53,58 @@ def test_vacuous_notes_at_small_n_max(n_max, vacuous):
     assert all(r.notes == ["vacuous: no cases"] for r in results if r.notes)
 
 
-def _corrupt_eliminate(monkeypatch, corner, step):
-    """Make _eliminate's update at ``step`` of a matrix whose top-left entry
-    is ``corner`` leave its next pivot off by one. The Python-int loop
-    assigns row step + 1 once at each step up to ``step``, so the fault goes
-    into the (step + 1)-th assignment of that row. Returns the count of
-    faults put in."""
+def _corrupt_pivot(monkeypatch, corner, step):
+    """Make the elimination of a matrix whose top-left entry is ``corner``
+    read the pivot of step + 1 off by one, as a faulty update at ``step``
+    would leave it: the leading (step + 2)-minor and every later one come
+    out wrong. The elimination runs on the differenced form D, whose
+    top-left entry is the matrix's own; A_n's and C_{n,k}'s D is diagonal,
+    and its entry (step + 1, step + 1), the first of its row, is given one
+    more. Returns the count of faults put in."""
     eliminate = determinants._eliminate
     faults = []
 
-    class Rows(list):
-        def __init__(self, rows):
-            super().__init__(rows)
-            self.assigned = 0
-
-        def __setitem__(self, r, row):
-            if r == step + 1:
-                self.assigned += 1
-                if self.assigned == step + 1:
-                    row[0] += 1
-                    faults.append(step)
-            super().__setitem__(r, row)
-
-    def corrupted(rows, *args):
-        return eliminate(Rows(rows) if rows[0][0] == corner else rows, *args)
+    def corrupted(rows, starts, *args):
+        if rows[0][:1] == [corner] and starts[step + 1 : step + 2] == [step + 1]:
+            rows[step + 1][0] += 1
+            faults.append(step)
+        return eliminate(rows, starts, *args)
 
     monkeypatch.setattr(determinants, "_eliminate", corrupted)
     return faults
 
 
-def _corrupt_crt(monkeypatch, corner, step):
-    """Make the multi-modular route's elimination of a matrix whose top-left
-    entry is ``corner`` read the pivot of step + 1 off by one, as a faulty
-    update at ``step`` would leave it: the leading (step + 2)-minor and
-    every later one come out wrong. The route eliminates the differenced
-    form, whose top-left entry is the matrix's own. Returns the count of
-    faults put in."""
-    det_mod = determinants._det_mod
-    faults = []
+def _c_sweep_finds(monkeypatch, n_max, corner, step, expected):
+    faults = _corrupt_pivot(monkeypatch, corner, step)
+    assert counterexample(verification.check_c_minors(n_max)) == expected
+    assert faults == [step]
+    assert verification.check_min_minors(n_max).passed
+    results = {r.name: r for r in verification.run_suites("dets", n_max)}
+    assert results[C_SWEEP].detail == f"counterexample: {expected}"
+    assert results[MIN_SWEEP].passed
 
-    def corrupted(a, *args):
-        if (a[0, 0] == corner).all():
-            a[step + 1, step + 1] += 1
-            faults.append(step)
-        return det_mod(a, *args)
 
-    monkeypatch.setattr(determinants, "_det_mod", corrupted)
-    return faults
+def _min_sweep_finds(monkeypatch, n_max, step, expected):
+    faults = _corrupt_pivot(monkeypatch, 1, step)
+    assert counterexample(verification.check_min_minors(n_max)) == expected
+    assert faults == [step]
+    assert verification.check_c_minors(n_max).passed
 
 
 class TestCorruptedUpdate:
     # Step s's update writes the leading (s + 2)-minor: det A_{s+2}, or
     # det C_{k+s+1,k} for the elimination of C_{n_max,k}.
     def test_eliminate_route_c(self, monkeypatch):
-        faults = _corrupt_eliminate(monkeypatch, corner=5, step=3)
-        assert counterexample(verification.check_c_minors(16)) == "n=9, k=5"
-        assert faults == [3]
-        assert verification.check_min_minors(16).passed
-        results = {r.name: r for r in verification.run_suites("dets", 16)}
-        assert results[C_SWEEP].detail == "counterexample: n=9, k=5"
-        assert results[MIN_SWEEP].passed
+        _c_sweep_finds(monkeypatch, 16, corner=5, step=3, expected="n=9, k=5")
 
     def test_eliminate_route_min(self, monkeypatch):
-        faults = _corrupt_eliminate(monkeypatch, corner=1, step=6)
-        assert counterexample(verification.check_min_minors(16)) == "n=8"
-        assert faults == [6]
-        assert verification.check_c_minors(16).passed
+        _min_sweep_finds(monkeypatch, 16, step=6, expected="n=8")
 
-    def test_crt_route_c(self, monkeypatch):
-        # C_{40,7} has dimension 34, so it takes the multi-modular route.
-        assert build_c_matrix(40, 7).dim >= _CRT_MIN_DIM
-        faults = _corrupt_crt(monkeypatch, corner=7, step=20)
-        assert counterexample(verification.check_c_minors(40)) == "n=28, k=7"
-        assert faults == [20]
-        assert verification.check_min_minors(40).passed
+    def test_eliminate_route_c_at_n_max_40(self, monkeypatch):
+        _c_sweep_finds(monkeypatch, 40, corner=7, step=20, expected="n=28, k=7")
 
-    def test_crt_route_min(self, monkeypatch):
-        faults = _corrupt_crt(monkeypatch, corner=1, step=30)
-        assert counterexample(verification.check_min_minors(40)) == "n=32"
-        assert faults == [30]
-        assert verification.check_c_minors(40).passed
+    def test_eliminate_route_min_at_n_max_40(self, monkeypatch):
+        _min_sweep_finds(monkeypatch, 40, step=30, expected="n=32")
 
 
 class TestShortRecord:
@@ -162,7 +133,7 @@ class TestShortRecord:
         rows[0][0] = 0
         matrix = ExactMatrix(rows)
         det, minors = determinants._det_minors(matrix)
-        assert det == determinants._eliminate(matrix.to_lists())
+        assert det == -1
         assert minors == []
         monkeypatch.setattr(verification, "build_min_matrix", lambda n: matrix)
         assert counterexample(verification.check_min_minors(5)) == "n=1"
