@@ -20,7 +20,7 @@ ordinary Bareiss, O(n³), on a dense D.
 which ``verify`` checks one family at a time.
 """
 
-from itertools import repeat, zip_longest
+from itertools import zip_longest
 from math import prod
 from operator import sub
 
@@ -35,12 +35,13 @@ def det_bareiss(matrix):
     exists the determinant is 0. The matrix is only read.
 
     The elimination runs on D = Δ·X·Δᵀ, inside its band (see the module
-    docstring). A_150 and C_{189,40} take about 1.3-2 ms this way,
-    lam*I - A_120 about 2 ms, a dimension-48 delta or theta matrix of
-    64-bit increments about 0.3-0.5 ms and A_600 16-22 ms, most of it in
-    forming D; a dense matrix of entries in -16..16 takes about 2 ms at
-    dimension 24, 18 ms at 48 and 160-170 ms at 96 (in process, medians
-    of 21 calls on one CPU of a shared 2-vCPU x86-64 host, Python 3.11).
+    docstring). A_150 and C_{189,40} take about 0.6-1 ms this way,
+    lam*I - A_120 about 0.9-1.5 ms, a dimension-48 delta or theta matrix
+    of 64-bit increments about 0.25 ms and A_600 5-7 ms, most of it in
+    comparing rows to find D's band; a dense matrix of entries in -16..16
+    takes about 1.5-2.5 ms at dimension 24, 12-20 ms at 48 and 150-230 ms
+    at 96 (in process, medians of 21 calls on one CPU of a shared 2-vCPU
+    x86-64 host, Python 3.11).
     """
     return _det_minors(matrix)[0]
 
@@ -58,39 +59,51 @@ def _det_minors(matrix):
     shorter list says that the next one is 0.
 
     D is formed row by row. Its row i is r less r shifted right by one,
-    for r = X_i - X_{i-1}: zero before the first nonzero entry of r, and
-    zero past the first column from which r is constant. Only the entries
-    between the two are subtracted and kept, with the column of the first
-    (n for a zero row).
+    for r = X_i - X_{i-1}: zero before the first column where X_i and
+    X_{i-1} differ, and zero past the first column from which both are
+    constant. Both ends are found by comparing the two rows of X, so only
+    the entries between them are subtracted. Two parallel rows leave r
+    constant before the second end, and the row of D is cut after its
+    last nonzero entry. It is kept with the column of its first (n for a
+    zero row).
     """
     rows = matrix._rows
     n = len(rows)
     band = []
     starts = []
-    above = repeat(0)
+    above = [0] * n
+    # The column from which the row above is constant.
+    flat = 0
     for i, row in enumerate(rows):
-        r = list(map(sub, row, above))
-        above = row
-        # Both ends are sought from the diagonal, by slices that test and
-        # compare whole runs of r at once.
+        # Both ends are sought from the diagonal, by slices that compare
+        # whole runs of the two rows at once.
         first = i
-        if any(r[:first]):
+        if row[:first] != above[:first]:
             first -= 1
-            while any(r[:first]):
+            while row[:first] != above[:first]:
                 first -= 1
         else:
-            while first < n and not r[first]:
+            while first < n and row[first] == above[first]:
                 first += 1
         starts.append(first)
         if first == n:
+            # The row equals the one above, and is constant from flat too.
             band.append([])
             continue
+        # The row above is constant from flat on: it is compared only left
+        # of that.
         last = max(first, i)
-        while r[last:-1] != r[last + 1 :]:
+        while row[last:-1] != row[last + 1 :] or last < flat and above[last:-1] != above[last + 1 :]:
             last += 1
-        while last > first and r[last - 1] == r[last]:
+        while last > first and row[last - 1] == row[last] and above[last - 1] == above[last]:
             last -= 1
-        band.append([r[first], *map(sub, r[first + 1 : last + 1], r[first:last])])
+        flat = last
+        r = list(map(sub, row[first : last + 1], above[first : last + 1]))
+        above = row
+        d = [r[0], *map(sub, r[1:], r)]
+        while not d[-1]:
+            del d[-1]
+        band.append(d)
     minors = []
     return _eliminate(band, starts, minors), minors
 

@@ -58,9 +58,10 @@ POLYNOMIAL_METHODS = ("closed", "nested", "rec6", "rec7", "ratio")
 # Largest n_max run_suites accepts, from a budget of 60 s for verify
 # --suite all on a 2-vCPU x86-64 host with Python 3.11, set when 600 took
 # 32 s and 700 took 64 s. A fresh `verify --suite all --n-max 600` process
-# now takes 14-18 s; in process the dets suite, about n_max**3 (n_max
-# eliminations, each forming D from n_max**2 entries), takes 6.6 s of it,
-# the binomial suite 4.4 s, and 700 takes 27 s in all.
+# now takes 10-11 s; in process the dets suite takes 2.3-3.3 s of it (n_max
+# eliminations, each comparing n_max**2 entries to find D's band and
+# subtracting O(n_max) of them), the binomial suite 3.5 s, and 700 takes
+# 17 s in all.
 _N_MAX_LIMIT = 600
 
 # Largest n at which the dets suite also runs det_bareiss on each matrix

@@ -519,6 +519,71 @@ def spy_band(monkeypatch):
     return calls
 
 
+@st.composite
+def span_matrices(draw):
+    """X of dimension 1-30 whose rows test both ends of each row of D:
+    dense; summed up from a banded D; parallel, each the one above plus a
+    constant, from a first row that is not constant, so that r = X_i -
+    X_{i-1} is constant before both rows are; sharing a long prefix and
+    then differing; or repeated and zero rows."""
+    kind = draw(st.sampled_from(["dense", "banded", "parallel", "prefix", "repeated"]))
+    event(kind)
+    if kind == "banded":
+        return undifferenced(draw(banded_d()))
+    n = draw(st.integers(1, 30))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "dense":
+        return random_rows(rng, n, -3, 3)
+    if kind == "parallel":
+        rows = [[rng.randint(-3, 3) for _ in range(n - 1)] + [4]]
+        for _ in range(n - 1):
+            step = rng.randint(-2, 2)
+            rows.append([x + step for x in rows[-1]])
+        return rows
+    base = [rng.randint(-3, 3) for _ in range(n)]
+    if kind == "prefix":
+        rows = []
+        for _ in range(n):
+            cut = rng.randint(n // 2, n)
+            rows.append(base[:cut] + [rng.randint(-3, 3) for _ in range(n - cut)])
+        return rows
+    pool = [base, [0] * n, [base[0]] * n]
+    return [rng.choice(pool)[:] for _ in range(n)]
+
+
+def band_of(rows):
+    """The band and the starts that _det_minors hands to _eliminate."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = spy_band(patch)
+        determinants._det_minors(ExactMatrix(rows))
+    [(band, starts)] = calls
+    return band, starts
+
+
+def subtractions_forming_d(matrix):
+    """How many Python-int subtractions _det_minors makes before it hands
+    D to _eliminate."""
+    count = 0
+    at_elimination = []
+    eliminate = determinants._eliminate
+
+    def counted(x, y):
+        nonlocal count
+        count += 1
+        return x - y
+
+    def spy(*args):
+        at_elimination.append(count)
+        return eliminate(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(determinants, "sub", counted)
+        patch.setattr(determinants, "_eliminate", spy)
+        determinants._det_minors(matrix)
+    [subtracted] = at_elimination
+    return subtracted
+
+
 class TestDifferencedElimination:
     """det_bareiss eliminates D = Δ·X·Δᵀ, each row held from its first
     nonzero entry to its last: the span that _det_minors finds and hands
@@ -595,6 +660,34 @@ class TestDifferencedElimination:
             assert starts == [0, *range(119)]
             assert list(map(len, band)) == [2, *[3] * 118, 2]
             assert spread(band, starts, 120) == differenced(char_matrix(120, lam).to_lists())
+
+    # About 0.5 s for 200 drawn matrices (2-vCPU x86-64 host, Python 3.11).
+    @settings(max_examples=200, deadline=None)
+    @given(span_matrices())
+    def test_span_is_exact(self, rows):
+        # Each row of D is held from its first nonzero entry to its last,
+        # found from the rows of X alone; a zero row is held empty.
+        n = len(rows)
+        band, starts = band_of(rows)
+        assert spread(band, starts, n) == differenced(rows)
+        for row, start in zip(band, starts):
+            if row:
+                assert row[0] and row[-1]
+            else:
+                assert start == n
+
+    def test_subtractions_stay_inside_the_band(self):
+        # D is formed by subtracting only inside each row's span: one
+        # entry a row for A_200 and C_{249,50}, whose D is the identity
+        # with k in its corner; for lam*I - A_200, three entries of r and
+        # two differences a row. Subtracting whole rows took n**2 = 40,000.
+        # A dense X has a dense D, about 2 * n**2 subtractions.
+        n = 200
+        assert subtractions_forming_d(build_min_matrix(n)) == n
+        assert subtractions_forming_d(build_c_matrix(249, 50)) == n
+        assert subtractions_forming_d(char_matrix(n, 5)) == 5 * n - 4
+        rows = random_rows(random.Random(30), 30)
+        assert 30**2 <= subtractions_forming_d(ExactMatrix(rows)) <= 2 * 30**2
 
 
 class TestRouting:
