@@ -12,14 +12,19 @@ first access (PEP 562), so a process pays only for the modules it uses.
 
 __version__ = "0.1.0"
 
-# The names the CLI offers as argparse choices, defined here so that
-# building its parser imports none of the modules that use them.
+# The argparse choices and the limit that the CLI shares with the modules
+# that use them, defined here so that building its parser imports none of
+# those modules.
 #: Symmetric-function methods, in the order `symfun --method all` reports.
 METHODS = ("closed", "minors", "nested", "rec6", "rec7", "ratio")
 #: Verification suites, in the order `verify --suite all` runs them.
 SUITES = ("dets", "symfun", "binomial", "fibonacci")
 #: Step distributions of the covariance simulation.
 DISTRIBUTIONS = ("rademacher", "uniform", "gaussian")
+#: Largest dimension of a dense n x n array, 2**24 entries: the matrix that
+#: `matrix` and `det --method bareiss|both` build, and the float64
+#: covariance accumulator of `simulate`, 134 MB.
+DIM_LIMIT = 4096
 
 # Each lazily imported public name, and the submodule that defines it.
 _SOURCES = {

@@ -21,7 +21,7 @@ import argparse
 import sys
 from functools import cache
 
-from . import DISTRIBUTIONS, METHODS, SUITES, __version__
+from . import DIM_LIMIT, DISTRIBUTIONS, METHODS, SUITES, __version__
 from .determinants import (
     delta_det_closed,
     det_bareiss,
@@ -81,15 +81,6 @@ def _parse_increments(text):
         raise ValueError(f"increment list must be comma-separated integers, got {text!r}")
 
 
-# Largest dimension of the dense matrix that `matrix` and `det --method
-# bareiss|both` build: 2**24 entries, the limit of simulate's --n. Also the
-# largest n of `symfun`, except for one k by the closed form: every other
-# method runs its columns of S(., j) down to row n (a fill holds one column
-# of n - k + 1 entries at a time, ratio makes n - k steps), and --k all
-# computes n + 1 values. At 4096 the slowest single value, nested at
-# k = 2048, takes about 5 s and --k all by ratio about 12 s.
-_DIM_LIMIT = 4096
-
 # Each matrix kind: the options it needs, its dimension, its builder and its
 # closed-form determinant. The lambdas look the layer functions up when
 # called, so a function patched into this module's globals is the one that
@@ -120,7 +111,7 @@ _KINDS = {
 def _kind(args):
     """The builder and closed-form determinant of args.kind, once every
     option the kind needs is given and no other. The builder refuses a
-    dimension above _DIM_LIMIT before it allocates anything."""
+    dimension above DIM_LIMIT before it allocates anything."""
     options, dim, build, closed = _KINDS[args.kind]
     if any(getattr(args, name) is None for name in options):
         needed = " and ".join(f"--{name}" for name in options)
@@ -131,10 +122,10 @@ def _kind(args):
 
     def build_dense(args):
         size = dim(args)
-        if size > _DIM_LIMIT:
+        if size > DIM_LIMIT:
             option = "--inc" if "inc" in options else f"--n {args.n}"
             raise ValueError(
-                f"{option} gives dimension {size}, above {_DIM_LIMIT}: "
+                f"{option} gives dimension {size}, above {DIM_LIMIT}: "
                 f"{args.command} builds the dense {args.kind} matrix"
             )
         return build(args)
@@ -183,12 +174,18 @@ def cmd_symfun(args):
 
     if args.n < 0:
         raise ValueError(f"symfun requires --n >= 0, got {args.n}")
-    if args.n > _DIM_LIMIT and (args.k == "all" or args.method != "closed"):
+    # DIM_LIMIT is also the largest n, except for one k by the closed form:
+    # every other method runs its columns of S(., j) down to row n (a fill
+    # holds one column of n - k + 1 entries at a time, ratio makes n - k
+    # steps), and --k all computes n + 1 values. At 4096 the slowest single
+    # value, nested at k = 2048, takes about 5 s and --k all by ratio about
+    # 12 s.
+    if args.n > DIM_LIMIT and (args.k == "all" or args.method != "closed"):
         reason = (
             "symfun --k all computes n + 1 values" if args.k == "all"
             else f"symfun --method {args.method} runs down to row n; --method closed answers one k at any n"
         )
-        raise ValueError(f"--n must be <= {_DIM_LIMIT}, got {args.n}: {reason}")
+        raise ValueError(f"--n must be <= {DIM_LIMIT}, got {args.n}: {reason}")
     try:
         ks = range(args.n + 1) if args.k == "all" else [int(args.k)]
     except ValueError:
@@ -308,7 +305,7 @@ def build_parser():
     kind.add_argument("--n", type=int,
                       help="dimension of min; c has dimension n - k + 1. matrix and "
                            "det --method bareiss|both build the dense matrix, of "
-                           f"dimension at most {_DIM_LIMIT}")
+                           f"dimension at most {DIM_LIMIT}")
     kind.add_argument("--k", type=int)
     kind.add_argument("--inc", help="comma-separated increments, e.g. 2,3,4")
 
@@ -321,7 +318,7 @@ def build_parser():
     p_symfun = sub.add_parser("symfun", parents=[output],
                               help="symmetric functions of the eigenvalues")
     p_symfun.add_argument("--n", type=int, required=True,
-                          help=f"dimension of the min matrix, at most {_DIM_LIMIT}; any n >= 0 "
+                          help=f"dimension of the min matrix, at most {DIM_LIMIT}; any n >= 0 "
                                "for a single --k by --method closed")
     p_symfun.add_argument("--k", default="all", help="0..n or 'all'")
     p_symfun.add_argument("--method", choices=METHODS + ("all",), default="closed")
@@ -336,7 +333,7 @@ def build_parser():
 
     p_sim = sub.add_parser("simulate", parents=[output],
                            help="random-walk covariance estimation")
-    p_sim.add_argument("--n", type=int, required=True, help="process length, 1 to 4096")
+    p_sim.add_argument("--n", type=int, required=True, help=f"process length, 1 to {DIM_LIMIT}")
     p_sim.add_argument("--m", type=int, required=True, help="sample paths, 2 to 268435456")
     p_sim.add_argument("--sigma", type=float, default=1.0)
     p_sim.add_argument("--seed", type=int, default=0)

@@ -17,13 +17,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from . import DISTRIBUTIONS
+from . import DIM_LIMIT, DISTRIBUTIONS
 
 _CHUNK_STEPS = 2**18  # steps per chunk past 8 chunks: 2 MiB of float64
-
-# Largest n a config accepts, 4096: the n x n float64 accumulator then
-# holds at most 2**24 entries, 134 MB, the limit of verify's --n-max.
-_N_LIMIT = math.isqrt(1 << 24)
 
 # Largest m a config accepts: the largest power of two at which `simulate
 # --n 8` ended within 60 s on a 2-vCPU x86-64 host (Python 3.11, numpy
@@ -40,7 +36,7 @@ class SimConfig:
     Reproducibility contract: results are a deterministic function of
     the config. Each of the `chunks` chunks of paths draws from its own
     spawned substream: 8 chunks (m if m < 8) while m * n <= 2**21, and
-    about 2**18 steps a chunk above that. n is at most 4096 (_N_LIMIT) and
+    about 2**18 steps a chunk above that. n is at most 4096 (DIM_LIMIT) and
     m at most 2**28 (_M_LIMIT).
     """
 
@@ -71,9 +67,9 @@ class SimConfig:
             raise ValueError(
                 f"m * n * sigma^2 must be finite, got m={self.m}, n={self.n}, sigma={self.sigma}"
             )
-        if self.n > _N_LIMIT:
+        if self.n > DIM_LIMIT:
             raise ValueError(
-                f"--n must be <= {_N_LIMIT}, got {self.n}: "
+                f"--n must be <= {DIM_LIMIT}, got {self.n}: "
                 f"simulate accumulates an n x n covariance matrix"
             )
         if self.m > _M_LIMIT:

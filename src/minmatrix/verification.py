@@ -1,19 +1,19 @@
 """Self-verification sweeps over the package's exact identities.
 
-Each identity has one check here: a function that takes its cases and
-returns one CheckResult, with the first counterexample when it fails.
-Each suite runs a family of checks over cases up to a size bound; the
-CLI `verify` command runs the suites. The acceptance tests call the same
-checks with their own, larger case lists.
+Each identity has one check here: a function that returns one
+CheckResult, with the first counterexample when it fails. A check bounded
+by n builds its own cases from n_max; the delta, theta and scaling checks
+take drawn cases. Each suite runs a family of checks; the CLI `verify`
+command runs the suites, and the acceptance tests call the same checks
+at their own, larger sizes.
 
-The determinant corollary is checked two ways. ``check_min_dets`` and
-``check_c_dets`` run one ``det_bareiss`` per matrix; acceptance criterion 1
-runs them on about 5,000 matrices, and the dets suite on n <= 8. The
-sweeps ``check_min_minors`` and ``check_c_minors`` read det A_n and
-det C_{n,k} for every n <= n_max off the leading minors of one elimination
-of A_{n_max} and one of C_{n_max,k} per k: A_n is the leading block of
-A_{n_max}, and C_{n,k} that of C_{n_max,k}. That is O(n_max) eliminations
-in place of O(n_max^2), and every leading minor is checked.
+The determinant corollary is read off leading minors. ``check_min_minors``
+and ``check_c_minors`` read det A_n and det C_{n,k} for every n <= n_max
+off one elimination of A_{n_max} and one of C_{n_max,k} per k: A_n is the
+leading block of A_{n_max}, and C_{n,k} that of C_{n_max,k}. That is
+O(n_max) eliminations in place of O(n_max^2), and every leading minor is
+checked. ``check_fibonacci_minors`` reads F_{2n+1} the same way, off one
+elimination of -I - A_{n_max}.
 
 The symfun suite checks S(n, k) = C(n+k, n-k) for 1 <= k <= n <= n_max.
 Each check streams columns from ``symmetric._columns``, k-major, so only
@@ -50,7 +50,7 @@ from .matrices import (
     build_min_matrix,
     build_theta_matrix,
 )
-from .symmetric import METHODS, _check_nk, _columns, binomial
+from .symmetric import METHODS, _columns, binomial, char_matrix
 
 #: Every method but the exponential minor enumeration.
 POLYNOMIAL_METHODS = ("closed", "nested", "rec6", "rec7", "ratio")
@@ -58,15 +58,11 @@ POLYNOMIAL_METHODS = ("closed", "nested", "rec6", "rec7", "ratio")
 # Largest n_max run_suites accepts, from a budget of 60 s for verify
 # --suite all on a 2-vCPU x86-64 host with Python 3.11, set when 600 took
 # 32 s and 700 took 64 s. A fresh `verify --suite all --n-max 600` process
-# now takes 10-11 s; in process the dets suite takes 2.3-3.3 s of it (n_max
+# now takes 8.5-9.5 s; in process the dets suite takes 1.7-1.8 s of it (n_max
 # eliminations, each comparing n_max**2 entries to find D's band and
-# subtracting O(n_max) of them), the binomial suite 3.5 s, and 700 takes
+# subtracting O(n_max) of them), the binomial suite 2.5-2.9 s, and 700 took
 # 17 s in all.
 _N_MAX_LIMIT = 600
-
-# Largest n at which the dets suite also runs det_bareiss on each matrix
-# alone, next to the sweeps.
-_PER_MATRIX_N_MAX = 8
 
 
 @dataclass
@@ -98,24 +94,6 @@ def _nk(nk):
 
 def _inc(inc):
     return f"inc={inc}"
-
-
-def check_min_dets(ns):
-    return _sweep(
-        "min matrix determinant equals 1",
-        ns,
-        lambda n: det_bareiss(build_min_matrix(n)) == det_min_matrix(n),
-        _n,
-    )
-
-
-def check_c_dets(cases):
-    return _sweep(
-        "shifted matrix determinant equals its shift",
-        cases,
-        lambda nk: det_bareiss(build_c_matrix(*nk)) == det_c_matrix(*nk),
-        _nk,
-    )
 
 
 def _leading_minors(matrix):
@@ -212,10 +190,7 @@ def suite_dets(n_max, seed=0):
     rng = random.Random(seed)
     delta, theta = random_increments(rng, min(n_max, 12))
     scale_cases = [([rng.randint(1, 9) for _ in range(rng.randint(1, 8))], rng.randint(-5, 5)) for _ in range(50)]
-    small = min(n_max, _PER_MATRIX_N_MAX)
     return [
-        check_min_dets(range(1, small + 1)),
-        check_c_dets([(n, k) for n in range(3, small + 1) for k in range(2, n)]),
         check_min_minors(n_max),
         check_c_minors(n_max),
         check_delta_dets(delta),
@@ -292,56 +267,70 @@ def suite_symfun(n_max):
     ]
 
 
-def check_binomial_identity(cases, n_max):
-    """binomial_identity_check at each (n, k) of cases, with one running
-    sum per k in place of its n - k + 1 binomials per case.
+def check_binomial_identity(n_max):
+    """binomial_identity_check at every 0 <= k <= n <= n_max, n by n, with
+    one running sum per k in place of its n - k + 1 binomials per case.
 
     The sum at (n, k) is sum_{i=1}^{n-k+1} C(n+k-1-i, n-k+1-i), the one at
     (n - 1, k) plus its i = 1 term C(n+k-2, n-k), and its C(n+k-1, n-k-1)
-    is the left side at (n - 1, k). Each case adds the terms since its k's
-    last case, and a k starts again from n = k - 1, where the sum is empty,
-    only where the cases go back in n. The suite's cases, n by n, then cost
-    O(n_max**2) binomials and O(n_max) live integers in all.
+    is the left side at (n - 1, k). The check then costs O(n_max**2)
+    binomials and O(n_max) live integers.
     """
-    sums = {}  # k -> (n, the sum and the left side at (n, k))
 
-    def holds(nk):
-        n, k = nk
-        _check_nk(n, k)
-        state = sums.get(k)
-        if state is None or state[0] > n:
-            # n = k - 1: the empty sum, and the left side there.
-            state = (k - 1, 0, binomial(2 * k - 1, -1))
-        last, total, left = state
-        for m in range(last + 1, n + 1):
-            total += binomial(m + k - 2, m - k)
-        before = left if last == n - 1 else binomial(n + k - 1, n - k - 1)
-        left = binomial(n + k, n - k)
-        sums[k] = (n, total, left)
-        return left == before + total
+    def cases():
+        sums = []  # entry k: the running sum and the left side at (n - 1, k)
+        for n in range(n_max + 1):
+            # k = n starts from the empty sum, and the left side at (n - 1, n).
+            sums.append((0, binomial(2 * n - 1, -1)))
+            for k, (total, before) in enumerate(sums):
+                total += binomial(n + k - 2, n - k)
+                left = binomial(n + k, n - k)
+                sums[k] = (total, left)
+                yield n, k, left == before + total
 
-    return _sweep(f"difference-recurrence binomial identity up to n={n_max}", cases, holds, _nk)
+    name = f"difference-recurrence binomial identity up to n={n_max}"
+    return _sweep(name, cases(), lambda case: case[2], _nk)
 
 
 def suite_binomial(n_max):
-    return [check_binomial_identity([(n, k) for n in range(n_max + 1) for k in range(n + 1)], n_max)]
+    return [check_binomial_identity(n_max)]
 
 
-def check_fibonacci_sum(ns, n_max):
-    return _sweep(f"symmetric-function sum equals F(2n+1) up to n={n_max}", ns, fibonacci_identity, _n)
+def check_fibonacci_sum(n_max):
+    name = f"symmetric-function sum equals F(2n+1) up to n={n_max}"
+    return _sweep(name, range(n_max + 1), fibonacci_identity, _n)
 
 
-def check_cassini(indices):
+def check_fibonacci_minors(n_max):
+    """det(I + A_n) = F_{2n+1} for every n <= n_max, read off the leading
+    minors of one elimination of -I - A_{n_max}, the (-1)^n F_{2n+1}."""
+
+    def cases():
+        minors = _leading_minors(char_matrix(n_max, -1)) if n_max else []
+        even, odd = 0, 1  # F_{2n} and F_{2n+1}, from n = 0
+        for n, minor in enumerate(minors, start=1):
+            even, odd = even + odd, even + 2 * odd
+            yield n, minor, -odd if n % 2 else odd
+
+    return _sweep(
+        "every leading minor of -I - A_n equals (-1)^n F(2n+1)",
+        cases(),
+        lambda case: case[1] == case[2],
+        lambda case: _n(case[0]),
+    )
+
+
+def check_cassini(n_max):
     return _sweep(
         "Cassini identity on the Fibonacci generator",
-        indices,
+        range(2, max(n_max, 3)),
         lambda i: fib(i - 1) * fib(i + 1) - fib(i) ** 2 == (-1) ** i,
         lambda i: f"i={i}",
     )
 
 
 def suite_fibonacci(n_max):
-    return [check_fibonacci_sum(range(n_max + 1), n_max), check_cassini(range(2, max(n_max, 3)))]
+    return [check_fibonacci_sum(n_max), check_fibonacci_minors(n_max), check_cassini(n_max)]
 
 
 def run_suites(suite, n_max, seed=0):

@@ -722,9 +722,10 @@ class TestRouting:
             assert len(calls) == 2 and calls[0] == calls[1]
             return calls[0]
 
-        for dim in (1, 23, 24, 40, 200):
+        for dim in (*range(1, 9), 23, 24, 40, 200):
             assert route(build_min_matrix(dim), 1) == ([[1]] * dim, list(range(dim)))
-        for dim, k in ((2, 2), (23, 5), (24, 2), (150, 40), (150, 100)):
+        small = [(dim, k) for dim in range(2, 9) for k in range(2, 9)]
+        for dim, k in (*small, (23, 5), (24, 2), (150, 40), (150, 100)):
             assert route(build_c_matrix(dim + k - 1, k), k) == ([[k]] + [[1]] * (dim - 1), list(range(dim)))
         poly = charpoly(120)
         for lam in range(-3, 6):

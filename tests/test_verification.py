@@ -1,9 +1,9 @@
 """The sweeps of `minmatrix.verification`: det A_n and det C_{n,k} for
 every n <= n_max, read off the leading minors of one elimination per
-family, the symmetric-function checks, which stream each method's
-columns, and the binomial identity's running sums."""
+family, F_{2n+1} off those of -I - A_{n_max}, the symmetric-function
+checks, which stream each method's columns, and the binomial identity's
+running sums."""
 
-import random
 import tracemalloc
 
 import pytest
@@ -14,6 +14,7 @@ from minmatrix import ExactMatrix, build_min_matrix, determinants, symmetric, ve
 
 MIN_SWEEP = "every leading minor of the min matrix equals 1"
 C_SWEEP = "every leading minor of the shifted matrix equals its shift"
+FIB_SWEEP = "every leading minor of -I - A_n equals (-1)^n F(2n+1)"
 
 
 def counterexample(result):
@@ -27,8 +28,7 @@ def test_sweeps_and_per_matrix_checks_pass(n_max):
     checks = [
         (verification.check_min_minors(n_max), n_max < 1),
         (verification.check_c_minors(n_max), n_max < 3),
-        (verification.check_min_dets(range(1, n_max + 1)), n_max < 1),
-        (verification.check_c_dets([(n, k) for n in range(3, n_max + 1) for k in range(2, n)]), n_max < 3),
+        (verification.check_fibonacci_minors(n_max), n_max < 1),
     ]
     for result, vacuous in checks:
         assert result.passed, (result.name, result.detail)
@@ -38,11 +38,9 @@ def test_sweeps_and_per_matrix_checks_pass(n_max):
 @pytest.mark.parametrize(
     "n_max, vacuous",
     [
-        (0, ["min matrix determinant equals 1", "shifted matrix determinant equals its shift",
-             MIN_SWEEP, C_SWEEP, "dropped-term closed form matches elimination (theta family)"]),
-        (1, ["shifted matrix determinant equals its shift", C_SWEEP,
-             "dropped-term closed form matches elimination (theta family)"]),
-        (2, ["shifted matrix determinant equals its shift", C_SWEEP]),
+        (0, [MIN_SWEEP, C_SWEEP, "dropped-term closed form matches elimination (theta family)"]),
+        (1, [C_SWEEP, "dropped-term closed form matches elimination (theta family)"]),
+        (2, [C_SWEEP]),
         (3, []),
     ],
 )
@@ -137,6 +135,23 @@ class TestShortRecord:
         assert minors == []
         monkeypatch.setattr(verification, "build_min_matrix", lambda n: matrix)
         assert counterexample(verification.check_min_minors(5)) == "n=1"
+
+
+class TestFibonacciMinors:
+    @pytest.mark.parametrize("n", [1, 2, 17, 40])
+    def test_one_wrong_minor_is_the_counterexample(self, monkeypatch, n):
+        # The leading n-minor of -I - A_40, (-1)^n F(2n+1), off by one.
+        det_minors = verification._det_minors
+
+        def wrong(matrix):
+            det, minors = det_minors(matrix)
+            minors[n - 1] += 1
+            return det, minors
+
+        monkeypatch.setattr(verification, "_det_minors", wrong)
+        assert counterexample(verification.check_fibonacci_minors(40)) == f"n={n}"
+        results = {r.name: r for r in verification.run_suites("fibonacci", 40)}
+        assert results[FIB_SWEEP].detail == f"counterexample: n={n}"
 
 
 def _corrupt_column(monkeypatch, method, n, k, by=1):
@@ -247,16 +262,14 @@ class TestSizeLimit:
 
 class TestBinomialSweep:
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 40), st.sampled_from(["suite", "shuffled"]), st.data())
-    def test_same_first_counterexample_as_each_case_alone(self, n_max, order, data):
+    @given(st.integers(0, 40), st.data())
+    def test_same_first_counterexample_as_each_case_alone(self, n_max, data):
         # binomial is off by one at one argument: one that a case reads,
         # as its left side, its C(n+k-1, n-k-1) or a term of its sum, or
         # one that no case reads. The running sums and a loop of
-        # binomial_identity_check, one case at a time, agree on the first
-        # counterexample, also where a shuffled case list goes back in n.
+        # binomial_identity_check over the cases n by n agree on the first
+        # counterexample.
         cases = [(n, k) for n in range(n_max + 1) for k in range(n + 1)]
-        if order == "shuffled":
-            random.Random(n_max).shuffle(cases)
         n, k = data.draw(st.sampled_from(cases))
         which = data.draw(st.sampled_from(["left", "middle", "term", "unread"]))
         if which == "left":
@@ -276,14 +289,10 @@ class TestBinomialSweep:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(symmetric, "binomial", off_by_one)
             patch.setattr(verification, "binomial", off_by_one)
-            result = verification.check_binomial_identity(cases, n_max)
+            result = verification.check_binomial_identity(n_max)
             first = next((case for case in cases if not symmetric.binomial_identity_check(*case)), None)
         event(f"{which}, {'fails' if first else 'passes'}")
         if first is None:
             assert result.passed
         else:
             assert counterexample(result) == f"n={first[0]}, k={first[1]}"
-
-    def test_invalid_case_raises(self):
-        with pytest.raises(ValueError, match="require 0 <= k <= n"):
-            verification.check_binomial_identity([(2, 1), (1, 2)], 2)
