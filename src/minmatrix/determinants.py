@@ -35,13 +35,15 @@ def det_bareiss(matrix):
     exists the determinant is 0. The matrix is only read.
 
     The elimination runs on D = Δ·X·Δᵀ, inside its band (see the module
-    docstring). A_150 and C_{189,40} take about 0.6-1 ms this way,
-    lam*I - A_120 about 0.9-1.5 ms, a dimension-48 delta or theta matrix
-    of 64-bit increments about 0.25 ms and A_600 5-7 ms, most of it in
-    comparing rows to find D's band; a dense matrix of entries in -16..16
-    takes about 1.5-2.5 ms at dimension 24, 12-20 ms at 48 and 150-230 ms
-    at 96 (in process, medians of 21 calls on one CPU of a shared 2-vCPU
-    x86-64 host, Python 3.11).
+    docstring). A_150 and C_{189,40} take about 0.5 ms this way,
+    lam*I - A_120 about 0.5 ms (0.75 ms when every row entering the band
+    was scaled and then divided), a dimension-48 delta or theta matrix of
+    64-bit increments about 0.14 ms and A_600 about 4 ms, most of it in
+    comparing rows to find D's band (in process on one pinned CPU of a
+    shared 2-vCPU x86-64 host, Python 3.11, medians of 21 calls, median
+    of 5 processes). A dense matrix of entries in -16..16 took about
+    1.5-2.5 ms at dimension 24, 12-20 ms at 48 and 150-230 ms at 96
+    (medians of 21 calls on one unpinned CPU of the same host).
     """
     return _det_minors(matrix)[0]
 
@@ -75,14 +77,18 @@ def _det_minors(matrix):
     # The column from which the row above is constant.
     flat = 0
     for i, row in enumerate(rows):
-        # Both ends are sought from the diagonal, by slices that compare
-        # whole runs of the two rows at once.
+        # Both ends are sought from the diagonal: first one entry at a
+        # time while the entries there differ, which crosses a band of D
+        # such as lam*I - A_n's, then by slices that compare whole runs of
+        # the two rows at once.
         first = i
+        while first and row[first - 1] != above[first - 1]:
+            first -= 1
         if row[:first] != above[:first]:
             first -= 1
             while row[:first] != above[:first]:
                 first -= 1
-        else:
+        elif first == i:
             while first < n and row[first] == above[first]:
                 first += 1
         starts.append(first)
@@ -93,6 +99,8 @@ def _det_minors(matrix):
         # The row above is constant from flat on: it is compared only left
         # of that.
         last = max(first, i)
+        while last < n - 1 and (row[last] != row[last + 1] or last < flat and above[last] != above[last + 1]):
+            last += 1
         while row[last:-1] != row[last + 1 :] or last < flat and above[last:-1] != above[last + 1 :]:
             last += 1
         while last > first and row[last - 1] == row[last] and above[last - 1] == above[last]:
@@ -118,12 +126,21 @@ def _eliminate(rows, starts, minors):
     A row enters the window at the step of its start column. Before that
     its lead is 0 at every step, so Bareiss multiplies it by pivot / prev
     each time, and its value at step k is its own times prev, the pivot of
-    step k - 1: it is multiplied by prev as it enters. With lower = the
-    largest i - starts[i], step k reads rows k to k + lower alone; a swap
-    exchanges row k with one of those, so it keeps that true. In the
-    window a row is held from the step's column to its last nonzero one,
-    and an update ends where the longer of it and the pivot row ends: rows
-    carry up to upper + lower entries past the diagonal, upper D's own.
+    step k - 1. Only the pivot row is multiplied by prev as it enters,
+    after a zero pivot has swapped in its replacement. A row that enters
+    below the pivot is updated from its own entries as pivot * x - lead * y:
+    Bareiss's (pivot * prev * x - prev * lead * y) // prev with the factor
+    prev, which the division only removes, never put in. A row that
+    entered at an earlier step is updated as (pivot * x - lead * y) // prev.
+    On a tridiagonal D, such as lam*I - A_n's, every row enters one step
+    before it pivots, so every update is the first kind.
+
+    With lower = the largest i - starts[i], step k reads rows k to
+    k + lower alone; a swap exchanges row k with one of those, so it keeps
+    that true. In the window a row is held from the step's column to its
+    last nonzero one, and an update ends where the longer of it and the
+    pivot row ends: rows carry up to upper + lower entries past the
+    diagonal, upper D's own.
     """
     n = len(rows)
     lower = max(0, *map(sub, range(n), starts))
@@ -131,9 +148,6 @@ def _eliminate(rows, starts, minors):
     prev = 1
     for step in range(n):
         end = min(n, step + lower + 1)
-        for r in range(step, end):
-            if starts[r] == step:
-                rows[r] = [prev * x for x in rows[r]]
         pivot = rows[step][0] if starts[step] <= step else 0
         if pivot == 0 and step < n - 1:
             # Pivots after a swap are not leading minors: they go to a list
@@ -148,17 +162,22 @@ def _eliminate(rows, starts, minors):
                     break
             else:
                 return 0
+        # The pivot row enters at this step, in place or swapped in.
+        if starts[step] == step:
+            rows[step] = [prev * x for x in rows[step]]
+            pivot = rows[step][0]
         minors.append(pivot)
         pivot_tail = rows[step][1:]
         for r in range(step + 1, end):
             if starts[r] <= step:
                 row = rows[r]
                 lead = row[0]
+                terms = zip_longest(row[1:], pivot_tail, fillvalue=0)
                 # A row that ends with the pivot column keeps its lead as 0.
-                rows[r] = [
-                    (pivot * x - lead * y) // prev
-                    for x, y in zip_longest(row[1:], pivot_tail, fillvalue=0)
-                ] or [0]
+                if starts[r] == step:
+                    rows[r] = [pivot * x - lead * y for x, y in terms] or [0]
+                else:
+                    rows[r] = [(pivot * x - lead * y) // prev for x, y in terms] or [0]
         prev = pivot
     return sign * prev
 

@@ -13,7 +13,8 @@ off one elimination of A_{n_max} and one of C_{n_max,k} per k: A_n is the
 leading block of A_{n_max}, and C_{n,k} that of C_{n_max,k}. That is
 O(n_max) eliminations in place of O(n_max^2), and every leading minor is
 checked. ``check_fibonacci_minors`` reads F_{2n+1} the same way, off one
-elimination of -I - A_{n_max}.
+elimination of -I - A_{n_max}, and ``check_charpoly_minors`` reads
+charpoly(n)(lam) off one elimination of lam*I - A_{n_max} per lam.
 
 The symfun suite checks S(n, k) = C(n+k, n-k) for 1 <= k <= n <= n_max.
 Each check streams columns from ``symmetric._columns``, k-major, so only
@@ -26,6 +27,9 @@ the current column of each method is live and no table is built:
                         against the diagonal prefix sums of one A_{n_max}
   growth                S(n, k) < S(n + 1, k) down each column of the
                         rec7 fill: a property of one method, not two legs
+  charpoly minors       charpoly(n)(lam), whose coefficients are the
+                        (-1)^k S(n, k), against the leading minors of one
+                        elimination of lam*I - A_{n_max}, at lam = 2 and 3
 
 S(n, n) = det A_n = 1 is the dets suite's leading-minor sweep.
 """
@@ -50,7 +54,7 @@ from .matrices import (
     build_min_matrix,
     build_theta_matrix,
 )
-from .symmetric import METHODS, _columns, binomial, char_matrix
+from .symmetric import METHODS, _columns, binomial, char_matrix, charpoly
 
 #: Every method but the exponential minor enumeration.
 POLYNOMIAL_METHODS = ("closed", "nested", "rec6", "rec7", "ratio")
@@ -58,10 +62,11 @@ POLYNOMIAL_METHODS = ("closed", "nested", "rec6", "rec7", "ratio")
 # Largest n_max run_suites accepts, from a budget of 60 s for verify
 # --suite all on a 2-vCPU x86-64 host with Python 3.11, set when 600 took
 # 32 s and 700 took 64 s. A fresh `verify --suite all --n-max 600` process
-# now takes 8.5-9.5 s; in process the dets suite takes 1.7-1.8 s of it (n_max
-# eliminations, each comparing n_max**2 entries to find D's band and
-# subtracting O(n_max) of them), the binomial suite 2.5-2.9 s, and 700 took
-# 17 s in all.
+# now takes 7.4-7.8 s; in process the dets suite takes 1.6-2.2 s of it
+# (n_max eliminations, each comparing n_max**2 entries to find D's band
+# and subtracting O(n_max) of them), the symfun suite 1.8 s (0.14 s of it
+# the charpoly minors), the binomial suite 2.4-2.5 s and the fibonacci
+# suite 1.2-1.4 s; 700 took 17 s in all before the charpoly minors.
 _N_MAX_LIMIT = 600
 
 
@@ -258,12 +263,37 @@ def check_growth(n_max):
     return _sweep("strict growth in n for fixed k", cases(), lambda case: case[2][0] < case[2][1], _nk)
 
 
+def check_charpoly_minors(n_max):
+    """det(lam*I - A_n) = charpoly(n)(lam) for every n <= n_max at lam = 2
+    and 3, read off the leading minors of one elimination of
+    lam*I - A_{n_max} per lam; each charpoly(n) is built once for both.
+    Not at lam = 1: A_n has eigenvalue 1 whenever 3 divides 2n + 1, a zero
+    leading minor where the record stops."""
+    lams = (2, 3)
+
+    def cases():
+        if not n_max:
+            return
+        records = [_leading_minors(char_matrix(n_max, lam)) for lam in lams]
+        for n in range(1, n_max + 1):
+            poly = charpoly(n)
+            yield from ((n, lam, minors[n - 1] == poly(lam)) for lam, minors in zip(lams, records))
+
+    return _sweep(
+        "every leading minor of lam*I - A_n equals charpoly(n)(lam)",
+        cases(),
+        lambda case: case[2],
+        lambda case: f"n={case[0]}, lam={case[1]}",
+    )
+
+
 def suite_symfun(n_max):
     return [
         check_six_way(n_max),
         check_polynomial_agreement(n_max),
         check_trace(n_max),
         check_growth(n_max),
+        check_charpoly_minors(n_max),
     ]
 
 

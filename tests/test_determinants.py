@@ -334,27 +334,56 @@ ORACLE_BRANCHES = {
     "banded D",
     "dense D",
     "row swap inside the band",
+    "row entering below the pivot",
+    "zero pivot replaced by a row entering at that step",
     "singular",
     "entries past int64",
 }
+
+
+class LoggedStarts(list):
+    """The starts list handed to _eliminate, logging each assignment as
+    (index, value). _eliminate assigns to starts only to swap two rows,
+    the pivot position first."""
+
+    def __init__(self, starts):
+        super().__init__(starts)
+        self.log = []
+
+    def __setitem__(self, index, value):
+        self.log.append((index, value))
+        super().__setitem__(index, value)
 
 
 def run_band(rows):
     """_det_minors of ``rows``, and the branches of the band elimination
     that it took, named as in ORACLE_BRANCHES. D's bandwidth is the
     largest distance of an entry that it holds from the diagonal: 0 is a
-    diagonal D and n - 1 a dense one."""
+    diagonal D and n - 1 a dense one.
+
+    A row whose start column s is left of its own index i enters the
+    window below the pivot at step s. It is updated there, with no
+    division, when the record reaches step s: no step up to s swapped
+    rows, so row i is still at i and the pivot is nonzero. A swap brings
+    up a row entering at its step when the row's start is the step."""
     n = len(rows)
     taken = set()
     eliminate = determinants._eliminate
 
-    def spy(band, starts, *args):
+    def spy(band, starts, minors):
         ends = [(i, start, start + len(row) - 1) for i, (start, row) in enumerate(zip(starts, band)) if row]
         width = max((max(i - first, last - i) for i, first, last in ends), default=0)
         taken.add("diagonal D" if width == 0 else "dense D" if width == n - 1 else "banded D")
         if any(not -(2**63) <= x < 2**63 for row in band for x in row):
             taken.add("entries past int64")
-        return eliminate(band, starts, *args)
+        given = list(starts)
+        starts = LoggedStarts(starts)
+        det = eliminate(band, starts, minors)
+        if any(start < min(i, len(minors)) for i, start in enumerate(given)):
+            taken.add("row entering below the pivot")
+        if any(step == start for step, start in starts.log[::2]):
+            taken.add("zero pivot replaced by a row entering at that step")
+        return det
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(determinants, "_eliminate", spy)

@@ -478,6 +478,12 @@ class TestCharPoly:
     def test_monic(self):
         assert charpoly(9).coeffs[-1] == 1
 
+    def test_coefficients_are_signed_binomials(self):
+        # The ratio recurrence against a fresh math.comb per coefficient.
+        for n in range(1, 301):
+            expected = tuple((-1) ** k * math.comb(n + k, 2 * k) for k in range(n, -1, -1))
+            assert charpoly(n).coeffs == expected, n
+
     def test_zero_dim_rejected(self):
         with pytest.raises(ValueError):
             charpoly(0)

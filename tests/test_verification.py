@@ -1,8 +1,9 @@
 """The sweeps of `minmatrix.verification`: det A_n and det C_{n,k} for
 every n <= n_max, read off the leading minors of one elimination per
 family, F_{2n+1} off those of -I - A_{n_max}, the symmetric-function
-checks, which stream each method's columns, and the binomial identity's
-running sums."""
+checks, which stream each method's columns, charpoly(n)(lam) off the
+leading minors of lam*I - A_{n_max}, and the binomial identity's running
+sums."""
 
 import tracemalloc
 
@@ -15,6 +16,7 @@ from minmatrix import ExactMatrix, build_min_matrix, determinants, symmetric, ve
 MIN_SWEEP = "every leading minor of the min matrix equals 1"
 C_SWEEP = "every leading minor of the shifted matrix equals its shift"
 FIB_SWEEP = "every leading minor of -I - A_n equals (-1)^n F(2n+1)"
+CHARPOLY_SWEEP = "every leading minor of lam*I - A_n equals charpoly(n)(lam)"
 
 
 def counterexample(result):
@@ -154,6 +156,38 @@ class TestFibonacciMinors:
         assert results[FIB_SWEEP].detail == f"counterexample: n={n}"
 
 
+class TestCharpolyMinors:
+    @pytest.mark.parametrize("lam, n", [(2, 1), (2, 40), (3, 1), (3, 17)])
+    def test_one_wrong_minor_is_the_counterexample(self, monkeypatch, lam, n):
+        # The leading n-minor of lam*I - A_40, charpoly(n)(lam), off by one.
+        det_minors = verification._det_minors
+
+        def wrong(matrix):
+            det, minors = det_minors(matrix)
+            if matrix.entry(1, 1) == lam - 1:
+                minors[n - 1] += 1
+            return det, minors
+
+        monkeypatch.setattr(verification, "_det_minors", wrong)
+        assert counterexample(verification.check_charpoly_minors(40)) == f"n={n}, lam={lam}"
+        results = {r.name: r for r in verification.run_suites("symfun", 40)}
+        assert results[CHARPOLY_SWEEP].detail == f"counterexample: n={n}, lam={lam}"
+
+    def test_wrong_charpoly_is_the_counterexample(self, monkeypatch):
+        # The constant term of charpoly(30), (-1)^30 C(60, 60) = 1, off by
+        # one: charpoly(30)(2) is the first value that misses its minor.
+        charpoly = verification.charpoly
+
+        def wrong(n):
+            poly = charpoly(n)
+            if n == 30:
+                poly = symmetric.CharPoly(n, (poly.coeffs[0] + 1, *poly.coeffs[1:]))
+            return poly
+
+        monkeypatch.setattr(verification, "charpoly", wrong)
+        assert counterexample(verification.check_charpoly_minors(40)) == "n=30, lam=2"
+
+
 def _corrupt_column(monkeypatch, method, n, k, by=1):
     """Make ``method``'s column source in verification off by ``by`` at
     S(n, k)."""
@@ -178,6 +212,7 @@ class TestSymfunSweeps:
             (verification.check_polynomial_agreement(n_max), n_max < 13),
             (verification.check_trace(n_max), n_max < 1),
             (verification.check_growth(n_max), n_max < 2),
+            (verification.check_charpoly_minors(n_max), n_max < 1),
         ]
         for result, vacuous in checks:
             assert result.passed, (result.name, result.detail)
