@@ -34,7 +34,8 @@ for method in METHODS:
     value = symfun(12, 6, method=method)
     elapsed = time.perf_counter() - start
     print(f"   {method:>7}: {value:8d}  ({elapsed * 1000:8.3f} ms)")
-print("   (minors enumerates all C(12,6) = 924 principal submatrices)")
+print("   (minors sums all C(12,6) = 924 principal 6x6 minors in one walk over the")
+print("    index sets, each set's minor one exact update of its parent's block)")
 
 p = charpoly(4)
 print(f"\nCharacteristic polynomial of the 4x4 min matrix: coeffs {p.coeffs}")

@@ -35,15 +35,17 @@ def det_bareiss(matrix):
     exists the determinant is 0. The matrix is only read.
 
     The elimination runs on D = Δ·X·Δᵀ, inside its band (see the module
-    docstring). A_150 and C_{189,40} take about 0.5 ms this way,
-    lam*I - A_120 about 0.5 ms (0.75 ms when every row entering the band
-    was scaled and then divided), a dimension-48 delta or theta matrix of
-    64-bit increments about 0.14 ms and A_600 about 4 ms, most of it in
-    comparing rows to find D's band (in process on one pinned CPU of a
-    shared 2-vCPU x86-64 host, Python 3.11, medians of 21 calls, median
-    of 5 processes). A dense matrix of entries in -16..16 took about
-    1.5-2.5 ms at dimension 24, 12-20 ms at 48 and 150-230 ms at 96
-    (medians of 21 calls on one unpinned CPU of the same host).
+    docstring). A_150 and C_{189,40} take about 0.33 ms this way, a
+    dimension-48 delta or theta matrix of 64-bit increments about 0.08 ms
+    and A_600 about 3.1 ms, most of it in comparing rows to find D's band.
+    When each one-entry row of their D took the general path, these were
+    0.5, 0.14 and 4.0 ms. lam*I - A_120 takes about 0.5 ms. (In process
+    on one pinned CPU of a shared 2-vCPU x86-64 host, Python 3.11, medians
+    of 21 calls, the fastest of 10 alternating processes; the host also
+    runs at a slower speed, where these read 1.5-1.8 times as much.) A
+    dense matrix of entries in -16..16 took about 1.5-2.5 ms at dimension
+    24, 12-20 ms at 48 and 150-230 ms at 96 (medians of 21 calls on one
+    unpinned CPU of the same host).
     """
     return _det_minors(matrix)[0]
 
@@ -66,8 +68,10 @@ def _det_minors(matrix):
     constant. Both ends are found by comparing the two rows of X, so only
     the entries between them are subtracted. Two parallel rows leave r
     constant before the second end, and the row of D is cut after its
-    last nonzero entry. It is kept with the column of its first (n for a
-    zero row).
+    last nonzero entry. A span of one column, every row of a diagonal D
+    such as those of A_n, C_{n,k} and the delta matrices, is that one
+    difference of X's rows. Each row is kept with the column of its first
+    entry (n for a zero row).
     """
     rows = matrix._rows
     n = len(rows)
@@ -106,12 +110,16 @@ def _det_minors(matrix):
         while last > first and row[last - 1] == row[last] and above[last - 1] == above[last]:
             last -= 1
         flat = last
-        r = list(map(sub, row[first : last + 1], above[first : last + 1]))
+        if last == first:
+            # One entry: r and the row of D are the same difference.
+            band.append([sub(row[first], above[first])])
+        else:
+            r = list(map(sub, row[first : last + 1], above[first : last + 1]))
+            d = [r[0], *map(sub, r[1:], r)]
+            while not d[-1]:
+                del d[-1]
+            band.append(d)
         above = row
-        d = [r[0], *map(sub, r[1:], r)]
-        while not d[-1]:
-            del d[-1]
-        band.append(d)
     minors = []
     return _eliminate(band, starts, minors), minors
 
@@ -133,7 +141,10 @@ def _eliminate(rows, starts, minors):
     prev, which the division only removes, never put in. A row that
     entered at an earlier step is updated as (pivot * x - lead * y) // prev.
     On a tridiagonal D, such as lam*I - A_n's, every row enters one step
-    before it pivots, so every update is the first kind.
+    before it pivots, so every update is the first kind. A step whose
+    window holds no row below the pivot, every step of a diagonal D and
+    the last of any D, reads only the pivot: it scales an entering pivot
+    by prev and builds no scaled row.
 
     With lower = the largest i - starts[i], step k reads rows k to
     k + lower alone; a swap exchanges row k with one of those, so it keeps
@@ -162,12 +173,18 @@ def _eliminate(rows, starts, minors):
                     break
             else:
                 return 0
-        # The pivot row enters at this step, in place or swapped in.
-        if starts[step] == step:
-            rows[step] = [prev * x for x in rows[step]]
-            pivot = rows[step][0]
+        # The pivot row enters at this step, in place or swapped in, scaled
+        # by prev. With no row below it in the window only its lead is read.
+        entering = starts[step] == step
+        if entering:
+            pivot *= prev
         minors.append(pivot)
+        if end == step + 1:
+            prev = pivot
+            continue
         pivot_tail = rows[step][1:]
+        if entering:
+            pivot_tail = [prev * x for x in pivot_tail]
         for r in range(step + 1, end):
             if starts[r] <= step:
                 row = rows[r]

@@ -88,6 +88,12 @@ def _minor_sums(n, k_max):
     S of {1, ..., n} whose largest index is m (sums[0][0] = 1 for the
     empty set). A minor does not depend on n once n >= max(S), so
     S(n', k) for every n' <= n is a prefix sum of sums[k].
+
+    A child that will have no children, at depth k_max or with one row,
+    is read only on its diagonal, the minors of the sets one larger: each
+    entry takes one update (pivot * x - lead * lead) // prev, and no block
+    is built. At k_max = n these are the 2^(n-2) sets whose largest index
+    is n - 1, half of the blocks the walk would build.
     """
     sums = [[0] * (n + 1) for _ in range(k_max + 1)]
     sums[0][0] = 1
@@ -100,13 +106,21 @@ def _minor_sums(n, k_max):
         for i, row in enumerate(block):
             pivot = row[0]
             if pivot <= 0:
-                raise ArithmeticError(
-                    f"non-positive principal minor {pivot} at index {top + 1 + i}"
-                )
+                raise _non_positive(pivot, top + 1 + i)
             level[top + 1 + i] += pivot
             if leaves or i + 1 == len(block):
                 continue
             tail = row[1:]
+            if depth + 1 == k_max or i + 2 == len(block):
+                # The child S+t will have no children: only its diagonal,
+                # the minors det A[S+t+u, S+t+u], is read.
+                below = sums[depth + 1]
+                for a, lead in enumerate(tail, i + 1):
+                    minor = (pivot * block[a][0] - lead * lead) // prev
+                    if minor <= 0:
+                        raise _non_positive(minor, top + 1 + a)
+                    below[top + 1 + a] += minor
+                continue
             child = [
                 [(pivot * x - lead * y) // prev for x, y in zip(block[i + 1 + a], tail[a:])]
                 for a, lead in enumerate(tail)
@@ -117,6 +131,10 @@ def _minor_sums(n, k_max):
         rows = build_min_matrix(n).to_lists()
         visit([row[i:] for i, row in enumerate(rows)], 1, 0, 1)
     return sums
+
+
+def _non_positive(minor, index):
+    return ArithmeticError(f"non-positive principal minor {minor} at index {index}")
 
 
 def _check_cap(n):

@@ -336,6 +336,7 @@ ORACLE_BRANCHES = {
     "row swap inside the band",
     "row entering below the pivot",
     "zero pivot replaced by a row entering at that step",
+    "pivot row entering with no row below it, D not diagonal",
     "singular",
     "entries past int64",
 }
@@ -365,7 +366,10 @@ def run_band(rows):
     window below the pivot at step s. It is updated there, with no
     division, when the record reaches step s: no step up to s swapped
     rows, so row i is still at i and the pivot is nonzero. A swap brings
-    up a row entering at its step when the row's start is the step."""
+    up a row entering at its step when the row's start is the step. The
+    last step has no row below the pivot in its window; a nonzero
+    determinant says that it ran, and the final starts say whether its
+    pivot row entered there."""
     n = len(rows)
     taken = set()
     eliminate = determinants._eliminate
@@ -383,6 +387,8 @@ def run_band(rows):
             taken.add("row entering below the pivot")
         if any(step == start for step, start in starts.log[::2]):
             taken.add("zero pivot replaced by a row entering at that step")
+        if width and det and starts[-1] == n - 1:
+            taken.add("pivot row entering with no row below it, D not diagonal")
         return det
 
     with pytest.MonkeyPatch.context() as patch:

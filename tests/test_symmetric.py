@@ -11,6 +11,7 @@ from minmatrix import (
     BRUTE_FORCE_CAP,
     METHODS,
     BruteForceCapExceeded,
+    ExactMatrix,
     binomial,
     binomial_identity_check,
     build_min_matrix,
@@ -156,6 +157,19 @@ class TestMinorWalk:
             monkeypatch.setattr(symmetric, name, forbidden)
         assert symfun_minor_sum(8, 4) == expected[4][8 - 4]
         assert build_sym_table(8, "minors").columns == expected
+
+    @pytest.mark.parametrize("k_max", [4, 2])
+    def test_non_positive_minor_raises(self, monkeypatch, k_max):
+        # A symmetric matrix that is not positive definite: the minor on
+        # indices {1, 2} is 1 - 4 = -3. At k_max = 4 the walk builds the
+        # block of {1} and raises at that block's first pivot; at k_max = 2
+        # the block of {1} has no children, and only its diagonal is formed.
+        import minmatrix.symmetric as symmetric
+
+        rows = [[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        monkeypatch.setattr(symmetric, "build_min_matrix", lambda n: ExactMatrix(rows))
+        with pytest.raises(ArithmeticError, match=r"^non-positive principal minor -3 at index 2$"):
+            symfun_minor_sum(4, k_max)
 
 
 class TestNested:

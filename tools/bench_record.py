@@ -15,9 +15,11 @@ platform versions, the CPU count, each workload's median and quartiles of
 every end-to-end metric over the seeds, and the traced run's per-layer
 metrics. Raw per-operation data stays in the git-ignored ``perfbench/out/``.
 
-It takes about 15 minutes on a 2-vCPU host. Compare two files only when
-they were recorded on one machine: the benchmark's own process-level
-timings are calibrated, the commands timed here are not.
+It takes about 4-5 minutes on a 2-vCPU x86-64 host: about 2 minutes for
+the six benchmark runs, then 3-3.5 minutes for five rounds of the
+commands, most of it the tier-1 run. Compare two files only when they were
+recorded on one machine: the benchmark's own process-level timings are
+calibrated, the commands timed here are not.
 """
 
 import json
