@@ -47,7 +47,6 @@ _SOURCES = {
     "symfun_rec6": "symmetric",
     "symfun_rec7": "symmetric",
     "symfun_ratio": "symmetric",
-    "binomial_identity_check": "symmetric",
     "charpoly": "symmetric",
     "char_matrix": "symmetric",
     "CharPoly": "symmetric",

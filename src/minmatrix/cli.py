@@ -344,6 +344,14 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # An exact result can be longer than Python's limit on converting an int
+    # to a decimal string (4300 digits by default), so the command runs with
+    # the limit lifted, and the caller's limit is restored after it. The
+    # integer options that argparse converted above stay limited. Releases
+    # before 3.10.7 have no limit.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:
@@ -352,6 +360,9 @@ def main(argv=None):
     except Exception as exc:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -38,11 +38,10 @@ def det_bareiss(matrix):
     docstring). A_150 and C_{189,40} take about 0.33 ms this way, a
     dimension-48 delta or theta matrix of 64-bit increments about 0.08 ms
     and A_600 about 3.1 ms, most of it in comparing rows to find D's band.
-    When each one-entry row of their D took the general path, these were
-    0.5, 0.14 and 4.0 ms. lam*I - A_120 takes about 0.5 ms. (In process
-    on one pinned CPU of a shared 2-vCPU x86-64 host, Python 3.11, medians
-    of 21 calls, the fastest of 10 alternating processes; the host also
-    runs at a slower speed, where these read 1.5-1.8 times as much.) A
+    lam*I - A_120 takes about 0.5 ms. (In process on one pinned CPU of a
+    shared 2-vCPU x86-64 host, Python 3.11, medians of 21 calls, the
+    fastest of 10 alternating processes; the host also runs at a slower
+    speed, where these read 1.5-1.8 times as much.) A
     dense matrix of entries in -16..16 took about 1.5-2.5 ms at dimension
     24, 12-20 ms at 48 and 150-230 ms at 96 (medians of 21 calls on one
     unpinned CPU of the same host).

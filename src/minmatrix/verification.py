@@ -7,14 +7,24 @@ take drawn cases. Each suite runs a family of checks; the CLI `verify`
 command runs the suites, and the acceptance tests call the same checks
 at their own, larger sizes.
 
+Every check has one shape: it streams its cases as tuples
+(passed, *values) into ``_sweep``, with a label such as "n={}, k={}". The
+first case whose passed is false fails the check, with the detail
+"counterexample: " + label.format(*values); a check with no case passes
+with a note that it was vacuous.
+
 The determinant corollary is read off leading minors. ``check_min_minors``
 and ``check_c_minors`` read det A_n and det C_{n,k} for every n <= n_max
 off one elimination of A_{n_max} and one of C_{n_max,k} per k: A_n is the
 leading block of A_{n_max}, and C_{n,k} that of C_{n_max,k}. That is
 O(n_max) eliminations in place of O(n_max^2), and every leading minor is
 checked. ``check_fibonacci_minors`` reads F_{2n+1} the same way, off one
-elimination of -I - A_{n_max}, and ``check_charpoly_minors`` reads
-charpoly(n)(lam) off one elimination of lam*I - A_{n_max} per lam.
+elimination of -I - A_{n_max}. These three read their record through
+``_minors``, whose cases compare each expected value with the next leading
+minor; a minor that a row swap left unread matches nothing.
+``check_charpoly_minors`` reads charpoly(n)(lam) off one elimination of
+lam*I - A_{n_max} per lam, in its own loop, so that each charpoly(n) is
+built once for both lam.
 
 The symfun suite checks S(n, k) = C(n+k, n-k) for 1 <= k <= n <= n_max.
 Each check streams columns from ``symmetric._columns``, k-major, so only
@@ -48,12 +58,7 @@ from .determinants import (
     theta_det_closed,
 )
 from .fibonacci import fib, fibonacci_identity
-from .matrices import (
-    build_c_matrix,
-    build_delta_matrix,
-    build_min_matrix,
-    build_theta_matrix,
-)
+from .matrices import build_c_matrix, build_delta_matrix, build_min_matrix, build_theta_matrix
 from .symmetric import METHODS, _columns, binomial, char_matrix, charpoly
 
 #: Every method but the exponential minor enumeration.
@@ -67,7 +72,7 @@ POLYNOMIAL_METHODS = ("closed", "nested", "rec6", "rec7", "ratio")
 # comparing n_max**2 entries to find D's band and subtracting O(n_max) of
 # them), the symfun suite 1.6-3.0 s (about 0.14 s of it the charpoly
 # minors), the binomial suite 2.3-3.6 s and the fibonacci suite 1.3-2.1 s,
-# six runs each; 700 took 17 s in all before the charpoly minors.
+# six runs each.
 _N_MAX_LIMIT = 600
 
 
@@ -79,48 +84,32 @@ class CheckResult:
     notes: list = field(default_factory=list)
 
 
-def _sweep(name, cases, predicate, describe):
-    """Run predicate over cases, reporting the first counterexample. A
-    check with no cases passes with a note saying it was vacuous."""
-    checked = 0
+def _sweep(name, cases, label):
+    """Report the first case whose passed is false, as a counterexample
+    label.format(*values). A check with no cases passes with a note saying
+    it was vacuous."""
+    case = ()  # stays empty only when there is no case
     for case in cases:
-        if not predicate(case):
-            return CheckResult(name, False, detail=f"counterexample: {describe(case)}")
-        checked += 1
-    return CheckResult(name, True, notes=[] if checked else ["vacuous: no cases"])
+        if not case[0]:
+            return CheckResult(name, False, detail="counterexample: " + label.format(*case[1:]))
+    return CheckResult(name, True, notes=[] if case else ["vacuous: no cases"])
 
 
-def _n(n):
-    return f"n={n}"
-
-
-def _nk(nk):
-    return f"n={nk[0]}, k={nk[1]}"
-
-
-def _inc(inc):
-    return f"inc={inc}"
-
-
-def _leading_minors(matrix):
-    """The leading principal minors that one det_bareiss elimination of
-    matrix reads, entry m that of the leading (m + 1) x (m + 1) block. Each
-    minor that a row swap left unread is None, which equals no
-    determinant."""
+def _minors(matrix, expected, first=1):
+    """Cases (passed, n), n from first: whether each value of expected in
+    turn equals the leading n-minor that one elimination of matrix reads. A
+    minor that a row swap left unread matches nothing."""
     minors = _det_minors(matrix)[1]
-    return minors + [None] * (matrix.dim - len(minors))
+    for n, value in enumerate(expected, start=first):
+        yield n <= len(minors) and minors[n - 1] == value, n
 
 
 def check_min_minors(n_max):
     """det A_n = 1 for every n <= n_max, read off the leading minors of one
     elimination of A_{n_max}."""
-    minors = _leading_minors(build_min_matrix(n_max)) if n_max else []
-    return _sweep(
-        "every leading minor of the min matrix equals 1",
-        range(1, n_max + 1),
-        lambda n: minors[n - 1] == det_min_matrix(n),
-        _n,
-    )
+    expected = map(det_min_matrix, range(1, n_max + 1))
+    cases = _minors(build_min_matrix(n_max), expected) if n_max else ()
+    return _sweep("every leading minor of the min matrix equals 1", cases, "n={}")
 
 
 def check_c_minors(n_max):
@@ -129,51 +118,35 @@ def check_c_minors(n_max):
 
     def cases():
         for k in range(2, n_max):
-            minors = _leading_minors(build_c_matrix(n_max, k))
             # The leading block of dimension n - k + 1 is C_{n,k}.
-            yield from ((n, k, minors[n - k]) for n in range(k + 1, n_max + 1))
+            expected = (det_c_matrix(n, k) for n in range(k + 1, n_max + 1))
+            for passed, dim in _minors(build_c_matrix(n_max, k), expected, first=2):
+                yield passed, dim + k - 1, k
 
-    return _sweep(
-        "every leading minor of the shifted matrix equals its shift",
-        cases(),
-        lambda case: case[2] == det_c_matrix(case[0], case[1]),
-        _nk,
-    )
+    name = "every leading minor of the shifted matrix equals its shift"
+    return _sweep(name, cases(), "n={}, k={}")
 
 
 def check_delta_dets(increments):
-    return _sweep(
-        "product closed form matches elimination (delta family)",
-        increments,
-        lambda inc: delta_det_closed(inc) == det_bareiss(build_delta_matrix(inc)),
-        _inc,
-    )
+    cases = ((delta_det_closed(inc) == det_bareiss(build_delta_matrix(inc)), inc) for inc in increments)
+    return _sweep("product closed form matches elimination (delta family)", cases, "inc={}")
 
 
 def check_theta_dets(increments):
-    return _sweep(
-        "dropped-term closed form matches elimination (theta family)",
-        increments,
-        lambda inc: theta_det_closed(inc) == det_bareiss(build_theta_matrix(inc)),
-        _inc,
-    )
-
-
-def _scales(case):
-    inc, t = case
-    scaled = det_bareiss(build_delta_matrix([inc[0] * t] + inc[1:]))
-    return scaled == t * det_bareiss(build_delta_matrix(inc))
+    cases = ((theta_det_closed(inc) == det_bareiss(build_theta_matrix(inc)), inc) for inc in increments)
+    return _sweep("dropped-term closed form matches elimination (theta family)", cases, "inc={}")
 
 
 def check_delta_scaling(cases):
     """Cases are (increments, t) pairs. Both sides are det_bareiss of a
     delta matrix, so a wrong elimination can fail the check."""
-    return _sweep(
-        "scaling the first increment scales the determinant",
-        cases,
-        _scales,
-        lambda case: f"inc={case[0]}, t={case[1]}",
-    )
+
+    def scaled():
+        for inc, t in cases:
+            det = det_bareiss(build_delta_matrix([inc[0] * t] + inc[1:]))
+            yield det == t * det_bareiss(build_delta_matrix(inc)), inc, t
+
+    return _sweep("scaling the first increment scales the determinant", scaled(), "inc={}, t={}")
 
 
 def random_increments(rng, dim_cap):
@@ -214,9 +187,10 @@ def _agreement(name, methods, n_max, n_min):
             start = max(n_min, k)
             # Column k holds S(k, k), ..., S(n_max, k).
             rows = islice(zip(*columns), start - k, None)
-            yield from ((n, k, values) for n, values in zip(range(start, n_max + 1), rows))
+            for n, values in zip(range(start, n_max + 1), rows):
+                yield len(set(values)) == 1, n, k
 
-    return _sweep(name, cases(), lambda case: len(set(case[2])) == 1, _nk)
+    return _sweep(name, cases(), "n={}, k={}")
 
 
 def check_six_way(n_max):
@@ -242,15 +216,11 @@ def check_trace(n_max):
             return
         matrix = build_min_matrix(n_max)
         traces = accumulate(matrix.entry(i, i) for i in range(1, n_max + 1))
-        ones = [next(islice(_columns(n_max, m), 1, None)) for m in POLYNOMIAL_METHODS]
-        yield from zip(range(1, n_max + 1), traces, zip(*ones))
+        ones = zip(*(next(islice(_columns(n_max, m), 1, None)) for m in POLYNOMIAL_METHODS))
+        for n, trace, values in zip(range(1, n_max + 1), traces, ones):
+            yield set(values) == {trace}, n
 
-    return _sweep(
-        "first symmetric function equals the trace of A_n",
-        cases(),
-        lambda case: set(case[2]) == {case[1]},
-        lambda case: _n(case[0]),
-    )
+    return _sweep("first symmetric function equals the trace of A_n", cases(), "n={}")
 
 
 def check_growth(n_max):
@@ -259,9 +229,9 @@ def check_growth(n_max):
 
     def cases():
         for k, column in enumerate(islice(_columns(n_max, "rec7"), 1, None), start=1):
-            yield from ((n, k, pair) for n, pair in enumerate(pairwise(column), start=k))
+            yield from ((low < high, n, k) for n, (low, high) in enumerate(pairwise(column), start=k))
 
-    return _sweep("strict growth in n for fixed k", cases(), lambda case: case[2][0] < case[2][1], _nk)
+    return _sweep("strict growth in n for fixed k", cases(), "n={}, k={}")
 
 
 def check_charpoly_minors(n_max):
@@ -275,17 +245,14 @@ def check_charpoly_minors(n_max):
     def cases():
         if not n_max:
             return
-        records = [_leading_minors(char_matrix(n_max, lam)) for lam in lams]
+        records = [_det_minors(char_matrix(n_max, lam))[1] for lam in lams]
         for n in range(1, n_max + 1):
             poly = charpoly(n)
-            yield from ((n, lam, minors[n - 1] == poly(lam)) for lam, minors in zip(lams, records))
+            for lam, minors in zip(lams, records):
+                yield n <= len(minors) and minors[n - 1] == poly(lam), n, lam
 
-    return _sweep(
-        "every leading minor of lam*I - A_n equals charpoly(n)(lam)",
-        cases(),
-        lambda case: case[2],
-        lambda case: f"n={case[0]}, lam={case[1]}",
-    )
+    name = "every leading minor of lam*I - A_n equals charpoly(n)(lam)"
+    return _sweep(name, cases(), "n={}, lam={}")
 
 
 def suite_symfun(n_max):
@@ -299,13 +266,14 @@ def suite_symfun(n_max):
 
 
 def check_binomial_identity(n_max):
-    """binomial_identity_check at every 0 <= k <= n <= n_max, n by n, with
-    one running sum per k in place of its n - k + 1 binomials per case.
+    """C(n+k, n-k) = C(n+k-1, n-k-1) + sum_{i=1}^{n-k+1} C(n+k-1-i, n-k+1-i),
+    the binomial identity under the difference recurrence, at every
+    0 <= k <= n <= n_max, n by n, with one running sum per k in place of
+    n - k + 1 binomials per case.
 
-    The sum at (n, k) is sum_{i=1}^{n-k+1} C(n+k-1-i, n-k+1-i), the one at
-    (n - 1, k) plus its i = 1 term C(n+k-2, n-k), and its C(n+k-1, n-k-1)
-    is the left side at (n - 1, k). The check then costs O(n_max**2)
-    binomials and O(n_max) live integers.
+    The sum at (n, k) is the one at (n - 1, k) plus its i = 1 term
+    C(n+k-2, n-k), and its C(n+k-1, n-k-1) is the left side at (n - 1, k).
+    The check then costs O(n_max**2) binomials and O(n_max) live integers.
     """
 
     def cases():
@@ -317,10 +285,10 @@ def check_binomial_identity(n_max):
                 total += binomial(n + k - 2, n - k)
                 left = binomial(n + k, n - k)
                 sums[k] = (total, left)
-                yield n, k, left == before + total
+                yield left == before + total, n, k
 
     name = f"difference-recurrence binomial identity up to n={n_max}"
-    return _sweep(name, cases(), lambda case: case[2], _nk)
+    return _sweep(name, cases(), "n={}, k={}")
 
 
 def suite_binomial(n_max):
@@ -328,36 +296,27 @@ def suite_binomial(n_max):
 
 
 def check_fibonacci_sum(n_max):
-    name = f"symmetric-function sum equals F(2n+1) up to n={n_max}"
-    return _sweep(name, range(n_max + 1), fibonacci_identity, _n)
+    cases = ((fibonacci_identity(n), n) for n in range(n_max + 1))
+    return _sweep(f"symmetric-function sum equals F(2n+1) up to n={n_max}", cases, "n={}")
 
 
 def check_fibonacci_minors(n_max):
     """det(I + A_n) = F_{2n+1} for every n <= n_max, read off the leading
     minors of one elimination of -I - A_{n_max}, the (-1)^n F_{2n+1}."""
 
-    def cases():
-        minors = _leading_minors(char_matrix(n_max, -1)) if n_max else []
+    def expected():
         even, odd = 0, 1  # F_{2n} and F_{2n+1}, from n = 0
-        for n, minor in enumerate(minors, start=1):
+        for n in range(1, n_max + 1):
             even, odd = even + odd, even + 2 * odd
-            yield n, minor, -odd if n % 2 else odd
+            yield -odd if n % 2 else odd
 
-    return _sweep(
-        "every leading minor of -I - A_n equals (-1)^n F(2n+1)",
-        cases(),
-        lambda case: case[1] == case[2],
-        lambda case: _n(case[0]),
-    )
+    cases = _minors(char_matrix(n_max, -1), expected()) if n_max else ()
+    return _sweep("every leading minor of -I - A_n equals (-1)^n F(2n+1)", cases, "n={}")
 
 
 def check_cassini(n_max):
-    return _sweep(
-        "Cassini identity on the Fibonacci generator",
-        range(2, max(n_max, 3)),
-        lambda i: fib(i - 1) * fib(i + 1) - fib(i) ** 2 == (-1) ** i,
-        lambda i: f"i={i}",
-    )
+    cases = ((fib(i - 1) * fib(i + 1) - fib(i) ** 2 == (-1) ** i, i) for i in range(2, max(n_max, 3)))
+    return _sweep("Cassini identity on the Fibonacci generator", cases, "i={}")
 
 
 def suite_fibonacci(n_max):

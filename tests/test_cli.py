@@ -143,6 +143,50 @@ class TestDetCommand:
         assert out.splitlines()[-1] == "agree"
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int to str limit")
+class TestLongResults:
+    """Exact results longer than Python's limit on converting an int to a
+    decimal string (4300 digits by default) are printed in full, and the
+    caller's limit is the same afterwards."""
+
+    @pytest.fixture
+    def limit(self):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4301)
+        yield 4301
+        sys.set_int_max_str_digits(before)
+
+    @staticmethod
+    def printed(out, fmt):
+        """The one exact value that a det or symfun command printed."""
+        if fmt == "json":
+            values = json.loads(out)["payload"]["values"]
+            return values["closed"] if isinstance(values, dict) else values[0]["value"]
+        last = out.splitlines()[-1]
+        return last.rsplit(",", 1)[-1] if fmt == "csv" else last.rsplit(": ", 1)[-1]
+
+    def check(self, capsys, limit, argv, fmt, expected):
+        code, out, err = run(capsys, *argv, "--method", "closed", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        text = self.printed(out, fmt)
+        assert len(text.lstrip("-")) > limit
+        sys.set_int_max_str_digits(0)
+        assert int(text) == expected
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_det_of_240_signed_64_bit_increments(self, capsys, limit, fmt):
+        rng = random.Random(240)
+        inc = [rng.choice((-1, 1)) * rng.randrange(2**63, 2**64) for _ in range(240)]
+        argv = ["det", "delta", f"--inc={','.join(map(str, inc))}"]
+        self.check(capsys, limit, argv, fmt, math.prod(inc))
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_symfun_closed_at_n_20000(self, capsys, limit, fmt):
+        argv = ["symfun", "--n", "20000", "--k", "10000"]
+        self.check(capsys, limit, argv, fmt, math.comb(30000, 10000))
+
+
 class TestDenseLimit:
     """`matrix` and `det --method bareiss|both` refuse a dense matrix past
     dimension 4096, 2**24 entries, before they build anything."""
@@ -354,6 +398,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(verification, "det_bareiss", wrong)
         result = verification.check_delta_scaling(cases)
         assert (result.name, result.passed) == (name, False)
+        assert result.detail == "counterexample: inc=[3, 1, 4], t=2"
         code, out, _ = run(capsys, "verify", "--suite", "dets", "--n-max", "16")
         assert code == 1
         assert any(line.startswith(f"[FAIL] {name} (counterexample: ") for line in out.splitlines())

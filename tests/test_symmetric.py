@@ -6,6 +6,7 @@ from itertools import accumulate, combinations
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_verification import binomial_identity_check
 
 from minmatrix import (
     BRUTE_FORCE_CAP,
@@ -13,7 +14,6 @@ from minmatrix import (
     BruteForceCapExceeded,
     ExactMatrix,
     binomial,
-    binomial_identity_check,
     build_min_matrix,
     build_sym_table,
     char_matrix,
@@ -458,6 +458,8 @@ class TestSymTable:
 
 
 class TestBinomialIdentity:
+    # The identity under the difference recurrence, by the reference that
+    # check_binomial_identity's sweep is tested against.
     @pytest.mark.parametrize("n", range(8))
     def test_degenerate_diagonal(self, n):
         assert binomial_identity_check(n, n)

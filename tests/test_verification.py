@@ -24,6 +24,20 @@ def counterexample(result):
     return result.detail.removeprefix("counterexample: ")
 
 
+def binomial_identity_check(n, k):
+    """The identity that check_binomial_identity sweeps, at one case and by
+    a fresh sum of its n - k + 2 binomials:
+
+    C(n+k, n-k) = C(n+k-1, n-k-1) + sum_{i=1}^{n-k+1} C(n+k-1-i, n-k+1-i)
+
+    It looks up symmetric.binomial when called, so that a test's patch of
+    it reaches here."""
+    binomial = symmetric.binomial
+    left = binomial(n + k, n - k)
+    terms = (binomial(n + k - 1 - i, n - k + 1 - i) for i in range(1, n - k + 2))
+    return left == binomial(n + k - 1, n - k - 1) + sum(terms)
+
+
 @pytest.mark.parametrize("n_max", [*range(41), 60])
 def test_sweeps_and_per_matrix_checks_pass(n_max):
     # Each check and whether it has no case at this n_max.
@@ -295,6 +309,33 @@ class TestSizeLimit:
         assert verification.run_suites("all", verification._N_MAX_LIMIT) == []
 
 
+class TestCounterexampleText:
+    """Each check names its first failing case: the words of its detail."""
+
+    def test_delta_and_theta_name_the_increments(self, monkeypatch):
+        # An elimination that adds 1 at dimension 3: the delta list of three
+        # increments and the theta list of four.
+        det_bareiss = verification.det_bareiss
+        monkeypatch.setattr(verification, "det_bareiss", lambda m: det_bareiss(m) + (m.dim == 3))
+        delta = [[2], [-4, 1], [-4, 0, 3], [1, 1, 1]]
+        theta = [[5, 1, 2], [1, -2, 3, 9], [2, 2, 2, 2]]
+        assert counterexample(verification.check_delta_dets(delta)) == "inc=[-4, 0, 3]"
+        assert counterexample(verification.check_theta_dets(theta)) == "inc=[1, -2, 3, 9]"
+
+    def test_fibonacci_sum_names_n(self, monkeypatch):
+        monkeypatch.setattr(verification, "fibonacci_identity", lambda n: n != 7)
+        assert counterexample(verification.check_fibonacci_sum(16)) == "n=7"
+        results = {r.name: r for r in verification.run_suites("fibonacci", 16)}
+        name = "symmetric-function sum equals F(2n+1) up to n=16"
+        assert results[name].detail == "counterexample: n=7"
+
+    def test_cassini_names_i(self, monkeypatch):
+        # F_9 off by one: i = 8 is the first case to read it.
+        fib = verification.fib
+        monkeypatch.setattr(verification, "fib", lambda i: fib(i) + (i == 9))
+        assert counterexample(verification.check_cassini(16)) == "i=8"
+
+
 class TestBinomialSweep:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 40), st.data())
@@ -325,7 +366,7 @@ class TestBinomialSweep:
             patch.setattr(symmetric, "binomial", off_by_one)
             patch.setattr(verification, "binomial", off_by_one)
             result = verification.check_binomial_identity(n_max)
-            first = next((case for case in cases if not symmetric.binomial_identity_check(*case)), None)
+            first = next((case for case in cases if not binomial_identity_check(*case)), None)
         event(f"{which}, {'fails' if first else 'passes'}")
         if first is None:
             assert result.passed

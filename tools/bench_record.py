@@ -10,16 +10,19 @@ for seeds 1 to 5, and one ``--trace 1`` run at seed 1, each as a
 subprocess, and then times in fresh processes, median of 5 rounds, the
 end-to-end commands that the benchmark does not cover: ``minmatrix verify
 --suite all --n-max 600``, the acceptance tests, the tier-1 run and
-``import minmatrix``. The file holds the git sha, the Python, numpy and
-platform versions, the CPU count, each workload's median and quartiles of
-every end-to-end metric over the seeds, and the traced run's per-layer
-metrics. Raw per-operation data stays in the git-ignored ``perfbench/out/``.
+``import minmatrix``. Each timed command runs pinned to one CPU, the
+highest one this process may use, as ``perfbench/run.py`` pins itself, so
+that the scheduler does not move it between cores mid-run. The file holds
+the git sha, the Python, numpy and platform versions, the CPU count, each
+workload's median and quartiles of every end-to-end metric over the seeds,
+and the traced run's per-layer metrics. Raw per-operation data stays in
+the git-ignored ``perfbench/out/``.
 
 It takes about 4-5 minutes on a 2-vCPU x86-64 host: about 2 minutes for
 the six benchmark runs, then 3-3.5 minutes for five rounds of the
 commands, most of it the tier-1 run. Compare two files only when they were
 recorded on one machine: the benchmark's own process-level timings are
-calibrated, the commands timed here are not.
+calibrated, the commands timed here are pinned but not calibrated.
 """
 
 import json
@@ -74,6 +77,12 @@ def versions():
     }
 
 
+def pin():
+    """Run in a timed child before its program starts: keep it, and every
+    process it starts, on the highest CPU it may use."""
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+
+
 def bench(seed, trace):
     """One ``perfbench/run.py --workload all`` run: its result line per workload."""
     argv = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
@@ -119,7 +128,7 @@ def commands():
     for _ in range(ROUNDS):
         for name, args in COMMANDS.items():
             start = time.perf_counter()
-            done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env(),
+            done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env(), preexec_fn=pin,
                                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
             times[name].append(time.perf_counter() - start)
             failed[name] += done.returncode != 0
