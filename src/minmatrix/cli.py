@@ -73,11 +73,21 @@ def _emit(args, payload, header, rows, lines, seed=None, notes=(), csv_tail=()):
 
 
 def _parse_increments(text):
+    """The increments of --inc, parsed under the current limit on converting
+    a decimal string to an int, where Python has one."""
     if text.strip() == "":
         return []
     try:
         return [int(part) for part in text.split(",")]
     except ValueError:
+        parts = [part.strip().lstrip("+-") for part in text.split(",")]
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        digits = max(map(len, parts))
+        if limit and digits > limit and all(map(str.isdigit, parts)):
+            raise ValueError(
+                f"--inc has an increment of {digits} digits, above the limit of {limit} on "
+                "converting a decimal string to an int (sys.set_int_max_str_digits)"
+            )
         raise ValueError(f"increment list must be comma-separated integers, got {text!r}")
 
 
@@ -95,15 +105,15 @@ _KINDS = {
     ),
     "delta": (
         ("inc",),
-        lambda a: len(_parse_increments(a.inc)),
-        lambda a: build_delta_matrix(_parse_increments(a.inc)),
-        lambda a: delta_det_closed(_parse_increments(a.inc)),
+        lambda a: len(a.inc),
+        lambda a: build_delta_matrix(a.inc),
+        lambda a: delta_det_closed(a.inc),
     ),
     "theta": (
         ("inc",),
-        lambda a: len(_parse_increments(a.inc)) - 1,
-        lambda a: build_theta_matrix(_parse_increments(a.inc)),
-        lambda a: theta_det_closed(_parse_increments(a.inc)),
+        lambda a: len(a.inc) - 1,
+        lambda a: build_theta_matrix(a.inc),
+        lambda a: theta_det_closed(a.inc),
     ),
 }
 
@@ -190,6 +200,13 @@ def cmd_symfun(args):
         ks = range(args.n + 1) if args.k == "all" else [int(args.k)]
     except ValueError:
         raise ValueError(f"--k must be an integer or 'all', got {args.k!r}")
+    # The closed form is C(n + k, n - k), and math.comb refuses one whose
+    # smaller side, min(n - k, 2k), is past sys.maxsize.
+    if args.k != "all" and min(args.n - ks[0], 2 * ks[0]) > sys.maxsize:
+        raise ValueError(
+            f"--k {ks[0]} with --n {args.n} gives C(n + k, n - k) with min(n - k, 2k) "
+            f"above {sys.maxsize}, past math.comb's range"
+        )
     methods = list(METHODS) if args.method == "all" else [args.method]
     columns = {}
     notes = []
@@ -347,12 +364,14 @@ def main(argv=None):
     # An exact result can be longer than Python's limit on converting an int
     # to a decimal string (4300 digits by default), so the command runs with
     # the limit lifted, and the caller's limit is restored after it. The
-    # integer options that argparse converted above stay limited. Releases
-    # before 3.10.7 have no limit.
+    # integer options that argparse converted above, and --inc, parsed here
+    # first, stay limited. Releases before 3.10.7 have no limit.
     digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if digits is not None:
-        sys.set_int_max_str_digits(0)
     try:
+        if getattr(args, "inc", None) is not None:
+            args.inc = _parse_increments(args.inc)
+        if digits is not None:
+            sys.set_int_max_str_digits(0)
         return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

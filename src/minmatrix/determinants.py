@@ -35,16 +35,16 @@ def det_bareiss(matrix):
     exists the determinant is 0. The matrix is only read.
 
     The elimination runs on D = Δ·X·Δᵀ, inside its band (see the module
-    docstring). A_150 and C_{189,40} take about 0.33 ms this way, a
-    dimension-48 delta or theta matrix of 64-bit increments about 0.08 ms
-    and A_600 about 3.1 ms, most of it in comparing rows to find D's band.
-    lam*I - A_120 takes about 0.5 ms. (In process on one pinned CPU of a
+    docstring). A_150 and C_{189,40} take about 0.24 ms this way, a
+    dimension-48 delta or theta matrix of 64-bit increments about 0.07 ms
+    and A_600 about 2.0 ms, nine tenths of it in finding D's band.
+    lam*I - A_120 takes about 0.42 ms. (In process on one pinned CPU of a
     shared 2-vCPU x86-64 host, Python 3.11, medians of 21 calls, the
-    fastest of 10 alternating processes; the host also runs at a slower
-    speed, where these read 1.5-1.8 times as much.) A
-    dense matrix of entries in -16..16 took about 1.5-2.5 ms at dimension
-    24, 12-20 ms at 48 and 150-230 ms at 96 (medians of 21 calls on one
-    unpinned CPU of the same host).
+    fastest of 10 processes; the host also runs at a slower speed, where
+    these read up to 1.5-1.8 times as much.) A dense matrix of entries in
+    -16..16 takes about 1.0-1.7 ms at dimension 24, 9.6-16 ms at 48 and
+    116-160 ms at 96 (medians of 21 calls, 7 at 96, over the same 10
+    processes).
     """
     return _det_minors(matrix)[0]
 
@@ -64,8 +64,14 @@ def _det_minors(matrix):
     D is formed row by row. Its row i is r less r shifted right by one,
     for r = X_i - X_{i-1}: zero before the first column where X_i and
     X_{i-1} differ, and zero past the first column from which both are
-    constant. Both ends are found by comparing the two rows of X, so only
-    the entries between them are subtracted. Two parallel rows leave r
+    constant. Both ends are found from the two rows of X, so only the
+    entries between them are subtracted. The rows agree before the first
+    end when one slice of the row equals a prefix of the row above: the
+    slice that the row above's own search took, trimmed or extended from
+    the row above to the new length. Both rows are constant from the
+    second when one slice of the row counts its first entry as often as it
+    is long, and likewise the row above left of the column from which it
+    is known to be constant. Two parallel rows leave r
     constant before the second end, and the row of D is cut after its
     last nonzero entry. A span of one column, every row of a diagonal D
     such as those of A_n, C_{n,k} and the delta matrices, is that one
@@ -77,17 +83,24 @@ def _det_minors(matrix):
     band = []
     starts = []
     above = [0] * n
-    # The column from which the row above is constant.
+    # The column from which the row above is constant, and a prefix of the
+    # row above, kept from its own search.
     flat = 0
+    prefix = []
     for i, row in enumerate(rows):
         # Both ends are sought from the diagonal: first one entry at a
         # time while the entries there differ, which crosses a band of D
-        # such as lam*I - A_n's, then by slices that compare whole runs of
-        # the two rows at once.
+        # such as lam*I - A_n's, then by one slice of the row that tests a
+        # whole run at once.
         first = i
         while first and row[first - 1] != above[first - 1]:
             first -= 1
-        if row[:first] != above[:first]:
+        if len(prefix) > first:
+            del prefix[first:]
+        else:
+            prefix += above[len(prefix) : first]
+        head = row[:first]
+        if head != prefix:
             first -= 1
             while row[:first] != above[:first]:
                 first -= 1
@@ -99,12 +112,15 @@ def _det_minors(matrix):
             # The row equals the one above, and is constant from flat too.
             band.append([])
             continue
-        # The row above is constant from flat on: it is compared only left
+        # The row above is constant from flat on: it is tested only left
         # of that.
         last = max(first, i)
         while last < n - 1 and (row[last] != row[last + 1] or last < flat and above[last] != above[last + 1]):
             last += 1
-        while row[last:-1] != row[last + 1 :] or last < flat and above[last:-1] != above[last + 1 :]:
+        while (
+            row[last:].count(row[last]) != n - last
+            or last < flat and above[last:flat].count(above[flat]) != flat - last
+        ):
             last += 1
         while last > first and row[last - 1] == row[last] and above[last - 1] == above[last]:
             last -= 1
@@ -119,6 +135,7 @@ def _det_minors(matrix):
                 del d[-1]
             band.append(d)
         above = row
+        prefix = head
     minors = []
     return _eliminate(band, starts, minors), minors
 

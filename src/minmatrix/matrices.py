@@ -110,10 +110,15 @@ def prefix_sums(inc):
 
 def _cumulative_rows(sums):
     """Rows of the matrix with entry(r, c) = sums[min(r, c)], 0-based: row
-    r is sums up to r, then sums[r] repeated to the end. Built from slices
-    and repeats, with no per-entry min()."""
+    r is sums up to r, then sums[r] repeated to the end: the slice
+    sums[:r] extended in place by the repeat, with no per-entry min()."""
     n = len(sums)
-    return [sums[:r] + [sums[r]] * (n - r) for r in range(n)]
+    rows = []
+    for r in range(n):
+        row = sums[:r]
+        row += [sums[r]] * (n - r)
+        rows.append(row)
+    return rows
 
 
 def build_min_matrix(n):
@@ -153,7 +158,12 @@ def build_theta_matrix(inc):
     values = _check_increments(inc, minimum_length=3)
     sums = list(accumulate(values))
     n = len(values) - 1
-    # Row r (1-based) is sums[0], then sums[min(r, c)] for c = 2..n.
-    return ExactMatrix._from_checked(
-        [[sums[0], *sums[2 : r + 1]] + [sums[r]] * (n - r) for r in range(1, n + 1)]
-    )
+    # Row r (1-based) is sums[0], then sums[min(r, c)] for c = 2..n: sums[1]
+    # replaced by sums[0] at the head of sums[1 : r + 1].
+    rows = []
+    for r in range(1, n + 1):
+        row = sums[1 : r + 1]
+        row[0] = sums[0]
+        row += [sums[r]] * (n - r)
+        rows.append(row)
+    return ExactMatrix._from_checked(rows)

@@ -67,12 +67,11 @@ POLYNOMIAL_METHODS = ("closed", "nested", "rec6", "rec7", "ratio")
 # Largest n_max run_suites accepts, from a budget of 60 s for verify
 # --suite all on a 2-vCPU x86-64 host with Python 3.11, set when 600 took
 # 32 s and 700 took 64 s. A fresh `verify --suite all --n-max 600` process
-# now takes 7.2-11 s on a shared host whose speed varies (three runs); in
-# process the dets suite takes 1.5-2.3 s of it (n_max eliminations, each
-# comparing n_max**2 entries to find D's band and subtracting O(n_max) of
-# them), the symfun suite 1.6-3.0 s (about 0.14 s of it the charpoly
-# minors), the binomial suite 2.3-3.6 s and the fibonacci suite 1.3-2.1 s,
-# six runs each.
+# now takes 6.4-7.2 s on one pinned CPU of a shared host whose speed
+# varies (three runs); in process the dets suite takes 1.1-1.4 s of it
+# (n_max eliminations, each reading n_max**2 entries to find D's band and
+# subtracting O(n_max) of them), the symfun suite 1.6 s, the binomial
+# suite 2.3 s and the fibonacci suite 1.2 s, three runs each.
 _N_MAX_LIMIT = 600
 
 

@@ -187,6 +187,39 @@ class TestLongResults:
         self.check(capsys, limit, argv, fmt, math.comb(30000, 10000))
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int to str limit")
+class TestIncrementDigits:
+    """`--inc` is parsed under the caller's limit on converting a decimal
+    string to an int, as argparse's integer options are, while results stay
+    unlimited. The caller's limit is the same afterwards."""
+
+    @pytest.fixture(params=[4300, 0], ids=["limit 4300", "no limit"])
+    def limit(self, request):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(request.param)
+        yield request.param
+        sys.set_int_max_str_digits(before)
+
+    def det(self, capsys, digits):
+        return run(capsys, "det", "delta", f"--inc={'9' * digits},2", "--method", "closed")
+
+    def test_the_limit_itself_is_accepted(self, capsys, limit):
+        assert self.det(capsys, 4300) == (0, f"closed: 1{'9' * 4299}8\n", "")
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_one_digit_more_is_refused_only_under_a_limit(self, capsys, limit):
+        code, out, err = self.det(capsys, 4301)
+        assert sys.get_int_max_str_digits() == limit
+        if limit:
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: --inc has an increment of 4301 digits, above the limit of 4300 on "
+                "converting a decimal string to an int (sys.set_int_max_str_digits)\n"
+            )
+        else:
+            assert (code, out, err) == (0, f"closed: 1{'9' * 4300}8\n", "")
+
+
 class TestDenseLimit:
     """`matrix` and `det --method bareiss|both` refuse a dense matrix past
     dimension 4096, 2**24 entries, before they build anything."""
@@ -354,6 +387,27 @@ class TestSymfunLimit:
         n = 10**20
         code, out, err = run(capsys, "symfun", "--n", str(n), "--k", str(k))
         assert (code, out, err) == (0, f"k={k} closed: {math.comb(n + k, n - k)}\n", "")
+
+    @pytest.mark.parametrize(
+        "n, k", [(10**20, 2**63), (2**64, 2**62), (2**64, 2**63), (2**200, 2**199)]
+    )
+    def test_closed_past_the_binomial_range_is_refused(self, capsys, computed, n, k):
+        # C(n + k, n - k) is past math.comb where min(n - k, 2k) > sys.maxsize.
+        code, out, err = run(capsys, "symfun", "--n", str(n), "--k", str(k))
+        assert (code, out, computed) == (2, "", [])
+        assert err == (
+            f"error: --k {k} with --n {n} gives C(n + k, n - k) with min(n - k, 2k) "
+            f"above {sys.maxsize}, past math.comb's range\n"
+        )
+
+    def test_closed_at_the_binomial_range_is_computed(self, capsys, computed):
+        # min(n - k, 2k) is sys.maxsize itself, one less than at (2**64,
+        # 2**62) above; the stub stands in for a binomial of about 10**19
+        # digits.
+        k = 2**62
+        n = sys.maxsize + k
+        assert run(capsys, "symfun", "--n", str(n), "--k", str(k))[0] == 0
+        assert computed == [(n, k, "closed")]
 
     def test_the_limit_itself_is_computed(self, capsys, computed):
         assert run(capsys, "symfun", "--n", "4096", "--k", "2", "--method", "rec6")[0] == 0

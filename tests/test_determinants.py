@@ -560,8 +560,17 @@ def span_matrices(draw):
     dense; summed up from a banded D; parallel, each the one above plus a
     constant, from a first row that is not constant, so that r = X_i -
     X_{i-1} is constant before both rows are; sharing a long prefix and
-    then differing; or repeated and zero rows."""
-    kind = draw(st.sampled_from(["dense", "banded", "parallel", "prefix", "repeated"]))
+    then differing; repeated and zero rows; or runs of these stacked.
+
+    A stacked X goes from one run to the next, each 1-6 rows of repeated
+    rows, rows that share a long prefix with the row above and then
+    differ, dense rows, rows whose row of D is a band of up to three
+    entries about the diagonal, or one row that differs from the one above
+    at one of its first three columns. So the prefix of a row that
+    _det_minors keeps for the next meets every kind of next row: a longer
+    or shorter one, after a run of equal rows, and one that differs early
+    after the rows equal to it up to the diagonal."""
+    kind = draw(st.sampled_from(["dense", "banded", "parallel", "prefix", "repeated", "stacked"]))
     event(kind)
     if kind == "banded":
         return undifferenced(draw(banded_d()))
@@ -575,6 +584,28 @@ def span_matrices(draw):
             step = rng.randint(-2, 2)
             rows.append([x + step for x in rows[-1]])
         return rows
+    if kind == "stacked":
+        rows = []
+        while len(rows) < n:
+            run = rng.choice(["repeated", "prefix", "dense", "banded", "early"])
+            for _ in range(1 if run == "early" else rng.randint(1, 6)):
+                above = rows[-1] if rows else [0] * n
+                if run == "repeated":
+                    row = above[:]
+                elif run == "prefix":
+                    cut = rng.randint(n // 2, n)
+                    row = above[:cut] + [rng.randint(-3, 3) for _ in range(n - cut)]
+                elif run == "dense":
+                    row = [rng.randint(-3, 3) for _ in range(n)]
+                elif run == "banded":
+                    i = len(rows)
+                    d = [rng.randint(-3, 3) if abs(c - i) <= 1 else 0 for c in range(n)]
+                    row = list(map(sum, zip(above, accumulate(d))))
+                else:
+                    row = above[:]
+                    row[rng.randrange(min(3, n))] += rng.choice((-1, 1))
+                rows.append(row)
+        return rows[:n]
     base = [rng.randint(-3, 3) for _ in range(n)]
     if kind == "prefix":
         rows = []

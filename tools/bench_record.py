@@ -7,22 +7,31 @@ Run from any directory; it measures the checkout it sits in. It runs
     python3 perfbench/run.py --workload all --seed S --seconds 15 --trace 0
 
 for seeds 1 to 5, and one ``--trace 1`` run at seed 1, each as a
-subprocess, and then times in fresh processes, median of 5 rounds, the
+subprocess, and then times in fresh processes, over 5 rounds, the
 end-to-end commands that the benchmark does not cover: ``minmatrix verify
 --suite all --n-max 600``, the acceptance tests, the tier-1 run and
-``import minmatrix``. Each timed command runs pinned to one CPU, the
-highest one this process may use, as ``perfbench/run.py`` pins itself, so
-that the scheduler does not move it between cores mid-run. The file holds
-the git sha, the Python, numpy and platform versions, the CPU count, each
-workload's median and quartiles of every end-to-end metric over the seeds,
-and the traced run's per-layer metrics. Raw per-operation data stays in
-the git-ignored ``perfbench/out/``.
+``import minmatrix``. The commands run pinned to one CPU, the highest one
+this process may use, as ``perfbench/run.py`` pins itself, so that the
+scheduler does not move them between cores mid-run.
+
+Each command is timed between two samples of a ``perfbench/calib.py``
+kernel, taken on that same CPU: ``small`` (word-sized fraction-free
+elimination) for the three commands that run minmatrix's checks, and
+``startup`` (a fresh interpreter's imports) for ``import minmatrix``. The
+scaled time is the raw one times the kernel's reference time over the mean
+of the two samples, the time the command would take when the kernel runs
+at its reference speed, as the benchmark scales its own timings.
+
+The file holds the git sha, the Python, numpy and platform versions, the
+CPU count, each workload's median and quartiles of every end-to-end metric
+over the seeds, the traced run's per-layer metrics, and per command the
+raw time's median and quartiles with, under ``scaled``, the scaled time's.
+Raw per-operation data stays in the git-ignored ``perfbench/out/``.
 
 It takes about 4-5 minutes on a 2-vCPU x86-64 host: about 2 minutes for
 the six benchmark runs, then 3-3.5 minutes for five rounds of the
 commands, most of it the tier-1 run. Compare two files only when they were
-recorded on one machine: the benchmark's own process-level timings are
-calibrated, the commands timed here are pinned but not calibrated.
+recorded on one machine.
 """
 
 import json
@@ -35,16 +44,21 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import calib  # noqa: E402
+
 SEEDS = (1, 2, 3, 4, 5)
 SECONDS = 15
 ROUNDS = 5
 
-#: The end-to-end commands, each timed in a fresh process, in seconds.
+#: The end-to-end commands, each timed in a fresh process, in seconds,
+#: with the calibration kernel whose work resembles the command's.
 COMMANDS = {
-    "verify_all_n600_s": ["-m", "minmatrix.cli", "verify", "--suite", "all", "--n-max", "600"],
-    "acceptance_s": ["-m", "pytest", "-q", "tests/test_acceptance.py"],
-    "tier1_s": ["-m", "pytest", "-q", "--continue-on-collection-errors"],
-    "import_minmatrix_s": ["-c", "import minmatrix"],
+    "verify_all_n600_s": ("small", ["-m", "minmatrix.cli", "verify", "--suite", "all", "--n-max", "600"]),
+    "acceptance_s": ("small", ["-m", "pytest", "-q", "tests/test_acceptance.py"]),
+    "tier1_s": ("small", ["-m", "pytest", "-q", "--continue-on-collection-errors"]),
+    "import_minmatrix_s": ("startup", ["-c", "import minmatrix"]),
 }
 
 
@@ -75,12 +89,6 @@ def versions():
         "cpu_count": os.cpu_count(),
         "cpus_available": len(os.sched_getaffinity(0)),
     }
-
-
-def pin():
-    """Run in a timed child before its program starts: keep it, and every
-    process it starts, on the highest CPU it may use."""
-    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
 
 def bench(seed, trace):
@@ -121,18 +129,31 @@ def end_to_end(runs):
 
 
 def commands():
-    """Each command's wall time over ROUNDS rounds, the commands taken in
-    turn within a round. A command that fails is recorded as failed."""
-    times = {name: [] for name in COMMANDS}
+    """Each command's raw and scaled wall time over ROUNDS rounds, the
+    commands taken in turn within a round. A command that fails is
+    recorded as failed."""
+    # One CPU for this process and every child, so a calibration sample and
+    # the command it scales see the same core.
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    cals = {kernel: calib.Calibrator(kernel) for kernel, _ in COMMANDS.values()}
+    raw = {name: [] for name in COMMANDS}
+    scaled = {name: [] for name in COMMANDS}
     failed = {name: 0 for name in COMMANDS}
     for _ in range(ROUNDS):
-        for name, args in COMMANDS.items():
+        for name, (kernel, args) in COMMANDS.items():
+            before_ms = cals[kernel].sample_ms()
             start = time.perf_counter()
-            done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env(), preexec_fn=pin,
+            done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env(),
                                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-            times[name].append(time.perf_counter() - start)
+            elapsed = time.perf_counter() - start
+            raw[name].append(elapsed)
+            scaled[name].append(elapsed * cals[kernel].scale(before_ms, cals[kernel].sample_ms()))
             failed[name] += done.returncode != 0
-    return {name: dict(summary(times[name]), unit="s", failed=failed[name]) for name in COMMANDS}
+    return {
+        name: dict(summary(raw[name]), unit="s", failed=failed[name], kernel=kernel,
+                   scaled=summary(scaled[name]))
+        for name, (kernel, _) in COMMANDS.items()
+    }
 
 
 def main():
