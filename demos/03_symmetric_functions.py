@@ -4,8 +4,8 @@ The k-th elementary symmetric function of the eigenvalues of the min
 matrix equals the binomial coefficient C(n+k, n-k). This demo computes
 it by all six routes: the closed form, brute-force enumeration of
 principal minors (exponential in n), a sum over integer compositions,
-two memoized recurrences, and a multiplicative recurrence whose every
-division is exact. It then assembles the characteristic polynomial
+two recurrences, each filled one column at a time, and a multiplicative
+recurrence whose every division is exact. It then assembles the characteristic polynomial
 from the values and checks it against elimination.
 """
 

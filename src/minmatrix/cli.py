@@ -74,14 +74,14 @@ def _emit(args, payload, header, rows, lines, seed=None, notes=(), csv_tail=()):
 
 def _parse_increments(text):
     """The increments of --inc, parsed under the current limit on converting
-    a decimal string to an int, where Python has one."""
+    a decimal string to an int."""
     if text.strip() == "":
         return []
     try:
         return [int(part) for part in text.split(",")]
     except ValueError:
         parts = [part.strip().lstrip("+-") for part in text.split(",")]
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        limit = sys.get_int_max_str_digits()
         digits = max(map(len, parts))
         if limit and digits > limit and all(map(str.isdigit, parts)):
             raise ValueError(
@@ -363,15 +363,13 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     # An exact result can be longer than Python's limit on converting an int
     # to a decimal string (4300 digits by default), so the command runs with
-    # the limit lifted, and the caller's limit is restored after it. The
-    # integer options that argparse converted above, and --inc, parsed here
-    # first, stay limited. Releases before 3.10.7 have no limit.
-    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    # the limit lifted and the caller's limit is restored after it. The
+    # integer options that argparse converted, and --inc, stay limited.
+    digits = sys.get_int_max_str_digits()
     try:
         if getattr(args, "inc", None) is not None:
             args.inc = _parse_increments(args.inc)
-        if digits is not None:
-            sys.set_int_max_str_digits(0)
+        sys.set_int_max_str_digits(0)
         return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -380,8 +378,7 @@ def main(argv=None):
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     finally:
-        if digits is not None:
-            sys.set_int_max_str_digits(digits)
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

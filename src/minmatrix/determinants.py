@@ -11,7 +11,8 @@ minors. The paper's matrices are cumulative, entry (i, j) a prefix sum at
 min(i, j), and leave D banded: A_n leaves the identity, C_{n,k} the
 identity with k in its corner, a delta matrix diag(i_1, ..., i_n), a theta
 matrix a diagonal and one entry below it, and lam*I - A_n a tridiagonal D.
-``_eliminate`` runs Bareiss's fraction-free elimination inside D's band
+The elimination has two stages: ``_band`` forms D's band from the rows of
+X, then ``_eliminate`` runs Bareiss's fraction-free elimination inside it
 (Bareiss, Math. Comp. 22, 1968; band LU keeps the band, Golub & Van Loan,
 Matrix Computations, 4.3): O(n·b²) operations for bandwidth b, and
 ordinary Bareiss, O(n³), on a dense D.
@@ -34,17 +35,17 @@ def det_bareiss(matrix):
     are handled by row swap with sign tracking; if no nonzero pivot
     exists the determinant is 0. The matrix is only read.
 
-    The elimination runs on D = Δ·X·Δᵀ, inside its band (see the module
-    docstring). A_150 and C_{189,40} take about 0.24 ms this way, a
-    dimension-48 delta or theta matrix of 64-bit increments about 0.07 ms
-    and A_600 about 2.0 ms, nine tenths of it in finding D's band.
-    lam*I - A_120 takes about 0.42 ms. (In process on one pinned CPU of a
-    shared 2-vCPU x86-64 host, Python 3.11, medians of 21 calls, the
-    fastest of 10 processes; the host also runs at a slower speed, where
-    these read up to 1.5-1.8 times as much.) A dense matrix of entries in
-    -16..16 takes about 1.0-1.7 ms at dimension 24, 9.6-16 ms at 48 and
-    116-160 ms at 96 (medians of 21 calls, 7 at 96, over the same 10
-    processes).
+    The elimination runs on D = Δ·X·Δᵀ: ``_band`` forms its band, then
+    ``_eliminate`` runs Bareiss in it (see the module docstring). A_150
+    and C_{189,40} take about 0.24 ms, a dimension-48 delta or theta
+    matrix of 64-bit increments about 0.07 ms and A_600 about 2.0 ms, nine
+    tenths of it in finding D's band. lam*I - A_120 takes about 0.42 ms.
+    (In process on one pinned CPU of a shared 2-vCPU x86-64 host, Python
+    3.11, medians of 21 calls, the fastest of 10 processes; the host also
+    runs at a slower speed, where these read up to 1.5-1.8 times as much.)
+    A dense matrix of entries in -16..16 takes about 1.0-1.7 ms at
+    dimension 24, 9.6-16 ms at 48 and 116-160 ms at 96 (medians of 21
+    calls, 7 at 96, over the same 10 processes).
     """
     return _det_minors(matrix)[0]
 
@@ -60,6 +61,15 @@ def _det_minors(matrix):
     next minor, is 0. So the record stops only at a zero leading minor:
     minors holds all n exactly when the first n - 1 are nonzero, and a
     shorter list says that the next one is 0.
+    """
+    minors = []
+    return _eliminate(*_band(matrix), minors), minors
+
+
+def _band(matrix):
+    """D = Δ·X·Δᵀ for X = ``matrix`` as ``_eliminate`` takes it: the rows
+    of D, each held from its first nonzero entry to its last, and the
+    column of each one's first entry (n for a zero row, held empty).
 
     D is formed row by row. Its row i is r less r shifted right by one,
     for r = X_i - X_{i-1}: zero before the first column where X_i and
@@ -75,8 +85,7 @@ def _det_minors(matrix):
     constant before the second end, and the row of D is cut after its
     last nonzero entry. A span of one column, every row of a diagonal D
     such as those of A_n, C_{n,k} and the delta matrices, is that one
-    difference of X's rows. Each row is kept with the column of its first
-    entry (n for a zero row).
+    difference of X's rows.
     """
     rows = matrix._rows
     n = len(rows)
@@ -136,8 +145,7 @@ def _det_minors(matrix):
             band.append(d)
         above = row
         prefix = head
-    minors = []
-    return _eliminate(band, starts, minors), minors
+    return band, starts
 
 
 def _eliminate(rows, starts, minors):

@@ -157,13 +157,9 @@ def build_theta_matrix(inc):
     """
     values = _check_increments(inc, minimum_length=3)
     sums = list(accumulate(values))
-    n = len(values) - 1
-    # Row r (1-based) is sums[0], then sums[min(r, c)] for c = 2..n: sums[1]
-    # replaced by sums[0] at the head of sums[1 : r + 1].
-    rows = []
-    for r in range(1, n + 1):
-        row = sums[1 : r + 1]
+    # Row r (1-based) is sums[0], then sums[min(r, c)] for c = 2..n: the
+    # cumulative row of sums[1:] with its head replaced by sums[0].
+    rows = _cumulative_rows(sums[1:])
+    for row in rows:
         row[0] = sums[0]
-        row += [sums[r]] * (n - r)
-        rows.append(row)
     return ExactMatrix._from_checked(rows)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,8 +10,10 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from minmatrix import build_delta_matrix, build_min_matrix
+from minmatrix import DISTRIBUTIONS, METHODS, SUITES, build_delta_matrix, build_min_matrix
 from minmatrix import cli, symmetric, verification
 from minmatrix.cli import main
 
@@ -143,7 +147,6 @@ class TestDetCommand:
         assert out.splitlines()[-1] == "agree"
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int to str limit")
 class TestLongResults:
     """Exact results longer than Python's limit on converting an int to a
     decimal string (4300 digits by default) are printed in full, and the
@@ -187,7 +190,6 @@ class TestLongResults:
         self.check(capsys, limit, argv, fmt, math.comb(30000, 10000))
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int to str limit")
 class TestIncrementDigits:
     """`--inc` is parsed under the caller's limit on converting a decimal
     string to an int, as argparse's integer options are, while results stay
@@ -791,3 +793,55 @@ class TestInternalErrors:
         code, _, err = run(capsys, "matrix", "min", "--n", "3")
         assert code == 3
         assert err == f"error: internal: {error.__name__}: wires crossed\n"
+
+
+# Integers at and past int64's ends, and strings that are no integer list.
+# Every command line of them is refused before anything is allocated or
+# runs in milliseconds: 0 is the one size that computes, and a --k or --inc
+# of one value keeps every binomial and matrix small.
+INTEGERS = st.sampled_from([str(v) for v in (-(2**63) - 1, -1, 0, 2**63, 10**20)])
+TEXTS = INTEGERS | st.sampled_from(["", ",", "1,,2", "x", "1e3", "+"])
+KIND_OPTIONS = {"--n": INTEGERS, "--k": TEXTS, "--inc": TEXTS}
+COMMAND_OPTIONS = {
+    "matrix": KIND_OPTIONS,
+    "det": {**KIND_OPTIONS, "--method": st.sampled_from(["closed", "bareiss", "both"])},
+    "symfun": {"--n": INTEGERS, "--k": TEXTS, "--method": st.sampled_from([*METHODS, "all"])},
+    "verify": {"--suite": st.sampled_from([*SUITES, "all"]), "--n-max": INTEGERS, "--seed": INTEGERS},
+    "simulate": {"--n": INTEGERS, "--m": INTEGERS, "--seed": INTEGERS, "--dist": st.sampled_from(DISTRIBUTIONS)},
+}
+
+
+@st.composite
+def extreme_command_lines(draw):
+    """argv of one command, its kind if it takes one, each of its options
+    present or not, and a --format."""
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    argv = [command]
+    if command in ("matrix", "det"):
+        argv.append(draw(st.sampled_from(sorted(cli._KINDS))))
+    argv += [f"{name}={draw(values)}" for name, values in COMMAND_OPTIONS[command].items() if draw(st.booleans())]
+    return [*argv, f"--format={draw(st.sampled_from(['plain', 'json', 'csv']))}"]
+
+
+class TestExtremeArguments:
+    """Every command exits 0, 1 or 2, with at most one line on stderr, and
+    leaves the caller's limit on converting a decimal string to an int as
+    it was."""
+
+    # About 1 s for 300 command lines (2-vCPU x86-64 host, Python 3.11).
+    @settings(max_examples=300, deadline=None)
+    @given(extreme_command_lines())
+    def test_exit_code_and_one_stderr_line(self, argv):
+        limit = sys.get_int_max_str_digits()
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                # argparse refuses an option that it cannot parse.
+                assert exc.code == 2
+                code = None
+        assert sys.get_int_max_str_digits() == limit
+        if code is not None:
+            assert code in (0, 1, 2)
+            assert len(err.getvalue().splitlines()) <= 1

@@ -357,10 +357,11 @@ class LoggedStarts(list):
 
 
 def run_band(rows):
-    """_det_minors of ``rows``, and the branches of the band elimination
-    that it took, named as in ORACLE_BRANCHES. D's bandwidth is the
-    largest distance of an entry that it holds from the diagonal: 0 is a
-    diagonal D and n - 1 a dense one.
+    """_det_minors of ``rows``, run as _band and then _eliminate, and the
+    branches of the band elimination that it took, named as in
+    ORACLE_BRANCHES. D's bandwidth is the largest distance of an entry
+    that it holds from the diagonal: 0 is a diagonal D and n - 1 a dense
+    one.
 
     A row whose start column s is left of its own index i enters the
     window below the pivot at step s. It is updated there, with no
@@ -372,28 +373,22 @@ def run_band(rows):
     pivot row entered there."""
     n = len(rows)
     taken = set()
-    eliminate = determinants._eliminate
-
-    def spy(band, starts, minors):
-        ends = [(i, start, start + len(row) - 1) for i, (start, row) in enumerate(zip(starts, band)) if row]
-        width = max((max(i - first, last - i) for i, first, last in ends), default=0)
-        taken.add("diagonal D" if width == 0 else "dense D" if width == n - 1 else "banded D")
-        if any(not -(2**63) <= x < 2**63 for row in band for x in row):
-            taken.add("entries past int64")
-        given = list(starts)
-        starts = LoggedStarts(starts)
-        det = eliminate(band, starts, minors)
-        if any(start < min(i, len(minors)) for i, start in enumerate(given)):
-            taken.add("row entering below the pivot")
-        if any(step == start for step, start in starts.log[::2]):
-            taken.add("zero pivot replaced by a row entering at that step")
-        if width and det and starts[-1] == n - 1:
-            taken.add("pivot row entering with no row below it, D not diagonal")
-        return det
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(determinants, "_eliminate", spy)
-        det, minors = determinants._det_minors(ExactMatrix(rows))
+    matrix = ExactMatrix(rows)
+    band, starts = determinants._band(matrix)
+    ends = [(i, start, start + len(row) - 1) for i, (start, row) in enumerate(zip(starts, band)) if row]
+    width = max((max(i - first, last - i) for i, first, last in ends), default=0)
+    taken.add("diagonal D" if width == 0 else "dense D" if width == n - 1 else "banded D")
+    if any(not -(2**63) <= x < 2**63 for row in band for x in row):
+        taken.add("entries past int64")
+    logged, minors = LoggedStarts(starts), []
+    det = _eliminate(band, logged, minors)
+    assert (det, minors) == determinants._det_minors(matrix)
+    if any(start < min(i, len(minors)) for i, start in enumerate(starts)):
+        taken.add("row entering below the pivot")
+    if any(step == start for step, start in logged.log[::2]):
+        taken.add("zero pivot replaced by a row entering at that step")
+    if width and det and logged[-1] == n - 1:
+        taken.add("pivot row entering with no row below it, D not diagonal")
     if det == 0:
         taken.add("singular")
     elif len(minors) < n and "dense D" not in taken:
@@ -540,20 +535,6 @@ def spread(band, starts, n):
     return [[0] * start + row + [0] * (n - start - len(row)) for start, row in zip(starts, band)]
 
 
-def spy_band(monkeypatch):
-    """Record the band and the starts that each call of _eliminate is
-    given, as they are before it consumes them."""
-    calls = []
-    eliminate = determinants._eliminate
-
-    def spy(band, starts, *args):
-        calls.append(([row[:] for row in band], starts[:]))
-        return eliminate(band, starts, *args)
-
-    monkeypatch.setattr(determinants, "_eliminate", spy)
-    return calls
-
-
 @st.composite
 def span_matrices(draw):
     """X of dimension 1-30 whose rows test both ends of each row of D:
@@ -617,46 +598,27 @@ def span_matrices(draw):
     return [rng.choice(pool)[:] for _ in range(n)]
 
 
-def band_of(rows):
-    """The band and the starts that _det_minors hands to _eliminate."""
-    with pytest.MonkeyPatch.context() as patch:
-        calls = spy_band(patch)
-        determinants._det_minors(ExactMatrix(rows))
-    [(band, starts)] = calls
-    return band, starts
-
-
 def subtractions_forming_d(matrix):
-    """How many Python-int subtractions _det_minors makes before it hands
-    D to _eliminate."""
-    count = 0
-    at_elimination = []
-    eliminate = determinants._eliminate
+    """How many Python-int subtractions _band makes to form D."""
+    calls = []
 
     def counted(x, y):
-        nonlocal count
-        count += 1
+        calls.append((x, y))
         return x - y
-
-    def spy(*args):
-        at_elimination.append(count)
-        return eliminate(*args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(determinants, "sub", counted)
-        patch.setattr(determinants, "_eliminate", spy)
-        determinants._det_minors(matrix)
-    [subtracted] = at_elimination
-    return subtracted
+        determinants._band(matrix)
+    return len(calls)
 
 
 class TestDifferencedElimination:
     """det_bareiss eliminates D = Δ·X·Δᵀ, each row held from its first
-    nonzero entry to its last: the span that _det_minors finds and hands
-    to _eliminate."""
+    nonzero entry to its last: the span that _band finds and _eliminate
+    takes."""
 
     @pytest.mark.parametrize("taken", ["D", "X"])
-    def test_whole_matrix(self, monkeypatch, taken):
+    def test_whole_matrix(self, taken):
         # A random tridiagonal D of 40-bit entries, summed up into X, is
         # handed over as its band, at most three entries a row; a dense
         # random X leaves a dense D, every row whole from column 0.
@@ -669,9 +631,8 @@ class TestDifferencedElimination:
         else:
             rows = random_rows(rng, n, -(2**40), 2**40)
             d = differenced(rows)
-        calls = spy_band(monkeypatch)
         assert det_bareiss(ExactMatrix(rows)) == reference(rows)
-        [(band, starts)] = calls
+        band, starts = determinants._band(ExactMatrix(rows))
         assert spread(band, starts, n) == d
         if taken == "D":
             assert starts == [0, *range(n - 1)]
@@ -681,7 +642,7 @@ class TestDifferencedElimination:
             assert list(map(len, band)) == [n] * n
 
     @pytest.mark.parametrize("planted", [0, 2**64 + 13], ids=["zero", "large"])
-    def test_diagonal_zero_pivot_without_a_row_to_swap(self, monkeypatch, planted):
+    def test_diagonal_zero_pivot_without_a_row_to_swap(self, planted):
         # A delta matrix leaves D = diag(increments), one entry a row: the
         # window of each step is its own row alone. An increment of 0 is a
         # zero pivot with no row to swap in, and the determinant is 0 with
@@ -690,14 +651,15 @@ class TestDifferencedElimination:
         inc = increments(random.Random(48), 48)
         inc[17] = planted
         rows = build_delta_matrix(inc).to_lists()
-        calls = spy_band(monkeypatch)
-        det, minors = determinants._det_minors(ExactMatrix(rows))
         # A zero row is held empty, with start n.
-        assert calls == [([[x] if x else [] for x in inc], [i if x else 48 for i, x in enumerate(inc)])]
+        band, starts = determinants._band(ExactMatrix(rows))
+        assert band == [[x] if x else [] for x in inc]
+        assert starts == [i if x else 48 for i, x in enumerate(inc)]
+        det, minors = determinants._det_minors(ExactMatrix(rows))
         assert det == reference(rows) == delta_det_closed(inc)
         assert minors == list(accumulate(inc, mul))[: 17 if planted == 0 else 48]
 
-    def test_differenced_entries_past_int64(self, monkeypatch):
+    def test_differenced_entries_past_int64(self):
         # Increments 2**62, then -(2**63 + 1), 2**63 + 2, ...: the prefix
         # sums stay near +-2**62, inside int64, but D = diag(increments)
         # holds entries past it.
@@ -705,24 +667,21 @@ class TestDifferencedElimination:
         inc = [2**62] + [(-1) ** i * (2**63 + i) for i in range(1, n)]
         rows = build_delta_matrix(inc).to_lists()
         assert max(max(map(abs, row)) for row in rows) < 2**63 <= max(map(abs, inc))
-        calls = spy_band(monkeypatch)
         assert det_bareiss(ExactMatrix(rows)) == reference(rows) == delta_det_closed(inc)
-        assert calls == [([[x] for x in inc], list(range(n)))]
+        assert determinants._band(ExactMatrix(rows)) == ([[x] for x in inc], list(range(n)))
 
-    def test_spans_on_delta_and_char_matrices(self, monkeypatch):
+    def test_spans_on_delta_and_char_matrices(self):
         # A dimension-48 delta matrix of 64-bit increments: D is diagonal,
         # one entry a row. lam*I - A_120 has a tridiagonal D: two entries
         # in its first and last rows, three in every other, from the
         # column left of the diagonal.
-        calls = spy_band(monkeypatch)
         inc = increments(random.Random(48), 48)
         assert det_bareiss(build_delta_matrix(inc)) == delta_det_closed(inc)
-        assert calls == [([[x] for x in inc], list(range(48)))]
+        assert determinants._band(build_delta_matrix(inc)) == ([[x] for x in inc], list(range(48)))
         poly = charpoly(120)
         for lam in (-3, -2, -1, 2, 3, 4, 5):
-            calls.clear()
             assert det_bareiss(char_matrix(120, lam)) == poly(lam)
-            [(band, starts)] = calls
+            band, starts = determinants._band(char_matrix(120, lam))
             assert starts == [0, *range(119)]
             assert list(map(len, band)) == [2, *[3] * 118, 2]
             assert spread(band, starts, 120) == differenced(char_matrix(120, lam).to_lists())
@@ -734,7 +693,7 @@ class TestDifferencedElimination:
         # Each row of D is held from its first nonzero entry to its last,
         # found from the rows of X alone; a zero row is held empty.
         n = len(rows)
-        band, starts = band_of(rows)
+        band, starts = determinants._band(ExactMatrix(rows))
         assert spread(band, starts, n) == differenced(rows)
         for row, start in zip(band, starts):
             if row:
@@ -746,8 +705,8 @@ class TestDifferencedElimination:
         # D is formed by subtracting only inside each row's span: one
         # entry a row for A_200 and C_{249,50}, whose D is the identity
         # with k in its corner; for lam*I - A_200, three entries of r and
-        # two differences a row. Subtracting whole rows took n**2 = 40,000.
-        # A dense X has a dense D, about 2 * n**2 subtractions.
+        # two differences a row. A dense X has a dense D, about 2 * n**2
+        # subtractions.
         n = 200
         assert subtractions_forming_d(build_min_matrix(n)) == n
         assert subtractions_forming_d(build_c_matrix(249, 50)) == n
@@ -778,15 +737,22 @@ class TestRouting:
         # and _det_minors each call _eliminate once, at every dimension.
         # A_n's D is the identity and C_{n,k}'s the identity with k in its
         # corner, one entry a row.
-        calls = spy_band(monkeypatch)
+        calls = []
+        eliminate = determinants._eliminate
+
+        def counted(*args):
+            calls.append(args)
+            return eliminate(*args)
+
+        monkeypatch.setattr(determinants, "_eliminate", counted)
         rng = random.Random(24)
 
         def route(matrix, expected):
             calls.clear()
             assert det_bareiss(matrix) == expected
             assert determinants._det_minors(matrix)[0] == expected
-            assert len(calls) == 2 and calls[0] == calls[1]
-            return calls[0]
+            assert len(calls) == 2
+            return determinants._band(matrix)
 
         for dim in (*range(1, 9), 23, 24, 40, 200):
             assert route(build_min_matrix(dim), 1) == ([[1]] * dim, list(range(dim)))

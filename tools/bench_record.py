@@ -14,24 +14,15 @@ end-to-end commands that the benchmark does not cover: ``minmatrix verify
 this process may use, as ``perfbench/run.py`` pins itself, so that the
 scheduler does not move them between cores mid-run.
 
-Each command is timed between two samples of a ``perfbench/calib.py``
-kernel, taken on that same CPU: ``small`` (word-sized fraction-free
-elimination) for the three commands that run minmatrix's checks, and
-``startup`` (a fresh interpreter's imports) for ``import minmatrix``. The
-scaled time is the raw one times the kernel's reference time over the mean
-of the two samples, the time the command would take when the kernel runs
-at its reference speed, as the benchmark scales its own timings.
-
 The file holds the git sha, the Python, numpy and platform versions, the
 CPU count, each workload's median and quartiles of every end-to-end metric
 over the seeds, the traced run's per-layer metrics, and per command the
-raw time's median and quartiles with, under ``scaled``, the scaled time's.
-Raw per-operation data stays in the git-ignored ``perfbench/out/``.
+wall time's median and quartiles. Raw per-operation data stays in the
+git-ignored ``perfbench/out/``.
 
-It takes about 4-5 minutes on a 2-vCPU x86-64 host: about 2 minutes for
-the six benchmark runs, then 3-3.5 minutes for five rounds of the
-commands, most of it the tier-1 run. Compare two files only when they were
-recorded on one machine.
+It takes about 3-5 minutes on a 2-vCPU x86-64 host, more than half of it
+five rounds of the commands, most of those the tier-1 run. Compare two
+files only when they were recorded on one machine.
 """
 
 import json
@@ -44,21 +35,17 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-import calib  # noqa: E402
 
 SEEDS = (1, 2, 3, 4, 5)
 SECONDS = 15
 ROUNDS = 5
 
-#: The end-to-end commands, each timed in a fresh process, in seconds,
-#: with the calibration kernel whose work resembles the command's.
+#: The end-to-end commands, each timed in a fresh process, in seconds.
 COMMANDS = {
-    "verify_all_n600_s": ("small", ["-m", "minmatrix.cli", "verify", "--suite", "all", "--n-max", "600"]),
-    "acceptance_s": ("small", ["-m", "pytest", "-q", "tests/test_acceptance.py"]),
-    "tier1_s": ("small", ["-m", "pytest", "-q", "--continue-on-collection-errors"]),
-    "import_minmatrix_s": ("startup", ["-c", "import minmatrix"]),
+    "verify_all_n600_s": ["-m", "minmatrix.cli", "verify", "--suite", "all", "--n-max", "600"],
+    "acceptance_s": ["-m", "pytest", "-q", "tests/test_acceptance.py"],
+    "tier1_s": ["-m", "pytest", "-q", "--continue-on-collection-errors"],
+    "import_minmatrix_s": ["-c", "import minmatrix"],
 }
 
 
@@ -129,31 +116,20 @@ def end_to_end(runs):
 
 
 def commands():
-    """Each command's raw and scaled wall time over ROUNDS rounds, the
-    commands taken in turn within a round. A command that fails is
-    recorded as failed."""
-    # One CPU for this process and every child, so a calibration sample and
-    # the command it scales see the same core.
+    """Each command's wall time over ROUNDS rounds, the commands taken in
+    turn within a round. A command that fails is recorded as failed."""
+    # One CPU for this process and every child, inherited by each command.
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
-    cals = {kernel: calib.Calibrator(kernel) for kernel, _ in COMMANDS.values()}
-    raw = {name: [] for name in COMMANDS}
-    scaled = {name: [] for name in COMMANDS}
+    times = {name: [] for name in COMMANDS}
     failed = {name: 0 for name in COMMANDS}
     for _ in range(ROUNDS):
-        for name, (kernel, args) in COMMANDS.items():
-            before_ms = cals[kernel].sample_ms()
+        for name, args in COMMANDS.items():
             start = time.perf_counter()
             done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env(),
                                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-            elapsed = time.perf_counter() - start
-            raw[name].append(elapsed)
-            scaled[name].append(elapsed * cals[kernel].scale(before_ms, cals[kernel].sample_ms()))
+            times[name].append(time.perf_counter() - start)
             failed[name] += done.returncode != 0
-    return {
-        name: dict(summary(raw[name]), unit="s", failed=failed[name], kernel=kernel,
-                   scaled=summary(scaled[name]))
-        for name, (kernel, _) in COMMANDS.items()
-    }
+    return {name: dict(summary(times[name]), unit="s", failed=failed[name]) for name in COMMANDS}
 
 
 def main():
