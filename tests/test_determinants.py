@@ -736,13 +736,14 @@ class TestRouting:
         # No dimension threshold and no test of the entries: det_bareiss
         # and _det_minors each call _eliminate once, at every dimension.
         # A_n's D is the identity and C_{n,k}'s the identity with k in its
-        # corner, one entry a row.
+        # corner, one entry a row. The band and starts are copied as they
+        # are handed over, before _eliminate consumes them.
         calls = []
         eliminate = determinants._eliminate
 
-        def counted(*args):
-            calls.append(args)
-            return eliminate(*args)
+        def counted(band, starts, *args):
+            calls.append(([row[:] for row in band], starts[:]))
+            return eliminate(band, starts, *args)
 
         monkeypatch.setattr(determinants, "_eliminate", counted)
         rng = random.Random(24)
@@ -751,8 +752,8 @@ class TestRouting:
             calls.clear()
             assert det_bareiss(matrix) == expected
             assert determinants._det_minors(matrix)[0] == expected
-            assert len(calls) == 2
-            return determinants._band(matrix)
+            assert len(calls) == 2 and calls[0] == calls[1]
+            return calls[0]
 
         for dim in (*range(1, 9), 23, 24, 40, 200):
             assert route(build_min_matrix(dim), 1) == ([[1]] * dim, list(range(dim)))
