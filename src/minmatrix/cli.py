@@ -351,7 +351,8 @@ def build_parser():
     p_sim = sub.add_parser("simulate", parents=[output],
                            help="random-walk covariance estimation")
     p_sim.add_argument("--n", type=int, required=True, help=f"process length, 1 to {DIM_LIMIT}")
-    p_sim.add_argument("--m", type=int, required=True, help="sample paths, 2 to 268435456")
+    p_sim.add_argument("--m", type=int, required=True,
+                       help="sample paths, 2 to 268435456, with m * n**2 at most 2**34")
     p_sim.add_argument("--sigma", type=float, default=1.0)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--dist", choices=DISTRIBUTIONS, default="gaussian")

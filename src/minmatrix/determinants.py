@@ -37,14 +37,14 @@ def det_bareiss(matrix):
 
     The elimination runs on D = Δ·X·Δᵀ: ``_band`` forms its band, then
     ``_eliminate`` runs Bareiss in it (see the module docstring). A_150
-    and C_{189,40} take about 0.24 ms, a dimension-48 delta or theta
-    matrix of 64-bit increments about 0.07 ms and A_600 about 2.0 ms, nine
-    tenths of it in finding D's band. lam*I - A_120 takes about 0.42 ms.
+    and C_{189,40} take about 0.21 ms, a dimension-48 delta or theta
+    matrix of 64-bit increments about 0.054 ms and A_600 about 1.9 ms, over
+    nine tenths of it in finding D's band. lam*I - A_120 takes about 0.41 ms.
     (In process on one pinned CPU of a shared 2-vCPU x86-64 host, Python
     3.11, medians of 21 calls, the fastest of 10 processes; the host also
-    runs at a slower speed, where these read up to 1.5-1.8 times as much.)
-    A dense matrix of entries in -16..16 takes about 1.0-1.7 ms at
-    dimension 24, 9.6-16 ms at 48 and 116-160 ms at 96 (medians of 21
+    runs at a slower speed, where these read up to 1.6-1.7 times as much.)
+    A dense matrix of entries in -16..16 takes about 1.1-1.9 ms at
+    dimension 24, 10-17 ms at 48 and 125-204 ms at 96 (medians of 21
     calls, 7 at 96, over the same 10 processes).
     """
     return _det_minors(matrix)[0]
@@ -78,14 +78,16 @@ def _band(matrix):
     entries between them are subtracted. The rows agree before the first
     end when one slice of the row equals a prefix of the row above: the
     slice that the row above's own search took, trimmed or extended from
-    the row above to the new length. Both rows are constant from the
-    second when one slice of the row counts its first entry as often as it
-    is long, and likewise the row above left of the column from which it
-    is known to be constant. Two parallel rows leave r
-    constant before the second end, and the row of D is cut after its
-    last nonzero entry. A span of one column, every row of a diagonal D
-    such as those of A_n, C_{n,k} and the delta matrices, is that one
-    difference of X's rows.
+    the row above to the new length, most often by the one entry that a
+    diagonal D's next row needs. Both rows are constant from the second
+    when one slice of the row counts its first entry as often as it is
+    long, and likewise the row above left of the column from which it is
+    known to be constant; right of that column it is not tested. An end
+    sought past the row's own, from the diagonal, is walked back. Two
+    parallel rows leave r constant before the second end, and the row of
+    D is cut after its last nonzero entry. A span of one column, every row
+    of a diagonal D such as those of A_n, C_{n,k} and the delta matrices,
+    is that one difference of X's rows, with nothing to walk back or cut.
     """
     rows = matrix._rows
     n = len(rows)
@@ -104,10 +106,13 @@ def _band(matrix):
         first = i
         while first and row[first - 1] != above[first - 1]:
             first -= 1
-        if len(prefix) > first:
+        kept = len(prefix)
+        if kept == first - 1:
+            prefix.append(above[kept])
+        elif kept > first:
             del prefix[first:]
         else:
-            prefix += above[len(prefix) : first]
+            prefix += above[kept:first]
         head = row[:first]
         if head != prefix:
             first -= 1
@@ -116,14 +121,15 @@ def _band(matrix):
         elif first == i:
             while first < n and row[first] == above[first]:
                 first += 1
+            if first == n:
+                # The row equals the one above, and is constant from flat too.
+                starts.append(n)
+                band.append([])
+                continue
         starts.append(first)
-        if first == n:
-            # The row equals the one above, and is constant from flat too.
-            band.append([])
-            continue
         # The row above is constant from flat on: it is tested only left
         # of that.
-        last = max(first, i)
+        last = first if first > i else i
         while last < n - 1 and (row[last] != row[last + 1] or last < flat and above[last] != above[last + 1]):
             last += 1
         while (
@@ -131,18 +137,20 @@ def _band(matrix):
             or last < flat and above[last:flat].count(above[flat]) != flat - last
         ):
             last += 1
-        while last > first and row[last - 1] == row[last] and above[last - 1] == above[last]:
-            last -= 1
-        flat = last
         if last == first:
             # One entry: r and the row of D are the same difference.
             band.append([sub(row[first], above[first])])
         else:
+            # Back to the row's own end, if the search from the diagonal
+            # passed it.
+            while last > first and row[last - 1] == row[last] and (last > flat or above[last - 1] == above[last]):
+                last -= 1
             r = list(map(sub, row[first : last + 1], above[first : last + 1]))
             d = [r[0], *map(sub, r[1:], r)]
             while not d[-1]:
                 del d[-1]
             band.append(d)
+        flat = last
         above = row
         prefix = head
     return band, starts
@@ -181,44 +189,49 @@ def _eliminate(rows, starts, minors):
     lower = max(0, *map(sub, range(n), starts))
     sign = 1
     prev = 1
+    # The window of step k ends before row min(n, k + lower + 1).
+    end = lower
     for step in range(n):
-        end = min(n, step + lower + 1)
-        pivot = rows[step][0] if starts[step] <= step else 0
-        if pivot == 0 and step < n - 1:
+        if end < n:
+            end += 1
+        pivot_row = rows[step]
+        start = starts[step]
+        pivot = pivot_row[0] if start <= step else 0
+        if not pivot and step < n - 1:
             # Pivots after a swap are not leading minors: they go to a list
             # that nobody reads.
             minors = []
             for r in range(step + 1, end):
                 if starts[r] <= step and rows[r][0]:
-                    rows[step], rows[r] = rows[r], rows[step]
-                    starts[step], starts[r] = starts[r], starts[step]
+                    rows[step], rows[r] = rows[r], pivot_row
+                    starts[step], starts[r] = starts[r], start
                     sign = -sign
-                    pivot = rows[step][0]
+                    pivot_row = rows[step]
+                    start = starts[step]
+                    pivot = pivot_row[0]
                     break
             else:
                 return 0
         # The pivot row enters at this step, in place or swapped in, scaled
         # by prev. With no row below it in the window only its lead is read.
-        entering = starts[step] == step
-        if entering:
+        if start == step:
             pivot *= prev
         minors.append(pivot)
-        if end == step + 1:
-            prev = pivot
-            continue
-        pivot_tail = rows[step][1:]
-        if entering:
-            pivot_tail = [prev * x for x in pivot_tail]
-        for r in range(step + 1, end):
-            if starts[r] <= step:
-                row = rows[r]
-                lead = row[0]
-                terms = zip_longest(row[1:], pivot_tail, fillvalue=0)
-                # A row that ends with the pivot column keeps its lead as 0.
-                if starts[r] == step:
-                    rows[r] = [pivot * x - lead * y for x, y in terms] or [0]
-                else:
-                    rows[r] = [(pivot * x - lead * y) // prev for x, y in terms] or [0]
+        if end > step + 1:
+            pivot_tail = pivot_row[1:]
+            if start == step:
+                pivot_tail = [prev * x for x in pivot_tail]
+            for r in range(step + 1, end):
+                enters = starts[r]
+                if enters <= step:
+                    row = rows[r]
+                    lead = row[0]
+                    terms = zip_longest(row[1:], pivot_tail, fillvalue=0)
+                    # A row that ends with the pivot column keeps its lead as 0.
+                    if enters == step:
+                        rows[r] = [pivot * x - lead * y for x, y in terms] or [0]
+                    else:
+                        rows[r] = [(pivot * x - lead * y) // prev for x, y in terms] or [0]
         prev = pivot
     return sign * prev
 

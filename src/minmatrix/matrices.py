@@ -110,13 +110,14 @@ def prefix_sums(inc):
 
 def _cumulative_rows(sums):
     """Rows of the matrix with entry(r, c) = sums[min(r, c)], 0-based: row
-    r is sums up to r, then sums[r] repeated to the end: the slice
-    sums[:r] extended in place by the repeat, with no per-entry min()."""
+    r is sums up to r, then sums[r] repeated to the end. Each row is one
+    allocation, sums[r] repeated n times, whose first r entries are then
+    overwritten by the slice sums[:r], with no per-entry min()."""
     n = len(sums)
     rows = []
-    for r in range(n):
-        row = sums[:r]
-        row += [sums[r]] * (n - r)
+    for r, value in enumerate(sums):
+        row = [value] * n
+        row[:r] = sums[:r]
         rows.append(row)
     return rows
 

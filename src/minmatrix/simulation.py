@@ -24,8 +24,10 @@ _CHUNK_STEPS = 2**18  # steps per chunk past 8 chunks: 2 MiB of float64
 # Largest m a config accepts: the largest power of two at which `simulate
 # --n 8` ended within 60 s on a 2-vCPU x86-64 host (Python 3.11, numpy
 # 2.4): 2**27 took 29 s, 2**28 58 s. A path costs more as n grows, about
-# n**2 for its outer product, so the limit bounds the run time at small n
-# only: at n = 4096, 2**12 paths took 41 s and 2**13 65 s.
+# n**2 for its outer product, so a config also keeps m * n**2 within
+# _M_LIMIT * 8**2 = 2**34, the cost of 2**28 paths at n = 8. At the other
+# end, 2**10 paths at n = 4096, simulate_covariance took 3.3-3.5 s in
+# process, with a peak RSS of 423 MB (same host, one pinned CPU, two runs).
 _M_LIMIT = 1 << 28
 
 
@@ -36,8 +38,8 @@ class SimConfig:
     Reproducibility contract: results are a deterministic function of
     the config. Each of the `chunks` chunks of paths draws from its own
     spawned substream: 8 chunks (m if m < 8) while m * n <= 2**21, and
-    about 2**18 steps a chunk above that. n is at most 4096 (DIM_LIMIT) and
-    m at most 2**28 (_M_LIMIT).
+    about 2**18 steps a chunk above that. n is at most 4096 (DIM_LIMIT), m
+    at most 2**28 (_M_LIMIT), and m * n**2 at most 2**34.
     """
 
     n: int
@@ -79,6 +81,11 @@ class SimConfig:
             )
         if self.dist not in DISTRIBUTIONS:
             raise ValueError(f"dist must be one of {DISTRIBUTIONS}, got {self.dist!r}")
+        if self.m * self.n * self.n > _M_LIMIT * 8 * 8:
+            raise ValueError(
+                f"--m times --n squared must be <= {_M_LIMIT * 8 * 8}, got m={self.m}, n={self.n}: "
+                f"a path costs about n**2, and 2**28 paths take about a minute at --n 8"
+            )
 
     @property
     def chunks(self):

@@ -758,12 +758,25 @@ class TestNumpyLoading:
             "simulate draws m paths, and 2**28 of them take about a minute at --n 8\n"
         )
 
+    def test_simulate_refuses_the_path_cost_past_the_bound_before_numpy(self):
+        report, err = _probe(["simulate", "--n", "4096", "--m", "1025"])
+        assert report == {
+            "code": 2,
+            "numpy": [False, False, False],
+            "modules": [[], _CLI_MODULES, ["cli", "dataclasses", "determinants", "matrices", "simulation"]],
+        }
+        assert err == (
+            "error: --m times --n squared must be <= 17179869184, got m=1025, n=4096: "
+            "a path costs about n**2, and 2**28 paths take about a minute at --n 8\n"
+        )
+
     def test_help_states_the_simulate_n_limit(self, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--help"])
         out = capsys.readouterr().out
         assert "1 to 4096" in out
         assert "2 to 268435456" in out
+        assert "with m * n**2 at most 2**34" in " ".join(out.split())
 
 
 class TestInternalErrors:

@@ -440,10 +440,15 @@ def oracle_matrices(draw):
     return rows
 
 
-def with_oracle_examples(test):
-    for rows in ORACLE_EXAMPLES:
-        test = example(rows)(test)
-    return test
+def with_examples(cases):
+    """Attach each matrix of ``cases`` to a test as a hypothesis example."""
+
+    def attach(test):
+        for rows in cases:
+            test = example(rows)(test)
+        return test
+
+    return attach
 
 
 class TestBerkowitzOracle:
@@ -465,7 +470,7 @@ class TestBerkowitzOracle:
     # 3.11). The branch check below takes about 0.06 s.
     @settings(max_examples=40, deadline=None)
     @given(oracle_matrices())
-    @with_oracle_examples
+    @with_examples(ORACLE_EXAMPLES)
     def test_matches_berkowitz(self, rows):
         (det, minors), taken = run_band(rows)
         expected = berkowitz_minors(rows)
@@ -533,6 +538,85 @@ def differenced(rows):
 def spread(band, starts, n):
     """The n x n matrix whose row i holds band[i] from column starts[i]."""
     return [[0] * start + row + [0] * (n - start - len(row)) for start, row in zip(starts, band)]
+
+
+BAND_CASES = {
+    "span left of the diagonal",
+    "span right of the diagonal",
+    "zero row",
+    "first difference left of a column where the rows agree, below the diagonal",
+    "parallel rows: the row of D ends before both rows turn constant",
+    "row above turns constant right of where the row does",
+    "one-entry span",
+    "longer span",
+}
+
+
+def constant_from(row):
+    """The first column from which ``row`` is constant."""
+    c = len(row) - 1
+    while c and row[c - 1] == row[c]:
+        c -= 1
+    return c
+
+
+def band_cases(rows):
+    """The cases of _band's search that X = ``rows`` reaches, named as in
+    BAND_CASES and read off X and differenced(rows) alone: where each row
+    of D begins and ends against the diagonal, and how the two rows of X
+    that it comes from agree and turn constant. Row 0 of X comes from row
+    0 less a zero row."""
+    n = len(rows)
+    taken = set()
+    for i, (row, above, d) in enumerate(zip(rows, [[0] * n, *rows], differenced(rows))):
+        nonzero = [c for c, x in enumerate(d) if x]
+        if not nonzero:
+            taken.add("zero row")
+            continue
+        first, last = nonzero[0], nonzero[-1]
+        if first < i:
+            taken.add("span left of the diagonal")
+        if last > i:
+            taken.add("span right of the diagonal")
+        taken.add("one-entry span" if first == last else "longer span")
+        if any(row[c] == above[c] for c in range(first, i)):
+            taken.add("first difference left of a column where the rows agree, below the diagonal")
+        if last < max(constant_from(row), constant_from(above)):
+            taken.add("parallel rows: the row of D ends before both rows turn constant")
+        if constant_from(above) > constant_from(row):
+            taken.add("row above turns constant right of where the row does")
+    return taken
+
+
+# Small X whose rows reach every case of BAND_CASES between them, and meet
+# a row above whose first difference was left of theirs, right of it by
+# one column and right of it by more.
+SPAN_EXAMPLES = [
+    # lam*I - A_6: rows of D from left of the diagonal to right of it.
+    char_matrix(6, 3).to_lists(),
+    # A_6: one entry a row.
+    build_min_matrix(6).to_lists(),
+    # A repeated row; rows that differ at column 0, agree at 1 and differ
+    # again; two parallel rows; a row constant from column 0 under one
+    # constant from column 4.
+    [[1, 2, 3, 4, 5], [1, 2, 3, 4, 5], [2, 2, 5, 6, 7], [3, 3, 6, 7, 8], [4, 4, 4, 4, 4]],
+    # A constant row under one that repeats an entry at columns 1 and 2
+    # before it turns constant at column 3: the row of D ends at column 3,
+    # past the repeat.
+    [[1, 2, 2, 3, 3], [5] * 5, [5] * 5, [5] * 5, [5] * 5],
+    # A row that differs from the one above first at column 4, under one
+    # that differed at column 0, then one whose first difference is back
+    # at column 1, and a row equal to the one above up to past the
+    # diagonal.
+    [
+        [1, 2, 3, 4, 5, 6],
+        [2, 3, 4, 5, 6, 7],
+        [2, 3, 4, 5, 7, 7],
+        [2, 4, 4, 5, 7, 9],
+        [2, 4, 4, 5, 7, 8],
+        [2, 4, 4, 5, 7, 8],
+    ],
+]
 
 
 @st.composite
@@ -689,6 +773,7 @@ class TestDifferencedElimination:
     # About 0.5 s for 200 drawn matrices (2-vCPU x86-64 host, Python 3.11).
     @settings(max_examples=200, deadline=None)
     @given(span_matrices())
+    @with_examples(SPAN_EXAMPLES)
     def test_span_is_exact(self, rows):
         # Each row of D is held from its first nonzero entry to its last,
         # found from the rows of X alone; a zero row is held empty.
@@ -700,6 +785,14 @@ class TestDifferencedElimination:
                 assert row[0] and row[-1]
             else:
                 assert start == n
+        for case in sorted(band_cases(rows)):
+            event(case)
+
+    def test_examples_reach_every_case(self):
+        taken = set()
+        for rows in SPAN_EXAMPLES:
+            taken |= band_cases(rows)
+        assert taken == BAND_CASES
 
     def test_subtractions_stay_inside_the_band(self):
         # D is formed by subtracting only inside each row's span: one

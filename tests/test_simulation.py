@@ -52,6 +52,19 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=f"^--m must be <= 268435456, got {m}: "):
                 SimConfig(n=8, m=m)
 
+    @pytest.mark.parametrize("n", [8, 64, 4096])
+    def test_path_cost_limit(self, n):
+        # m * n**2 up to 2**34 is accepted (and never run here): 2**28 paths
+        # at n = 8, 2**22 at 64, 2**10 at 4096. One path more is refused;
+        # at n = 8 the m limit refuses it first.
+        m = 2**34 // n**2
+        assert SimConfig(n=n, m=m).m == m
+        message = "--m must be <= 268435456" if n == 8 else (
+            f"--m times --n squared must be <= 17179869184, got m={m + 1}, n={n}: "
+        )
+        with pytest.raises(ValueError, match=f"^{message}"):
+            SimConfig(n=n, m=m + 1)
+
 
 class TestChunks:
     @pytest.mark.parametrize(
