@@ -20,6 +20,7 @@ function up by command name when it runs.
 import argparse
 import sys
 from functools import cache
+from itertools import chain
 
 from . import DIM_LIMIT, DISTRIBUTIONS, METHODS, SUITES, __version__
 from .determinants import (
@@ -50,12 +51,14 @@ def _metadata(seed=None):
 
 
 def _emit(args, payload, header, rows, lines, seed=None, notes=(), csv_tail=()):
-    """Print the output --format selects: the JSON document of payload,
-    the CSV table of header and rows followed by the csv_tail lines, or
-    the plain lines with each note on stderr."""
+    """Print the output --format selects: the JSON document of payload, or
+    of what payload returns when it is a function, the CSV table of header
+    and rows followed by the csv_tail lines, or the plain lines with each
+    note on stderr."""
     if args.format == "json":
         import json
 
+        payload = payload() if callable(payload) else payload
         print(json.dumps({"payload": payload, "metadata": _metadata(seed)}, indent=2))
     elif args.format == "csv":
         import csv
@@ -72,11 +75,30 @@ def _emit(args, payload, header, rows, lines, seed=None, notes=(), csv_tail=()):
             print(f"note: {note}", file=sys.stderr)
 
 
+# Most digits --inc may hold in total. The dimension is bounded by
+# DIM_LIMIT and each increment by the caller's digit limit, but the
+# closed form, the elimination and printing the result all cost about the
+# square of the total. `det delta --method both` took 0.76-0.79 s and
+# 221-222 MB at 4000 increments of 25 digits, 0.30-0.31 s and 15 MB at 25
+# of 4000 (delta and theta), and 3.1 s and 370 MB at 4096 of 64 digits,
+# past the limit (in process, one pinned CPU, Python 3.11). A single
+# argument of a process is at most 128 KiB on Linux, so the limit is below
+# what a shell can pass.
+_INC_DIGITS_LIMIT = 100_000
+
+
 def _parse_increments(text):
     """The increments of --inc, parsed under the current limit on converting
-    a decimal string to an int."""
+    a decimal string to an int, once their digits in total are within
+    _INC_DIGITS_LIMIT."""
     if text.strip() == "":
         return []
+    digits = sum(map(str.isdigit, text))
+    if digits > _INC_DIGITS_LIMIT:
+        raise ValueError(
+            f"--inc has {digits} digits in total, above the limit of {_INC_DIGITS_LIMIT}: "
+            "the closed form, the elimination and the printed result cost about its square"
+        )
     try:
         return [int(part) for part in text.split(",")]
     except ValueError:
@@ -282,9 +304,11 @@ def cmd_simulate(args):
     )
     estimate = simulate_covariance(cfg)
     deviation = covariance_deviation(estimate)
+    # At --n 4096 the entries as Python floats take about 0.5 GB: only the
+    # JSON payload holds them all, and the other formats go row by row.
     _emit(
         args,
-        {
+        lambda: {
             "n": cfg.n,
             "m": cfg.m,
             "sigma": cfg.sigma,
@@ -295,8 +319,10 @@ def cmd_simulate(args):
         },
         [f"c{j}" for j in range(1, cfg.n + 1)],
         ([repr(float(v)) for v in row] for row in estimate.matrix),
-        [" ".join(f"{v:10.4f}" for v in row) for row in estimate.matrix]
-        + [f"deviation: {deviation:.6f}"],
+        chain(
+            (" ".join(f"{v:10.4f}" for v in row) for row in estimate.matrix),
+            [f"deviation: {deviation:.6f}"],
+        ),
         seed=cfg.seed,
         csv_tail=[f"# deviation,{deviation}"],
     )

@@ -26,8 +26,9 @@ _CHUNK_STEPS = 2**18  # steps per chunk past 8 chunks: 2 MiB of float64
 # 2.4): 2**27 took 29 s, 2**28 58 s. A path costs more as n grows, about
 # n**2 for its outer product, so a config also keeps m * n**2 within
 # _M_LIMIT * 8**2 = 2**34, the cost of 2**28 paths at n = 8. At the other
-# end, 2**10 paths at n = 4096, simulate_covariance took 3.3-3.5 s in
-# process, with a peak RSS of 423 MB (same host, one pinned CPU, two runs).
+# end, 2**10 paths at n = 4096, simulate_covariance took 2.7-3.3 s in
+# process, with a peak RSS of 294 MB: the 128 MiB estimate and one 128 MiB
+# product buffer (same host, one pinned CPU, three runs).
 _M_LIMIT = 1 << 28
 
 
@@ -131,13 +132,16 @@ def simulate_covariance(cfg):
     draw writes into it and the paths are summed in place, column by
     column, in the order np.cumsum(axis=1) adds. Every float is the one a
     fresh array per chunk would hold, so results are bit-identical to it.
+    Beside the estimate, one n x n buffer takes each chunk's product, and
+    the division and the symmetrization run in place.
     """
     import numpy as np
 
     root = np.random.SeedSequence(cfg.seed)
     base, extra = divmod(cfg.m, cfg.chunks)
     buffer = np.empty((base + (1 if extra else 0), cfg.n))
-    accumulator = np.zeros((cfg.n, cfg.n))
+    product = np.empty((cfg.n, cfg.n))
+    matrix = np.zeros((cfg.n, cfg.n))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for index in range(cfg.chunks):
             count = base + (1 if index < extra else 0)
@@ -146,9 +150,14 @@ def simulate_covariance(cfg):
             _draw_steps(rng, paths, cfg.sigma, cfg.dist)
             for j in range(1, cfg.n):  # partial sums along each path
                 paths[:, j] += paths[:, j - 1]
-            accumulator += paths.T @ paths
-        matrix = accumulator / cfg.m
-        matrix = (matrix + matrix.T) / 2.0  # kill float round-off asymmetry
+            matrix += np.matmul(paths.T, paths, out=product)
+        np.divide(matrix, cfg.m, out=matrix)
+        # Kill float round-off asymmetry: (a[i, j] + a[j, i]) / 2 on both
+        # sides, row by row. Row i right of the diagonal and column i below
+        # it are untouched by earlier rows, and addition commutes, so each
+        # entry is the float that (matrix + matrix.T) / 2.0 holds.
+        for i in range(cfg.n):
+            matrix[i, i:] = matrix[i:, i] = (matrix[i, i:] + matrix[i:, i]) / 2.0
     if not np.isfinite(matrix).all():
         # SimConfig bounds the entries' mean, m * n * sigma^2; a draw can
         # still overflow near that bound.
@@ -166,9 +175,11 @@ def min_matrix_float(n):
 
 def covariance_deviation(est):
     """Max absolute entrywise gap between the sigma^2-normalized estimate
-    and the min matrix."""
+    and the min matrix, row by row: row i of the min matrix is min(i, j),
+    so no n x n array beside the estimate is made."""
     import numpy as np
 
-    target = min_matrix_float(est.config.n)
-    normalized = est.matrix / est.config.sigma**2
-    return float(np.max(np.abs(normalized - target)))
+    scale = est.config.sigma**2
+    columns = np.arange(1.0, est.config.n + 1)
+    gaps = [np.max(np.abs(row / scale - np.minimum(columns, i))) for i, row in enumerate(est.matrix, 1)]
+    return float(np.max(gaps))

@@ -3,9 +3,9 @@
 Each identity has one check here: a function that returns one
 CheckResult, with the first counterexample when it fails. A check bounded
 by n builds its own cases from n_max; the delta, theta and scaling checks
-take drawn cases. Each suite runs a family of checks; the CLI `verify`
-command runs the suites, and the acceptance tests call the same checks
-at their own, larger sizes.
+take drawn increment lists (``draw_increments``). Each suite runs a family
+of checks; the CLI `verify` command runs the suites, and the acceptance
+tests call the same checks at their own, larger sizes.
 
 Every check has one shape: it streams its cases as tuples
 (passed, *values) into ``_sweep``, with a label such as "n={}, k={}". The
@@ -19,9 +19,18 @@ off one elimination of A_{n_max} and one of C_{n_max,k} per k: A_n is the
 leading block of A_{n_max}, and C_{n,k} that of C_{n_max,k}. That is
 O(n_max) eliminations in place of O(n_max^2), and every leading minor is
 checked. ``check_fibonacci_minors`` reads F_{2n+1} the same way, off one
-elimination of -I - A_{n_max}. These three read their record through
-``_minors``, whose cases compare each expected value with the next leading
-minor; a minor that a row swap left unread matches nothing.
+elimination of -I - A_{n_max}. The drawn families are read the same way:
+the leading m-block of a delta matrix is the delta matrix of the first m
+increments, and that of a theta matrix the theta matrix of the first
+m + 1, so one elimination per drawn list checks the product closed forms
+on every prefix, against running products, and the scaling check compares
+two records minor by minor. The dets suite draws four lists per family at
+dimension n_max: small positive, mixed-sign, signed 64-bit, and mixed-sign
+with one 0. These checks read their record through ``_minors``, whose
+cases compare each expected value with the next leading minor. The record
+stops at a zero leading minor, so the first minor it leaves unread matches
+only an expected 0, and the cases end there; a record cut short where the
+minor is nonzero fails.
 ``check_charpoly_minors`` reads charpoly(n)(lam) off one elimination of
 lam*I - A_{n_max} per lam, in its own loop, so that each charpoly(n) is
 built once for both lam.
@@ -47,12 +56,12 @@ S(n, n) = det A_n = 1 is the dets suite's leading-minor sweep.
 import random
 from dataclasses import dataclass, field
 from itertools import accumulate, islice, pairwise
+from operator import mul
 
 from . import SUITES
 from .determinants import (
     _det_minors,
     delta_det_closed,
-    det_bareiss,
     det_c_matrix,
     det_min_matrix,
     theta_det_closed,
@@ -67,11 +76,12 @@ POLYNOMIAL_METHODS = ("closed", "nested", "rec6", "rec7", "ratio")
 # Largest n_max run_suites accepts, from a budget of 60 s for verify
 # --suite all on a 2-vCPU x86-64 host with Python 3.11, set when 600 took
 # 32 s and 700 took 64 s. A fresh `verify --suite all --n-max 600` process
-# now takes 6.4-7.2 s on one pinned CPU of a shared host whose speed
-# varies (three runs); in process the dets suite takes 1.1-1.4 s of it
+# now takes 5.9-6.4 s on one pinned CPU of a shared host whose speed
+# varies (three runs); in process the dets suite takes 1.1-1.2 s of it
 # (n_max eliminations, each reading n_max**2 entries to find D's band and
-# subtracting O(n_max) of them), the symfun suite 1.6 s, the binomial
-# suite 2.3 s and the fibonacci suite 1.2 s, three runs each.
+# subtracting O(n_max) of them, and 16 eliminations of drawn lists at
+# dimension n_max), the symfun suite 1.6-1.8 s, the binomial suite 2.2-2.3 s
+# and the fibonacci suite 1.2 s, three runs each.
 _N_MAX_LIMIT = 600
 
 
@@ -94,20 +104,24 @@ def _sweep(name, cases, label):
     return CheckResult(name, True, notes=[] if case else ["vacuous: no cases"])
 
 
-def _minors(matrix, expected, first=1):
+def _minors(minors, expected, first=1):
     """Cases (passed, n), n from first: whether each value of expected in
-    turn equals the leading n-minor that one elimination of matrix reads. A
-    minor that a row swap left unread matches nothing."""
-    minors = _det_minors(matrix)[1]
+    turn equals the leading n-minor in minors, the record of one
+    elimination. The record stops at a zero leading minor, so the first
+    minor it leaves unread matches only an expected 0, and the cases end
+    there: the record says nothing past it."""
     for n, value in enumerate(expected, start=first):
-        yield n <= len(minors) and minors[n - 1] == value, n
+        if n > len(minors):
+            yield value == 0, n
+            return
+        yield minors[n - 1] == value, n
 
 
 def check_min_minors(n_max):
     """det A_n = 1 for every n <= n_max, read off the leading minors of one
     elimination of A_{n_max}."""
     expected = map(det_min_matrix, range(1, n_max + 1))
-    cases = _minors(build_min_matrix(n_max), expected) if n_max else ()
+    cases = _minors(_det_minors(build_min_matrix(n_max))[1], expected) if n_max else ()
     return _sweep("every leading minor of the min matrix equals 1", cases, "n={}")
 
 
@@ -119,55 +133,93 @@ def check_c_minors(n_max):
         for k in range(2, n_max):
             # The leading block of dimension n - k + 1 is C_{n,k}.
             expected = (det_c_matrix(n, k) for n in range(k + 1, n_max + 1))
-            for passed, dim in _minors(build_c_matrix(n_max, k), expected, first=2):
+            minors = _det_minors(build_c_matrix(n_max, k))[1]
+            for passed, dim in _minors(minors, expected, first=2):
                 yield passed, dim + k - 1, k
 
     name = "every leading minor of the shifted matrix equals its shift"
     return _sweep(name, cases(), "n={}, k={}")
 
 
+def _prefixes(matrix, expected, closed, inc, extra):
+    """Cases (passed, prefix) of one drawn list inc: each expected value
+    against the leading minor that one elimination of matrix reads, named
+    by the prefix of inc that builds that leading block (its minor m needs
+    m + extra increments), then the determinant against closed, named by
+    inc."""
+    det, minors = _det_minors(matrix)
+    for passed, m in _minors(minors, expected):
+        yield passed, inc[: m + extra]
+    yield det == closed, inc
+
+
 def check_delta_dets(increments):
-    cases = ((delta_det_closed(inc) == det_bareiss(build_delta_matrix(inc)), inc) for inc in increments)
+    """Every leading minor of each list's delta matrix is the product of
+    the list's prefix: the leading m-block is the delta matrix of the first
+    m increments. The determinant is delta_det_closed of the whole list."""
+    cases = (
+        case
+        for inc in increments
+        for case in _prefixes(build_delta_matrix(inc), accumulate(inc, mul), delta_det_closed(inc), inc, 0)
+    )
     return _sweep("product closed form matches elimination (delta family)", cases, "inc={}")
 
 
 def check_theta_dets(increments):
-    cases = ((theta_det_closed(inc) == det_bareiss(build_theta_matrix(inc)), inc) for inc in increments)
+    """Every leading minor of each list's theta matrix is i_1 * i_3 * ...
+    * i_{m+1}: the leading m-block is the theta matrix of the first m + 1
+    increments. The determinant is theta_det_closed of the whole list."""
+    cases = (
+        case
+        for inc in increments
+        for case in _prefixes(
+            build_theta_matrix(inc), accumulate(inc[:1] + inc[2:], mul), theta_det_closed(inc), inc, 1
+        )
+    )
     return _sweep("dropped-term closed form matches elimination (theta family)", cases, "inc={}")
 
 
 def check_delta_scaling(cases):
-    """Cases are (increments, t) pairs. Both sides are det_bareiss of a
-    delta matrix, so a wrong elimination can fail the check."""
+    """Cases are (increments, t) pairs. Scaling the first increment by t
+    scales every leading minor of the delta matrix by t: the records of the
+    two eliminations agree elementwise, and so do the determinants. Both
+    sides come from the elimination, so a wrong one can fail the check."""
 
     def scaled():
         for inc, t in cases:
-            det = det_bareiss(build_delta_matrix([inc[0] * t] + inc[1:]))
-            yield det == t * det_bareiss(build_delta_matrix(inc)), inc, t
+            det, minors = _det_minors(build_delta_matrix(inc))
+            # A short record's first unread minor is 0, and so is t times it.
+            expected = [t * minor for minor in minors] + [0] * (len(minors) < len(inc))
+            matrix = build_delta_matrix([inc[0] * t, *inc[1:]])
+            for passed, prefix in _prefixes(matrix, expected, t * det, inc, 0):
+                yield passed, prefix, t
 
     return _sweep("scaling the first increment scales the determinant", scaled(), "inc={}, t={}")
 
 
-def random_increments(rng, dim_cap):
-    """Draw 100 delta and 100 theta increment lists with entries in 1..9,
-    then 100 of each with entries in -4..4, a delta list and a theta list
-    in turn. Delta lists have 1..dim_cap entries, theta lists 3..dim_cap + 1;
-    there are no theta lists when dim_cap < 2."""
-    delta, theta = [], []
-    for low, high in ((1, 9), (-4, 4)):
-        for _ in range(100):
-            n = rng.randint(1, max(dim_cap, 1))
-            delta.append([rng.randint(low, high) for _ in range(n)])
-            if dim_cap >= 2:
-                n = rng.randint(2, dim_cap)
-                theta.append([rng.randint(low, high) for _ in range(n + 1)])
-    return delta, theta
+def draw_increments(rng, n_max):
+    """The drawn lists of the dets suite: four delta lists of max(n_max, 1)
+    increments and, when n_max >= 2, four theta lists of n_max + 1, each
+    family drawn in turn as small positive (1..9), mixed-sign nonzero
+    (+-1..4), signed 64-bit (+-[2**63, 2**64)) and mixed-sign with a 0 at a
+    drawn position; then the scaling cases, each delta list with a t in
+    -5..5."""
+
+    def lists(length):
+        small = [rng.randint(1, 9) for _ in range(length)]
+        mixed = [rng.choice((-1, 1)) * rng.randint(1, 4) for _ in range(length)]
+        wide = [rng.choice((-1, 1)) * rng.randrange(2**63, 2**64) for _ in range(length)]
+        zero = [rng.choice((-1, 1)) * rng.randint(1, 4) for _ in range(length)]
+        zero[rng.randrange(length)] = 0
+        return [small, mixed, wide, zero]
+
+    delta = lists(max(n_max, 1))
+    theta = lists(n_max + 1) if n_max >= 2 else []
+    return delta, theta, [(inc, rng.randint(-5, 5)) for inc in delta]
 
 
 def suite_dets(n_max, seed=0):
-    rng = random.Random(seed)
-    delta, theta = random_increments(rng, min(n_max, 12))
-    scale_cases = [([rng.randint(1, 9) for _ in range(rng.randint(1, 8))], rng.randint(-5, 5)) for _ in range(50)]
+    delta, theta, scale_cases = draw_increments(random.Random(seed), n_max)
     return [
         check_min_minors(n_max),
         check_c_minors(n_max),
@@ -309,7 +361,7 @@ def check_fibonacci_minors(n_max):
             even, odd = even + odd, even + 2 * odd
             yield -odd if n % 2 else odd
 
-    cases = _minors(char_matrix(n_max, -1), expected()) if n_max else ()
+    cases = _minors(_det_minors(char_matrix(n_max, -1))[1], expected()) if n_max else ()
     return _sweep("every leading minor of -I - A_n equals (-1)^n F(2n+1)", cases, "n={}")
 
 

@@ -59,10 +59,16 @@ def test_criterion_1_determinant_corollary():
 
 
 def test_criterion_2_closed_forms_vs_oracle():
-    with _Criterion(2, "closed-form determinants match elimination on 200 random lists", 10):
-        delta, theta = verification.random_increments(random.Random(20240817), 12)
+    # Every leading minor of four drawn lists per family at dimension 100,
+    # among them 64-bit increments and a zero: at least 300 minors each.
+    with _Criterion(2, "closed-form determinants match every leading minor of drawn lists", 10):
+        delta, theta, scale_cases = verification.draw_increments(random.Random(20240817), 100)
+        assert min(map(len, delta + theta)) >= 100
+        assert any(abs(i) >= 2**63 for inc in delta for i in inc) and 0 in delta[3]
+        assert any(abs(i) >= 2**63 for inc in theta for i in inc) and 0 in theta[3]
         _passed(verification.check_delta_dets(delta))
         _passed(verification.check_theta_dets(theta))
+        _passed(verification.check_delta_scaling(scale_cases))
 
 
 def test_criterion_3a_six_way_agreement_to_12():

@@ -221,6 +221,33 @@ class TestIncrementDigits:
         else:
             assert (code, out, err) == (0, f"closed: 1{'9' * 4300}8\n", "")
 
+    @pytest.mark.parametrize("command", [["det", "delta", "--method", "closed"], ["matrix", "theta"]])
+    def test_total_digits_past_the_bound_are_refused_before_parsing(self, capsys, monkeypatch, limit, command):
+        # 25 increments of 4000 digits are the bound; one digit more in the
+        # last is refused before any increment is converted, with or
+        # without the per-increment limit.
+        bound = cli._INC_DIGITS_LIMIT
+        inc = ",".join(["-" + "7" * 4000] * 24 + ["7" * 4001])
+        monkeypatch.setattr(cli, "int", lambda text: pytest.fail(f"parsed {text[:10]}"), raising=False)
+        code, out, err = run(capsys, *command, f"--inc={inc}")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --inc has {bound + 1} digits in total, above the limit of {bound}: "
+            "the closed form, the elimination and the printed result cost about its square\n"
+        )
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_total_digits_at_the_bound_are_accepted(self, capsys, limit):
+        text = ",".join(["-" + "7" * 4000] * 24 + ["7" * 4000])
+        assert sum(map(str.isdigit, text)) == cli._INC_DIGITS_LIMIT
+        code, out, err = run(capsys, "det", "delta", f"--inc={text}", "--method", "both")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        closed, bareiss, agree = out.splitlines()
+        assert agree == "agree"
+        sys.set_int_max_str_digits(0)
+        assert closed == f"closed: {math.prod(map(int, text.split(',')))}"
+
 
 class TestDenseLimit:
     """`matrix` and `det --method bareiss|both` refuse a dense matrix past
@@ -440,21 +467,23 @@ class TestVerifyCommand:
         assert "vacuous" in out
 
     def test_scaling_check_fails_on_a_wrong_elimination(self, capsys, monkeypatch):
-        # Both sides of the scaling check come from det_bareiss, so an
-        # elimination that adds 1 to every determinant of dimension 2 or
-        # more breaks det(scaled) = t * det wherever t != 1.
-        real = verification.det_bareiss
+        # Both sides of the scaling check come from the elimination, so an
+        # elimination that adds 1 to every leading 2-minor it reads breaks
+        # minor(scaled) = t * minor wherever t != 1, first at the prefix of
+        # two increments.
+        real = verification._det_minors
 
         def wrong(matrix):
-            return real(matrix) + (matrix.dim >= 2)
+            det, minors = real(matrix)
+            return det, [v + (m == 1) for m, v in enumerate(minors)]
 
         name = "scaling the first increment scales the determinant"
         cases = [([3, 1, 4], 2), ([5], 7)]
         assert verification.check_delta_scaling(cases).passed
-        monkeypatch.setattr(verification, "det_bareiss", wrong)
+        monkeypatch.setattr(verification, "_det_minors", wrong)
         result = verification.check_delta_scaling(cases)
         assert (result.name, result.passed) == (name, False)
-        assert result.detail == "counterexample: inc=[3, 1, 4], t=2"
+        assert result.detail == "counterexample: inc=[3, 1], t=2"
         code, out, _ = run(capsys, "verify", "--suite", "dets", "--n-max", "16")
         assert code == 1
         assert any(line.startswith(f"[FAIL] {name} (counterexample: ") for line in out.splitlines())

@@ -129,6 +129,33 @@ class TestStepBuffer:
         est = simulate_covariance(cfg)
         assert est.matrix.tobytes() == reference_covariance(cfg).tobytes()
 
+    @pytest.mark.parametrize("n, m", [(512, 5000), (300, 20001)])
+    def test_in_place_finish_is_bit_identical(self, n, m):
+        # One product buffer for every chunk, the division in place and the
+        # row-by-row symmetrization give the floats of the three-line
+        # formula with fresh arrays; tobytes also tells -0.0 from 0.0,
+        # which np.array_equal does not.
+        cfg = SimConfig(n=n, m=m, seed=n)
+        matrix, reference = simulate_covariance(cfg).matrix, reference_covariance(cfg)
+        assert np.array_equal(matrix, reference)
+        assert matrix.tobytes() == reference.tobytes()
+
+    def test_two_n_by_n_arrays_at_most(self):
+        # The estimate and one product buffer, beside a chunk of steps and
+        # the finiteness check's n x n booleans: no product per chunk,
+        # quotient or transpose sum is made besides, which held at least
+        # four n x n float arrays at once.
+        cfg = SimConfig(n=512, m=2000)
+        simulate_covariance(SimConfig(n=2, m=10))  # imports numpy
+        tracemalloc.start()
+        try:
+            simulate_covariance(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        step_bytes = -(-cfg.m // cfg.chunks) * cfg.n * 8
+        assert peak < 2.5 * cfg.n**2 * 8 + step_bytes, peak
+
     @pytest.mark.parametrize("dist, chunks_held", [("gaussian", 1.25), ("rademacher", 2.25), ("uniform", 2.25)])
     def test_one_buffer_serves_every_chunk(self, dist, chunks_held):
         # Gaussian steps are drawn into the buffer itself; the other two
@@ -245,3 +272,14 @@ class TestDeviation:
         cfg = SimConfig(n=2, m=10)
         est = CovEstimate(matrix=np.zeros((2, 2)), config=cfg)
         assert covariance_deviation(est) == 2.0
+
+    @pytest.mark.parametrize("n, m, sigma", [(8, 2000, 1.0), (37, 1001, 2.5), (300, 20001, 0.3)])
+    def test_row_by_row_equals_the_whole_array_formula(self, n, m, sigma):
+        est = simulate_covariance(SimConfig(n=n, m=m, sigma=sigma, seed=m))
+        whole = float(np.max(np.abs(est.matrix / sigma**2 - min_matrix_float(n))))
+        assert covariance_deviation(est) == whole
+
+    def test_a_nan_entry_is_the_deviation(self):
+        matrix = min_matrix_float(3)
+        matrix[2, 1] = np.nan
+        assert math.isnan(covariance_deviation(CovEstimate(matrix=matrix, config=SimConfig(n=3, m=10))))

@@ -5,6 +5,7 @@ checks, which stream each method's columns, charpoly(n)(lam) off the
 leading minors of lam*I - A_{n_max}, and the binomial identity's running
 sums."""
 
+import random
 import tracemalloc
 
 import pytest
@@ -309,18 +310,156 @@ class TestSizeLimit:
         assert verification.run_suites("all", verification._N_MAX_LIMIT) == []
 
 
+DELTA_DETS = "product closed form matches elimination (delta family)"
+THETA_DETS = "dropped-term closed form matches elimination (theta family)"
+SCALING = "scaling the first increment scales the determinant"
+
+
+def _wrong_minor(monkeypatch, m, only=None):
+    """Make every elimination in verification whose record reaches the
+    leading m-minor read that minor off by one; with ``only``, just the
+    eliminations of matrices whose top-left entry is ``only``."""
+    det_minors = determinants._det_minors
+
+    def wrong(matrix):
+        det, minors = det_minors(matrix)
+        if len(minors) >= m and only in (None, matrix.entry(1, 1)):
+            minors[m - 1] += 1
+        return det, minors
+
+    monkeypatch.setattr(verification, "_det_minors", wrong)
+
+
+def _cut_record(monkeypatch, kept, only=None):
+    """Make every elimination in verification keep only its first ``kept``
+    leading minors, as a row swap at step ``kept`` would; with ``only``,
+    just the eliminations of matrices whose top-left entry is ``only``."""
+    det_minors = determinants._det_minors
+
+    def cut(matrix):
+        det, minors = det_minors(matrix)
+        return det, minors[:kept] if only in (None, matrix.entry(1, 1)) else minors
+
+    monkeypatch.setattr(verification, "_det_minors", cut)
+
+
+class TestDrawnFamilies:
+    """The delta, theta and scaling checks read every prefix of a drawn
+    list off the leading minors of one elimination."""
+
+    @pytest.mark.parametrize("m", [1, 2, 9, 16])
+    def test_one_wrong_minor_names_its_prefix(self, monkeypatch, m):
+        # The first drawn list of each family is the small positive one,
+        # whose record is complete. The scaling check sees the wrong minor
+        # only where t is neither 0 nor 1: at seed 0, first in the 64-bit
+        # list.
+        delta, theta, scale = verification.draw_increments(random.Random(0), 16)
+        inc, t = next((inc, t) for inc, t in scale if t not in (0, 1))
+        assert inc == delta[2]
+        _wrong_minor(monkeypatch, m)
+        expected = {
+            DELTA_DETS: f"inc={delta[0][:m]}",
+            THETA_DETS: f"inc={theta[0][:m + 1]}",
+            SCALING: f"inc={inc[:m]}, t={t}",
+        }
+        assert counterexample(verification.check_delta_dets(delta)) == expected[DELTA_DETS]
+        assert counterexample(verification.check_theta_dets(theta)) == expected[THETA_DETS]
+        assert counterexample(verification.check_delta_scaling(scale)) == expected[SCALING]
+        results = {r.name: r for r in verification.run_suites("dets", 16)}
+        for name, label in expected.items():
+            assert results[name].detail == f"counterexample: {label}"
+
+    def test_scaling_sees_only_the_scaled_record(self, monkeypatch):
+        # A wrong leading 2-minor of the scaled matrix alone (top-left entry
+        # 3 * 2 = 6): [3, 1, 4] at t = 2 fails at its prefix [3, 1]; at
+        # t = 1 the scaled matrix is the unscaled one, wrong on both sides.
+        _wrong_minor(monkeypatch, 2, only=6)
+        assert counterexample(verification.check_delta_scaling([([5], 7), ([3, 1, 4], 2)])) == "inc=[3, 1], t=2"
+        assert verification.check_delta_scaling([([6, 1, 4], 1)]).passed
+
+    @pytest.mark.parametrize("at", [0, 1, 2, 5])
+    def test_a_zero_increment_passes(self, at):
+        # The record stops at the zero leading minor: delta at the zero, and
+        # theta at it unless it is i_2, which drops out.
+        inc = [3, -2, 4, 1, -1, 2, 5]
+        inc[at] = 0
+        det, minors = determinants._det_minors(verification.build_delta_matrix(inc))
+        assert (det, len(minors)) == (0, at)
+        for result in (
+            verification.check_delta_dets([inc]),
+            verification.check_theta_dets([inc]),
+            verification.check_delta_scaling([(inc, t) for t in range(-5, 6)]),
+        ):
+            assert result.passed and result.notes == [], result
+
+    def test_scaling_by_zero_passes(self):
+        # t = 0 makes the first leading minor 0, where the scaled record
+        # stops, whatever the list; at dimension 1 it records that 0.
+        cases = [([3, 1, 4], 0), ([5], 0), ([0, 2], 0), ([2, 0, 1], 0)]
+        assert verification.check_delta_scaling(cases).passed
+
+    @pytest.mark.parametrize("kept", [0, 2, 4])
+    def test_a_record_cut_short_fails_where_the_minor_is_nonzero(self, monkeypatch, kept):
+        # The first unread minor passes only as a zero: a record cut before
+        # the zero minor, the 7th of delta and the 6th of theta, fails at the
+        # first minor it lacks.
+        inc = [3, -2, 4, 1, -1, 2, 0, 5]
+        _cut_record(monkeypatch, kept)
+        assert counterexample(verification.check_delta_dets([inc])) == f"inc={inc[:kept + 1]}"
+        assert counterexample(verification.check_theta_dets([inc])) == f"inc={inc[:kept + 2]}"
+        # The scaling check compares two records of the elimination: it
+        # fails where one is cut and the other is not, the scaled one
+        # (top-left entry 6) or the unscaled one (3), whose first unread
+        # minor it then takes as 0.
+        for top_left in (6, 3):
+            _cut_record(monkeypatch, kept, only=top_left)
+            assert counterexample(verification.check_delta_scaling([(inc, 2)])) == f"inc={inc[:kept + 1]}, t=2"
+
+    def test_a_record_cut_at_the_zero_passes_and_one_step_earlier_fails(self, monkeypatch):
+        inc = [3, -2, 4, 0, 5]
+        _cut_record(monkeypatch, 3)
+        assert verification.check_delta_dets([inc]).passed
+        _cut_record(monkeypatch, 2)
+        assert counterexample(verification.check_delta_dets([inc])) == "inc=[3, -2, 4]"
+
+    def test_a_wrong_determinant_names_the_whole_list(self, monkeypatch):
+        det_minors = determinants._det_minors
+        monkeypatch.setattr(verification, "_det_minors", lambda m: (det_minors(m)[0] + 1, det_minors(m)[1]))
+        inc = [3, -2, 4, 0, 5]
+        assert counterexample(verification.check_delta_dets([[2, 2], inc])) == "inc=[2, 2]"
+        assert counterexample(verification.check_theta_dets([inc])) == f"inc={inc}"
+        assert counterexample(verification.check_delta_scaling([(inc, 3)])) == f"inc={inc}, t=3"
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 16, 600])
+    def test_draws(self, n_max):
+        delta, theta, scale = verification.draw_increments(random.Random(n_max), n_max)
+        assert [len(inc) for inc in delta] == [max(n_max, 1)] * 4
+        assert [len(inc) for inc in theta] == ([n_max + 1] * 4 if n_max >= 2 else [])
+        for lists in (delta, theta) if theta else (delta,):
+            small, mixed, wide, zero = lists
+            assert all(1 <= i <= 9 for i in small)
+            assert all(1 <= abs(i) <= 4 for i in mixed)
+            assert all(2**63 <= abs(i) < 2**64 for i in wide)
+            assert zero.count(0) == 1 and all(abs(i) <= 4 for i in zero)
+        assert [inc for inc, _ in scale] == delta
+        assert all(-5 <= t <= 5 for _, t in scale)
+
+
 class TestCounterexampleText:
     """Each check names its first failing case: the words of its detail."""
 
     def test_delta_and_theta_name_the_increments(self, monkeypatch):
-        # An elimination that adds 1 at dimension 3: the delta list of three
-        # increments and the theta list of four.
-        det_bareiss = verification.det_bareiss
-        monkeypatch.setattr(verification, "det_bareiss", lambda m: det_bareiss(m) + (m.dim == 3))
-        delta = [[2], [-4, 1], [-4, 0, 3], [1, 1, 1]]
-        theta = [[5, 1, 2], [1, -2, 3, 9], [2, 2, 2, 2]]
-        assert counterexample(verification.check_delta_dets(delta)) == "inc=[-4, 0, 3]"
+        # An elimination whose leading 3-minor is off by one: the first list
+        # whose record reaches it is named by its prefix of three increments,
+        # four for theta. [-4, 0, 3] ends its delta record at the zero
+        # minor; the theta list [-4, 0, 3, 2] has none, its i_2 drops out.
+        _wrong_minor(monkeypatch, 3)
+        delta = [[2], [-4, 1], [-4, 0, 3], [-4, 1, 3, 5], [1, 1, 1]]
+        theta = [[5, 1, 2], [1, -2, 3, 9, 4], [2, 2, 2, 2]]
+        assert counterexample(verification.check_delta_dets(delta)) == "inc=[-4, 1, 3]"
         assert counterexample(verification.check_theta_dets(theta)) == "inc=[1, -2, 3, 9]"
+        _wrong_minor(monkeypatch, 2)
+        assert counterexample(verification.check_theta_dets([[-4, 0, 3, 2]])) == "inc=[-4, 0, 3]"
 
     def test_fibonacci_sum_names_n(self, monkeypatch):
         monkeypatch.setattr(verification, "fibonacci_identity", lambda n: n != 7)
