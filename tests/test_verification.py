@@ -124,7 +124,8 @@ class TestCorruptedUpdate:
 
 class TestShortRecord:
     """A record cut short by a row swap fails the sweep at the first minor
-    it lacks, even where the determinant is right."""
+    it lacks, even where the determinant is right, unless that minor is
+    expected to be 0."""
 
     @pytest.mark.parametrize("kept", [0, 3, 13])
     def test_swap_cuts_the_record(self, monkeypatch, kept):
@@ -152,6 +153,16 @@ class TestShortRecord:
         assert minors == []
         monkeypatch.setattr(verification, "build_min_matrix", lambda n: matrix)
         assert counterexample(verification.check_min_minors(5)) == "n=1"
+
+    def test_the_record_says_nothing_past_its_first_unread_minor(self):
+        # Leading minors 1, 0 and -1: step 1 swaps rows, so the record holds
+        # the first alone. Its first unread minor matches only a 0, and the
+        # cases end there: the -1 past it is neither matched nor missed.
+        matrix = ExactMatrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+        det, minors = determinants._det_minors(matrix)
+        assert (det, minors) == (-1, [1])
+        assert list(verification._minors(minors, [1, 0, -1])) == [(True, 1), (True, 2)]
+        assert list(verification._minors(minors, [1, 5, -1])) == [(True, 1), (False, 2)]
 
 
 class TestFibonacciMinors:
@@ -369,7 +380,7 @@ class TestDrawnFamilies:
         for name, label in expected.items():
             assert results[name].detail == f"counterexample: {label}"
 
-    def test_scaling_sees_only_the_scaled_record(self, monkeypatch):
+    def test_scaling_compares_the_two_records(self, monkeypatch):
         # A wrong leading 2-minor of the scaled matrix alone (top-left entry
         # 3 * 2 = 6): [3, 1, 4] at t = 2 fails at its prefix [3, 1]; at
         # t = 1 the scaled matrix is the unscaled one, wrong on both sides.
@@ -415,16 +426,16 @@ class TestDrawnFamilies:
             _cut_record(monkeypatch, kept, only=top_left)
             assert counterexample(verification.check_delta_scaling([(inc, 2)])) == f"inc={inc[:kept + 1]}, t=2"
 
-    def test_a_record_cut_at_the_zero_passes_and_one_step_earlier_fails(self, monkeypatch):
-        inc = [3, -2, 4, 0, 5]
-        _cut_record(monkeypatch, 3)
-        assert verification.check_delta_dets([inc]).passed
-        _cut_record(monkeypatch, 2)
-        assert counterexample(verification.check_delta_dets([inc])) == "inc=[3, -2, 4]"
-
     def test_a_wrong_determinant_names_the_whole_list(self, monkeypatch):
+        # Every leading minor right, the determinant off by one: the case
+        # after the list's prefixes fails, the zero list's too.
         det_minors = determinants._det_minors
-        monkeypatch.setattr(verification, "_det_minors", lambda m: (det_minors(m)[0] + 1, det_minors(m)[1]))
+
+        def wrong(matrix):
+            det, minors = det_minors(matrix)
+            return det + 1, minors
+
+        monkeypatch.setattr(verification, "_det_minors", wrong)
         inc = [3, -2, 4, 0, 5]
         assert counterexample(verification.check_delta_dets([[2, 2], inc])) == "inc=[2, 2]"
         assert counterexample(verification.check_theta_dets([inc])) == f"inc={inc}"
