@@ -60,7 +60,6 @@ _SOURCES = {
     "CovEstimate": "simulation",
     "simulate_covariance": "simulation",
     "covariance_deviation": "simulation",
-    "min_matrix_float": "simulation",
     "run_suites": "verification",
     "CheckResult": "verification",
 }

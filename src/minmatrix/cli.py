@@ -51,15 +51,15 @@ def _metadata(seed=None):
 
 
 def _emit(args, payload, header, rows, lines, seed=None, notes=(), csv_tail=()):
-    """Print the output --format selects: the JSON document of payload, or
-    of what payload returns when it is a function, the CSV table of header
-    and rows followed by the csv_tail lines, or the plain lines with each
-    note on stderr."""
+    """Print the output --format selects: the JSON document of what the
+    function payload returns, the CSV table of header and rows followed by
+    the csv_tail lines, or the plain lines with each note on stderr. Only
+    the selected format is made: rows and lines are iterables read once."""
     if args.format == "json":
         import json
 
-        payload = payload() if callable(payload) else payload
-        print(json.dumps({"payload": payload, "metadata": _metadata(seed)}, indent=2))
+        json.dump({"payload": payload(), "metadata": _metadata(seed)}, sys.stdout, indent=2)
+        print()
     elif args.format == "csv":
         import csv
 
@@ -168,13 +168,17 @@ def _kind(args):
 def cmd_matrix(args):
     build, _ = _kind(args)
     matrix = build(args)
-    rows = [[str(v) for v in row] for row in matrix.to_lists()]
+    rows = matrix._rows
     _emit(
         args,
-        {"kind": args.kind, "dim": matrix.dim, "rows": rows},
+        lambda: {
+            "kind": args.kind,
+            "dim": matrix.dim,
+            "rows": [list(map(str, row)) for row in rows],
+        },
         [f"c{j}" for j in range(1, matrix.dim + 1)],
         rows,
-        (" ".join(row) for row in rows),
+        (" ".join(map(str, row)) for row in rows),
     )
     return EXIT_OK
 
@@ -193,7 +197,7 @@ def cmd_det(args):
         lines.append("agree" if agree else "DISAGREE")
     _emit(
         args,
-        {"kind": args.kind, "values": values, "agree": agree},
+        lambda: {"kind": args.kind, "values": values, "agree": agree},
         ["method", "value"],
         values.items(),
         lines,
@@ -248,7 +252,7 @@ def cmd_symfun(args):
         lines.append("DISAGREE")
     _emit(
         args,
-        {
+        lambda: {
             "n": args.n,
             "values": [{"k": k, "method": m, "value": v} for k, m, v in rows],
             "agree": not disagreement,
@@ -275,7 +279,7 @@ def cmd_verify(args):
     lines.append("all checks passed" if all_passed else "FAILURES PRESENT")
     _emit(
         args,
-        {
+        lambda: {
             "suite": args.suite,
             "n_max": args.n_max,
             "checks": [
@@ -304,8 +308,6 @@ def cmd_simulate(args):
     )
     estimate = simulate_covariance(cfg)
     deviation = covariance_deviation(estimate)
-    # At --n 4096 the entries as Python floats take about 0.5 GB: only the
-    # JSON payload holds them all, and the other formats go row by row.
     _emit(
         args,
         lambda: {
@@ -314,13 +316,13 @@ def cmd_simulate(args):
             "sigma": cfg.sigma,
             "dist": cfg.dist,
             "chunks": cfg.chunks,
-            "covariance": [[float(v) for v in row] for row in estimate.matrix],
+            "covariance": estimate.matrix.tolist(),
             "deviation": deviation,
         },
         [f"c{j}" for j in range(1, cfg.n + 1)],
-        ([repr(float(v)) for v in row] for row in estimate.matrix),
+        (map(repr, row.tolist()) for row in estimate.matrix),
         chain(
-            (" ".join(f"{v:10.4f}" for v in row) for row in estimate.matrix),
+            (" ".join(map("{:10.4f}".format, row.tolist())) for row in estimate.matrix),
             [f"deviation: {deviation:.6f}"],
         ),
         seed=cfg.seed,

@@ -66,11 +66,6 @@ class ExactMatrix:
         """Entries as a fresh list of row lists."""
         return [row[:] for row in self._rows]
 
-    def is_symmetric(self):
-        rows = self._rows
-        n = self.dim
-        return all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i + 1, n))
-
     def submatrix(self, indices):
         """Principal submatrix on the given 1-based row/column indices."""
         idx = [i - 1 for i in indices]
@@ -85,9 +80,6 @@ class ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         return self._rows == other._rows
-
-    def __hash__(self):
-        return hash(tuple(tuple(row) for row in self._rows))
 
     def __repr__(self):
         return f"ExactMatrix({self._rows!r})"

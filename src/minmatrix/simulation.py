@@ -165,14 +165,6 @@ def simulate_covariance(cfg):
     return CovEstimate(matrix=matrix, config=cfg)
 
 
-def min_matrix_float(n):
-    """The min matrix as a float array, the simulation's target."""
-    import numpy as np
-
-    idx = np.arange(1, n + 1)
-    return np.minimum.outer(idx, idx).astype(float)
-
-
 def covariance_deviation(est):
     """Max absolute entrywise gap between the sigma^2-normalized estimate
     and the min matrix, row by row: row i of the min matrix is min(i, j),

@@ -1,8 +1,10 @@
 """Elementary symmetric functions of the eigenvalues of the min matrix.
 
 For the n x n min matrix the k-th elementary symmetric function of the
-eigenvalues equals C(n+k, n-k). This module computes it six independent
-ways and assembles the exact characteristic polynomial from the values:
+eigenvalues equals C(n+k, n-k). This module computes it six ways, by
+four independent methods (closed, minors, ratio, and the column map that
+nested, rec6 and rec7 share; see below), and assembles the exact
+characteristic polynomial from the values:
 
   closed   the binomial closed form C(n+k, n-k)
   minors   sum of all k x k principal minors, each by fraction-free
@@ -27,10 +29,14 @@ operations: S(n, k) alone O(k(n-k)) (ratio O(n-k)), a table up to n O(n^2):
                 (_ramp_sums, the only code the two share). nested applies
                 it to the sums over compositions of each exact total and
                 takes their prefix sums; rec6 applies it to S(., j-1)
-                itself, so the two share no recurrence on S.
+                itself.
   rec7          additions only: the prefix sum of S(., j-1) is carried
                 down the column, never the weighted helper.
   ratio         one exact multiply and divide per entry.
+
+c is also the prefix sum of the prefix sums of v, so nested, rec6 and
+rec7 apply one map from column j - 1 to column j in different arithmetic:
+their agreement is one leg, not three.
 
 The eigenvalues themselves are never computed; only their symmetric
 functions have closed forms here.
@@ -184,9 +190,10 @@ def _ramp_sums(values, length):
         c[d] = (d + 1) * P[d] - Q[d],
     where P[d] = sum_{e<=d} values[e] and Q[d] = sum_{e<=d} e * values[e]
     are running sums: O(length) big-integer operations, not O(length^2).
-    nested and rec6 share this helper and nothing else. rec7's recurrence
-    is rec6's identity in additive form; it never calls this helper, so
-    the two fills share no arithmetic.
+    c is also the prefix sum of the prefix sums of values,
+    list(accumulate(accumulate(values[:length]))). nested and rec6 share
+    this helper, and rec7 builds that double prefix sum by additions: the
+    three fills apply one column map in different arithmetic.
     """
     head = values[:length]
     ramps = map(operator.mul, range(1, length + 1), accumulate(head))

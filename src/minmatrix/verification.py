@@ -41,7 +41,11 @@ the current column of each method is live and no table is built:
 
   six-way agreement     all six methods, minors reading the principal
                         minors of A_n, for n <= 12
-  polynomial agreement  closed, nested, rec6, rec7 and ratio, 12 < n
+  polynomial agreement  closed, nested, rec6, rec7 and ratio, 12 < n;
+                        nested, rec6 and rec7 apply one column map (the
+                        double prefix sum, see symmetric), so its
+                        independent legs are math.comb, the ratio
+                        recurrence and that map
   trace                 S(n, 1) off column 1 of each polynomial method,
                         against the diagonal prefix sums of one A_{n_max}
   growth                S(n, k) < S(n + 1, k) down each column of the

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -74,6 +75,21 @@ class TestMatrixCommand:
     def test_missing_params(self, capsys):
         assert run(capsys, "matrix", "c", "--n", "4")[0] == 2
         assert run(capsys, "matrix", "delta")[0] == 2
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv"])
+    def test_rows_print_without_a_table_of_strings(self, fmt):
+        # A_600's own rows take about 2.9 MB, and printing them one at a
+        # time about 3.1 MB in all. A table of its 360,000 entries as
+        # strings took about 27 MB, for either format.
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(["matrix", "min", "--n", "600", "--format", fmt])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 2**22, peak
 
     def test_bad_kind_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -91,7 +91,8 @@ class TestDeltaMatrix:
 
     @given(increments)
     def test_always_symmetric(self, inc):
-        assert build_delta_matrix(inc).is_symmetric()
+        rows = build_delta_matrix(inc).to_lists()
+        assert rows == [list(column) for column in zip(*rows)]
 
     @given(st.lists(st.integers(1, 9), min_size=1, max_size=8))
     def test_positive_mode_leading_minors_are_increment_products(self, inc):
@@ -213,8 +214,9 @@ class TestExactMatrix:
         m = ExactMatrix([[1, 2], [2, 5]])
         assert m == ExactMatrix([[1, 2], [2, 5]]) != ExactMatrix([[1, 2], [2, 4]])
         assert m.__eq__(3) is NotImplemented and m != 3
-        assert hash(m) == hash(ExactMatrix([[1, 2], [2, 5]]))
-        assert len({m, ExactMatrix(m.to_lists()), build_min_matrix(2)}) == 2
+        assert m == ExactMatrix(m.to_lists()) != build_min_matrix(2)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(m)
         assert repr(m) == "ExactMatrix([[1, 2], [2, 5]])"
         assert eval(repr(m)) == m
 

@@ -9,9 +9,14 @@ from minmatrix import (
     CovEstimate,
     SimConfig,
     covariance_deviation,
-    min_matrix_float,
     simulate_covariance,
 )
+
+
+def min_matrix_float(n):
+    """The min matrix as a float array: the target the estimate approaches."""
+    idx = np.arange(1, n + 1)
+    return np.minimum.outer(idx, idx).astype(float)
 
 
 class TestConfigValidation:

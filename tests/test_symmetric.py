@@ -383,6 +383,8 @@ class TestLinearFills:
             sum(i * values[d + 1 - i] for i in range(1, d + 2)) for d in range(length)
         ]
         assert _ramp_sums(values, length) == expected
+        # The same map as a double prefix sum, which rec7 builds by additions.
+        assert expected == list(accumulate(accumulate(values[:length])))
 
     @pytest.mark.parametrize("fn", [symfun_nested, symfun_rec6, symfun_rec7])
     @pytest.mark.parametrize("k", [1, 500, 750, 1499])
