@@ -12,7 +12,7 @@ first access (PEP 562), so a process pays only for the modules it uses.
 
 __version__ = "0.1.0"
 
-# The argparse choices and the limit that the CLI shares with the modules
+# The argparse choices and the limits that the CLI shares with the modules
 # that use them, defined here so that building its parser imports none of
 # those modules.
 #: Symmetric-function methods, in the order `symfun --method all` reports.
@@ -25,6 +25,17 @@ DISTRIBUTIONS = ("rademacher", "uniform", "gaussian")
 #: `matrix` and `det --method bareiss|both` build, and the float64
 #: covariance accumulator of `simulate`, 134 MB.
 DIM_LIMIT = 4096
+# Largest n_max run_suites accepts, from a budget of 60 s for verify
+# --suite all on a 2-vCPU x86-64 host with Python 3.11, set when 600 took
+# 32 s and 700 took 64 s. A fresh `verify --suite all --n-max 600` process
+# now takes 4.3 s on one pinned CPU of a shared host whose speed varies
+# (three runs); in process the dets suite takes 0.18-0.25 s of it (one
+# elimination of A_600 and two of shifted matrices, each reading n_max**2
+# entries to find D's band and subtracting O(n_max) of them, and 16
+# eliminations of drawn lists at dimension n_max), the symfun suite
+# 1.5-1.7 s, the binomial suite 1.1 s and the fibonacci suite 1.2 s, three
+# runs each.
+_N_MAX_LIMIT = 600
 
 # Each lazily imported public name, and the submodule that defines it.
 _SOURCES = {

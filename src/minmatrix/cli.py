@@ -22,7 +22,7 @@ import sys
 from functools import cache
 from itertools import chain
 
-from . import DIM_LIMIT, DISTRIBUTIONS, METHODS, SUITES, __version__
+from . import _N_MAX_LIMIT, DIM_LIMIT, DISTRIBUTIONS, METHODS, SUITES, __version__
 from .determinants import (
     delta_det_closed,
     det_bareiss,
@@ -372,7 +372,7 @@ def build_parser():
                               help="run the identity verification suites")
     p_verify.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p_verify.add_argument("--n-max", type=int, default=12,
-                          help="largest n of the checks, 0 to 600, so that --suite all "
+                          help=f"largest n of the checks, 0 to {_N_MAX_LIMIT}, so that --suite all "
                                "runs within about 60 s (default 12)")
     p_verify.add_argument("--seed", type=int, default=0)
 

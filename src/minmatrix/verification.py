@@ -14,17 +14,20 @@ first case whose passed is false fails the check, with the detail
 with a note that it was vacuous.
 
 The determinant corollary is read off leading minors. ``check_min_minors``
-and ``check_c_minors`` read det A_n and det C_{n,k} for every n <= n_max
-off one elimination of A_{n_max} and one of C_{n_max,k} per k: A_n is the
-leading block of A_{n_max}, and C_{n,k} that of C_{n_max,k}. That is
-O(n_max) eliminations in place of O(n_max^2), and every leading minor is
-checked. ``check_fibonacci_minors`` reads F_{2n+1} the same way, off one
-elimination of -I - A_{n_max}. The drawn families are read the same way:
-the leading m-block of a delta matrix is the delta matrix of the first m
-increments, and that of a theta matrix the theta matrix of the first
-m + 1, so one elimination per drawn list checks the product closed forms
-on every prefix, against running products, and the scaling check compares
-two records minor by minor. The dets suite draws four lists per family at
+reads det A_n for every n <= n_max off one elimination of A_{n_max}, whose
+leading n-block is A_n. ``check_c_minors`` reads det C_{n,k} for every
+1 < k < n <= n_max off two eliminations, of C_{n_max,2} and C_{n_max,3}.
+C_{n,k} is the leading block of C_{n_max,k} = A_{n_max-k+1} + (k - 1) J,
+J the all-ones matrix, of rank one, so each leading minor is affine in k
+and those of k >= 4 follow from the two records: O(n_max^2) entries read
+in place of one elimination per k, and every case is still compared with
+det_c_matrix. ``check_fibonacci_minors`` reads F_{2n+1} the same way,
+off one elimination of -I - A_{n_max}. The drawn families are read the
+same way: the leading m-block of a delta matrix is the delta matrix of
+the first m increments, and that of a theta matrix the theta matrix of
+the first m + 1, so one elimination per drawn list checks the product
+closed forms on every prefix, against running products, and the scaling
+check compares two records minor by minor. The dets suite draws four lists per family at
 dimension n_max: small positive, mixed-sign, signed 64-bit, and mixed-sign
 with one 0. These checks read their record through ``_minors``, whose
 cases compare each expected value with the next leading minor. The record
@@ -62,7 +65,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, islice, pairwise
 from operator import mul
 
-from . import SUITES
+from . import _N_MAX_LIMIT, SUITES
 from .determinants import (
     _det_minors,
     delta_det_closed,
@@ -76,17 +79,6 @@ from .symmetric import METHODS, _columns, binomial, char_matrix, charpoly
 
 #: Every method but the exponential minor enumeration.
 POLYNOMIAL_METHODS = ("closed", "nested", "rec6", "rec7", "ratio")
-
-# Largest n_max run_suites accepts, from a budget of 60 s for verify
-# --suite all on a 2-vCPU x86-64 host with Python 3.11, set when 600 took
-# 32 s and 700 took 64 s. A fresh `verify --suite all --n-max 600` process
-# now takes 5.9-6.4 s on one pinned CPU of a shared host whose speed
-# varies (three runs); in process the dets suite takes 1.1-1.2 s of it
-# (n_max eliminations, each reading n_max**2 entries to find D's band and
-# subtracting O(n_max) of them, and 16 eliminations of drawn lists at
-# dimension n_max), the symfun suite 1.6-1.8 s, the binomial suite 2.2-2.3 s
-# and the fibonacci suite 1.2 s, three runs each.
-_N_MAX_LIMIT = 600
 
 
 @dataclass
@@ -131,13 +123,23 @@ def check_min_minors(n_max):
 
 def check_c_minors(n_max):
     """det C_{n,k} = k for every 1 < k < n <= n_max, read off the leading
-    minors of one elimination of C_{n_max,k} per k."""
+    minors of one elimination of C_{n_max,2} and one of C_{n_max,3}.
+
+    C_{n,k} is A_m + (k - 1) J, m = n - k + 1 and J all ones, and J has
+    rank one, so each leading minor of C_{n_max,k} is affine in k: for
+    k >= 4 the m-th is two[m] + (k - 2) * (three[m] - two[m]), from the
+    records two and three of k = 2 and 3. zip cuts the derived record where
+    the shorter of those stops.
+    """
 
     def cases():
+        records = []
         for k in range(2, n_max):
+            if k < 4:
+                records.append(_det_minors(build_c_matrix(n_max, k))[1])
+            minors = records[-1] if k < 4 else [two + (k - 2) * (three - two) for two, three in zip(*records)]
             # The leading block of dimension n - k + 1 is C_{n,k}.
             expected = (det_c_matrix(n, k) for n in range(k + 1, n_max + 1))
-            minors = _det_minors(build_c_matrix(n_max, k))[1]
             for passed, dim in _minors(minors, expected, first=2):
                 yield passed, dim + k - 1, k
 
@@ -323,12 +325,15 @@ def suite_symfun(n_max):
 def check_binomial_identity(n_max):
     """C(n+k, n-k) = C(n+k-1, n-k-1) + sum_{i=1}^{n-k+1} C(n+k-1-i, n-k+1-i),
     the binomial identity under the difference recurrence, at every
-    0 <= k <= n <= n_max, n by n, with one running sum per k in place of
-    n - k + 1 binomials per case.
+    0 <= k <= n <= n_max, n by n, with one running sum per k and one
+    binomial per case.
 
     The sum at (n, k) is the one at (n - 1, k) plus its i = 1 term
-    C(n+k-2, n-k), and its C(n+k-1, n-k-1) is the left side at (n - 1, k).
-    The check then costs O(n_max**2) binomials and O(n_max) live integers.
+    C(n+k-2, n-k), the left side at (n - 1, k - 1), and its C(n+k-1, n-k-1)
+    is the left side at (n - 1, k). So a case computes only its own left
+    side, and a row adds two: C(n-2, n) at k = 0, by the negative-index
+    convention, and the left side at (n - 1, n). The check costs
+    O(n_max**2) binomials and O(n_max) live integers.
     """
 
     def cases():
@@ -336,8 +341,10 @@ def check_binomial_identity(n_max):
         for n in range(n_max + 1):
             # k = n starts from the empty sum, and the left side at (n - 1, n).
             sums.append((0, binomial(2 * n - 1, -1)))
+            term = binomial(n - 2, n)  # the i = 1 term at k = 0
             for k, (total, before) in enumerate(sums):
-                total += binomial(n + k - 2, n - k)
+                # The i = 1 term at k + 1 is the left side at (n - 1, k).
+                total, term = total + term, before
                 left = binomial(n + k, n - k)
                 sums[k] = (total, left)
                 yield left == before + total, n, k

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minmatrix
 from minmatrix import DISTRIBUTIONS, METHODS, SUITES, build_delta_matrix, build_min_matrix
 from minmatrix import cli, symmetric, verification
 from minmatrix.cli import main
@@ -518,7 +519,7 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err == "error: n_max must be >= 0, got -1\n"
 
-    @pytest.mark.parametrize("n_max", [10**20, 4097, verification._N_MAX_LIMIT + 1])
+    @pytest.mark.parametrize("n_max", [10**20, 4097, minmatrix._N_MAX_LIMIT + 1])
     def test_huge_n_max_is_refused_before_building(self, capsys, monkeypatch, n_max):
         def refuse(*args, **kwargs):
             raise AssertionError("a matrix or a column was built")
@@ -536,7 +537,7 @@ class TestVerifyCommand:
     def test_help_states_the_n_max_limit(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--help"])
-        assert f"0 to {verification._N_MAX_LIMIT}" in capsys.readouterr().out
+        assert f"0 to {minmatrix._N_MAX_LIMIT}" in capsys.readouterr().out
 
     def test_unknown_suite_is_named(self):
         # The CLI's choices stop it first; the library names it itself.

@@ -140,6 +140,11 @@ def reference(rows):
     return _eliminate([row[:] for row in rows], [0] * len(rows), [])
 
 
+def leading_minors(rows):
+    """Every leading principal minor of rows, each by reference()."""
+    return [reference([row[:m] for row in rows[:m]]) for m in range(1, len(rows) + 1)]
+
+
 def berkowitz_minors(rows):
     """Every leading principal minor of rows, by Berkowitz's division-free
     algorithm (Inf. Process. Lett. 18, 1984): an oracle that shares no
@@ -864,11 +869,6 @@ class TestRouting:
         route(ExactMatrix(scaled_identity_plus_ones(48, 2**40)), 2**(40 * 47) * (2**40 + 48))
 
 
-def leading_minors(rows):
-    """Every leading principal minor of rows, each by reference()."""
-    return [reference([row[:m] for row in rows[:m]]) for m in range(1, len(rows) + 1)]
-
-
 def unit_lu(rng, n):
     """L * U with L unit lower and U unit upper triangular, off-diagonal
     entries in -1..1: every leading minor is 1."""
@@ -879,7 +879,8 @@ def unit_lu(rng, n):
 
 class TestLeadingMinors:
     """_det_minors: det_bareiss's determinant, and the leading minors that
-    its elimination reads up to the first zero one."""
+    its elimination reads up to the first zero one, against
+    berkowitz_minors, which shares no step with elimination."""
 
     @pytest.mark.parametrize("n", [1, 2, 12, 23, 24, 40])
     def test_record_is_every_leading_minor(self, n):
@@ -890,7 +891,7 @@ class TestLeadingMinors:
         for rows in (unit_lu(rng, n), scaled_identity_plus_ones(n, 1), scaled_identity_plus_ones(n, 3)):
             det, minors = determinants._det_minors(ExactMatrix(rows))
             assert det == det_bareiss(ExactMatrix(rows))
-            assert minors == leading_minors(rows)
+            assert minors == berkowitz_minors(rows)
 
     @pytest.mark.parametrize("n", [12, 30])
     @pytest.mark.parametrize("step", [0, 5])
@@ -901,7 +902,7 @@ class TestLeadingMinors:
         while True:
             rows = random_rows(rng, n, -3, 3)
             rows[step][: step + 1] = rows[0][: step + 1] if step else [0]
-            expected = leading_minors(rows)
+            expected = berkowitz_minors(rows)
             if all(expected[:step]) and expected[-1]:
                 break
         det, minors = determinants._det_minors(ExactMatrix(rows))
@@ -921,12 +922,16 @@ class TestLeadingMinors:
         # it: the record holds every one, the last 0 among them.
         rows = random_rows(random.Random(5), 30, -(2**40), 2**40)
         rows[-1] = [0] * 30
-        assert determinants._det_minors(ExactMatrix(rows)) == (0, leading_minors(rows))
+        assert determinants._det_minors(ExactMatrix(rows)) == (0, berkowitz_minors(rows))
 
     def test_paper_matrices_record_every_minor(self):
         assert determinants._det_minors(build_min_matrix(150)) == (1, [1] * 150)
         assert determinants._det_minors(build_c_matrix(189, 40)) == (40, [40] * 150)
         assert determinants._det_minors(build_c_matrix(20, 5)) == (5, [5] * 16)
+        # Each shift by its own elimination, which verify derives from those
+        # of k = 2 and 3.
+        for k in range(2, 30):
+            assert determinants._det_minors(build_c_matrix(30, k)) == (k, [k] * (31 - k))
 
     @pytest.mark.parametrize("lam", [-3, 2, 5])
     def test_char_matrix_records_charpoly(self, lam):

@@ -1,9 +1,9 @@
 """The sweeps of `minmatrix.verification`: det A_n and det C_{n,k} for
-every n <= n_max, read off the leading minors of one elimination per
-family, F_{2n+1} off those of -I - A_{n_max}, the symmetric-function
-checks, which stream each method's columns, charpoly(n)(lam) off the
-leading minors of lam*I - A_{n_max}, and the binomial identity's running
-sums."""
+every n <= n_max, read off the leading minors of one elimination of
+A_{n_max} and of two shifted matrices, F_{2n+1} off those of
+-I - A_{n_max}, the symmetric-function checks, which stream each method's
+columns, charpoly(n)(lam) off the leading minors of lam*I - A_{n_max}, and
+the binomial identity's running sums."""
 
 import random
 import tracemalloc
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import minmatrix
 from minmatrix import ExactMatrix, build_min_matrix, determinants, symmetric, verification
 
 MIN_SWEEP = "every leading minor of the min matrix equals 1"
@@ -108,18 +109,54 @@ def _min_sweep_finds(monkeypatch, n_max, step, expected):
 
 class TestCorruptedUpdate:
     # Step s's update writes the leading (s + 2)-minor: det A_{s+2}, or
-    # det C_{k+s+1,k} for the elimination of C_{n_max,k}.
+    # det C_{k+s+1,k} for the elimination of C_{n_max,k}, k = 2 or 3, the
+    # two that check_c_minors runs.
     def test_eliminate_route_c(self, monkeypatch):
-        _c_sweep_finds(monkeypatch, 16, corner=5, step=3, expected="n=9, k=5")
+        _c_sweep_finds(monkeypatch, 16, corner=3, step=3, expected="n=7, k=3")
 
     def test_eliminate_route_min(self, monkeypatch):
         _min_sweep_finds(monkeypatch, 16, step=6, expected="n=8")
 
     def test_eliminate_route_c_at_n_max_40(self, monkeypatch):
-        _c_sweep_finds(monkeypatch, 40, corner=7, step=20, expected="n=28, k=7")
+        _c_sweep_finds(monkeypatch, 40, corner=2, step=20, expected="n=23, k=2")
 
     def test_eliminate_route_min_at_n_max_40(self, monkeypatch):
         _min_sweep_finds(monkeypatch, 40, step=30, expected="n=32")
+
+
+def _counted(monkeypatch, name):
+    """Patch verification's ``name`` to record the arguments of each call."""
+    calls = []
+    real = getattr(verification, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verification, name, counted)
+    return calls
+
+
+class TestDerivedWork:
+    def test_wrong_closed_form_at_a_derived_shift(self, monkeypatch):
+        # k = 7 is read off the records of k = 2 and 3, and still compared
+        # with det_c_matrix case by case.
+        det_c_matrix = verification.det_c_matrix
+
+        def wrong(n, k):
+            return det_c_matrix(n, k) + ((n, k) == (12, 7))
+
+        monkeypatch.setattr(verification, "det_c_matrix", wrong)
+        assert counterexample(verification.check_c_minors(40)) == "n=12, k=7"
+
+    def test_two_eliminations_and_one_binomial_per_case(self, monkeypatch):
+        eliminations = _counted(monkeypatch, "_det_minors")
+        assert verification.check_c_minors(40).passed
+        assert [matrix.entry(1, 1) for (matrix,) in eliminations] == [2, 3]
+        binomials = _counted(monkeypatch, "binomial")
+        assert verification.check_binomial_identity(40).passed
+        # One per case, 861 of them, and two per row, 41 rows.
+        assert len(binomials) == 861 + 2 * 41
 
 
 class TestShortRecord:
@@ -134,11 +171,11 @@ class TestShortRecord:
 
         def cut(matrix):
             det, minors = det_minors(matrix)
-            return det, minors[:kept] if matrix.to_lists()[0][0] == 5 else minors
+            return det, minors[:kept] if matrix.to_lists()[0][0] == 3 else minors
 
         monkeypatch.setattr(verification, "_det_minors", cut)
-        # The first case of C_{n,5} is n = 6, the leading 2-minor.
-        assert counterexample(verification.check_c_minors(20)) == f"n={5 + max(kept, 1)}, k=5"
+        # The first case of C_{n,3} is n = 4, the leading 2-minor.
+        assert counterexample(verification.check_c_minors(20)) == f"n={3 + max(kept, 1)}, k=3"
         monkeypatch.setattr(verification, "_det_minors", lambda m: (1, det_minors(m)[1][:kept]))
         assert counterexample(verification.check_min_minors(20)) == f"n={kept + 1}"
 
@@ -309,7 +346,7 @@ class TestSizeLimit:
                      "build_theta_matrix", "_columns"):
             monkeypatch.setattr(verification, name, refuse)
 
-    @pytest.mark.parametrize("n_max", [10**20, 4097, verification._N_MAX_LIMIT + 1])
+    @pytest.mark.parametrize("n_max", [10**20, 4097, minmatrix._N_MAX_LIMIT + 1])
     @pytest.mark.parametrize("suite", ["dets", "symfun", "binomial", "fibonacci", "all"])
     def test_refused_before_building(self, no_builds, suite, n_max):
         with pytest.raises(ValueError, match=f"^--n-max must be <= 600, got {n_max}: "):
@@ -318,7 +355,7 @@ class TestSizeLimit:
     def test_limit_itself_is_accepted(self, monkeypatch):
         for name in ("suite_dets", "suite_symfun", "suite_binomial", "suite_fibonacci"):
             monkeypatch.setattr(verification, name, lambda *args, **kwargs: [])
-        assert verification.run_suites("all", verification._N_MAX_LIMIT) == []
+        assert verification.run_suites("all", minmatrix._N_MAX_LIMIT) == []
 
 
 DELTA_DETS = "product closed form matches elimination (delta family)"
