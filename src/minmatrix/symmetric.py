@@ -99,8 +99,12 @@ def _minor_sums(n, k_max):
     A child that will have no children, at depth k_max or with one row,
     is read only on its diagonal, the minors of the sets one larger: each
     entry takes one update (pivot * x - lead * lead) // prev, and no block
-    is built. At k_max = n these are the 2^(n-2) sets whose largest index
-    is n - 1, half of the blocks the walk would build.
+    is built. A child with two rows and children of its own is read inline
+    too: its three entries, and its one child's minor from them. At
+    k_max = n these are the 2^(n-2) sets whose largest index is n - 1 and
+    the 2^(n-3) whose largest index is n - 2: three quarters of the blocks
+    a walk without either read would build. The two-row sets alone were
+    half of the visits.
     """
     sums = [[0] * (n + 1) for _ in range(k_max + 1)]
     sums[0][0] = 1
@@ -116,6 +120,28 @@ def _minor_sums(n, k_max):
                 raise _non_positive(pivot, top + 1 + i)
             level[top + 1 + i] += pivot
             if leaves or i + 1 == len(block):
+                continue
+            if i + 3 == len(block) and depth + 1 < k_max:
+                # The child S+t will have two rows, u = t+1 and u+1, and
+                # one child: read inline its entries x0, x1, x2 and that
+                # child's minor det A[S+t+u+(u+1)], checked in the order a
+                # visit would. x2 > 0 follows from x0 > 0 and
+                # x0 * x2 - x1 * x1 > 0, so x2 is never the first failure.
+                _, lead, lead2 = row
+                (y0, y1), (y2,) = block[i + 1], block[i + 2]
+                x0 = (pivot * y0 - lead * lead) // prev
+                u = top + 2 + i
+                if x0 <= 0:
+                    raise _non_positive(x0, u)
+                x1 = (pivot * y1 - lead * lead2) // prev
+                x2 = (pivot * y2 - lead2 * lead2) // prev
+                minor = (x0 * x2 - x1 * x1) // pivot
+                if minor <= 0:
+                    raise _non_positive(minor, u + 1)
+                below = sums[depth + 1]
+                below[u] += x0
+                below[u + 1] += x2
+                sums[depth + 2][u + 1] += minor
                 continue
             tail = row[1:]
             if depth + 1 == k_max or i + 2 == len(block):
@@ -206,12 +232,14 @@ def _nested_columns(lengths):
     compositions of exactly j + e into j parts; splitting off the last
     part i makes it the sum of i * (previous exact)[e + 1 - i], one
     _ramp_sums of the previous exact. Column j holds the prefix sums of
-    exact: S(j + e, j), totals at most j + e."""
+    exact: S(j + e, j), totals at most j + e. A column is a lazy
+    accumulate, to be read once, so a column that is passed over costs no
+    prefix sum."""
     exact = [1] + [0] * (lengths[0] - 1)
-    yield list(accumulate(exact))
+    yield accumulate(exact)
     for length in lengths[1:]:
         exact = _ramp_sums(exact, length)
-        yield list(accumulate(exact))
+        yield accumulate(exact)
 
 
 def _rec6_columns(lengths):
@@ -256,7 +284,8 @@ def symfun_nested(n, k):
     """Sum of products i_1 * ... * i_k over all compositions with each
     part >= 1 and total at most n."""
     _check_nk(n, k)
-    return deque(_nested_columns(_trapezoid(n, k)), maxlen=1)[0][-1]
+    column = deque(_nested_columns(_trapezoid(n, k)), maxlen=1)[0]
+    return deque(column, maxlen=1)[0]
 
 
 def symfun_rec6(n, k):

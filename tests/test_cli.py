@@ -530,7 +530,7 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--n-max", str(n_max))
         assert (code, out) == (2, "")
         assert err == (
-            f"error: --n-max must be <= 600, got {n_max}: "
+            f"error: --n-max must be <= {minmatrix._N_MAX_LIMIT}, got {n_max}: "
             "the limit keeps verify --suite all within about 60 s\n"
         )
 

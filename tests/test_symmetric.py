@@ -124,6 +124,10 @@ def enumerated_minor_sum(n, k):
     )
 
 
+NOT_DEFINITE = [[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+SINGULAR_234 = [[1, 0, 0, 0], [0, 1, 1, 1], [0, 1, 2, 0], [0, 1, 0, 2]]
+
+
 class TestMinorWalk:
     @pytest.mark.parametrize("n", range(10))
     def test_matches_subset_enumeration(self, n):
@@ -158,17 +162,44 @@ class TestMinorWalk:
         assert symfun_minor_sum(8, 4) == expected[4][8 - 4]
         assert build_sym_table(8, "minors").columns == expected
 
-    @pytest.mark.parametrize("k_max", [4, 2])
-    def test_non_positive_minor_raises(self, monkeypatch, k_max):
-        # A symmetric matrix that is not positive definite: the minor on
-        # indices {1, 2} is 1 - 4 = -3. At k_max = 4 the walk builds the
-        # block of {1} and raises at that block's first pivot; at k_max = 2
-        # the block of {1} has no children, and only its diagonal is formed.
+    @pytest.mark.parametrize(
+        "rows, k_max, first",
+        [
+            # The minor on indices {1, 2} is 1 - 4 = -3. At k_max = 4 the
+            # walk builds the block of {1} and raises at that block's first
+            # pivot; at k_max = 2 the block of {1} has no children, and only
+            # its diagonal is formed.
+            pytest.param(NOT_DEFINITE, 4, "-3 at index 2", id="4"),
+            pytest.param(NOT_DEFINITE, 2, "-3 at index 2", id="2"),
+            # The child {1, 2} has two rows, 3 and 4, and is read inline
+            # from the block of {1}. Here its first pivot det A[{1, 2, 3}]
+            # is -1.
+            pytest.param(
+                [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]], 4, "-1 at index 3",
+                id="inline-pivot-4",
+            ),
+            # Every minor is positive up to the grandchild minor
+            # det A[{2, 3, 4}] = 0 of the child {2}, read inline from the
+            # root's block at k_max = 3, and det A[{1, 2, 3, 4}] = 0 of the
+            # child {1, 2} at k_max = 4. Its second pivot is 1.
+            pytest.param(SINGULAR_234, 3, "0 at index 4", id="inline-minor-3"),
+            pytest.param(SINGULAR_234, 4, "0 at index 4", id="inline-minor-4"),
+            # The child {1, 2} has the second pivot det A[{1, 2, 4}] = -2.
+            # The grandchild minor det A[{1, 2, 3, 4}] = -3 comes first, as
+            # it does when the child is visited.
+            pytest.param(
+                [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -2]], 4, "-3 at index 4",
+                id="inline-second-pivot-4",
+            ),
+        ],
+    )
+    def test_non_positive_minor_raises(self, monkeypatch, rows, k_max, first):
+        # A symmetric matrix that is not positive definite: the walk raises
+        # at the first non-positive minor in its order.
         import minmatrix.symmetric as symmetric
 
-        rows = [[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         monkeypatch.setattr(symmetric, "build_min_matrix", lambda n: ExactMatrix(rows))
-        with pytest.raises(ArithmeticError, match=r"^non-positive principal minor -3 at index 2$"):
+        with pytest.raises(ArithmeticError, match=rf"^non-positive principal minor {first}$"):
             symfun_minor_sum(4, k_max)
 
 
@@ -359,7 +390,7 @@ class TestLinearFills:
             expected = reference(symmetric._trapezoid(60, 61 - length))
             for k in range(62 - length):
                 lengths = symmetric._trapezoid(k + length - 1, k)
-                assert list(fill(lengths)) == expected[: k + 1], (k + length - 1, k)
+                assert [list(c) for c in fill(lengths)] == expected[: k + 1], (k + length - 1, k)
 
     @pytest.mark.parametrize("method", FILLS)
     def test_tables_match_quadratic_fill(self, method):
@@ -369,7 +400,7 @@ class TestLinearFills:
         fill = getattr(symmetric, name)
         for n_max in range(61):
             lengths = range(n_max + 1, 0, -1)
-            assert list(fill(lengths)) == reference(lengths), n_max
+            assert [list(c) for c in fill(lengths)] == reference(lengths), n_max
 
     @given(st.data())
     def test_ramp_sums_are_weighted_sums(self, data):

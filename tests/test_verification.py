@@ -349,7 +349,8 @@ class TestSizeLimit:
     @pytest.mark.parametrize("n_max", [10**20, 4097, minmatrix._N_MAX_LIMIT + 1])
     @pytest.mark.parametrize("suite", ["dets", "symfun", "binomial", "fibonacci", "all"])
     def test_refused_before_building(self, no_builds, suite, n_max):
-        with pytest.raises(ValueError, match=f"^--n-max must be <= 600, got {n_max}: "):
+        limit = minmatrix._N_MAX_LIMIT
+        with pytest.raises(ValueError, match=f"^--n-max must be <= {limit}, got {n_max}: "):
             verification.run_suites(suite, n_max)
 
     def test_limit_itself_is_accepted(self, monkeypatch):
