@@ -1,42 +1,42 @@
 """Compare this working tree's benchmark against a parent commit, in pairs.
 
-    python3 tools/bench_pairs.py PARENT [--workload W] [--seeds 901-910] [--seconds 15]
-    python3 tools/bench_pairs.py --trajectory [--metric op_p50_ms]
+    python3 tools/bench_pairs.py PARENT [--workload W] [--seeds 901-910]
+    python3 tools/bench_pairs.py --trajectory
 
 Run from any directory; it measures the checkout it sits in. It checks out
-PARENT with ``git worktree add`` under a temporary directory, from the local
-repository, and removes that worktree when it is done. For each seed in turn,
-one pair, it runs
+PARENT, and the working tree as ``git stash create`` records it (HEAD with
+the uncommitted changes to tracked files, untracked files left out), each
+with ``git worktree add`` under a temporary directory, from the local
+repository, and removes both worktrees when it is done, so that both sides
+run from a fresh checkout. For each seed in turn, one pair, it runs
 
-    python3 perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds 15 --trace 0
 
-once in the parent's worktree and once in this working tree, uncommitted
-changes included: the parent first in odd pairs and second in even ones, so
-that neither side always runs on the warmer host. W is a workload name or
-``all`` (the default), as ``perfbench/run.py`` takes it.
+once in each worktree, as ``tools/bench_record.py`` runs it: the parent
+first in odd pairs and second in even ones, so that neither side always
+runs on the warmer host. W is a workload name or ``all`` (the default), as
+``perfbench/run.py`` takes it. At least two seeds are needed.
 
 Per workload and end-to-end metric it then prints both sides' medians and
 quartiles over the pairs, the change of the median in percent, in how many
 pairs the change was better than the parent (lower, or higher for a metric
 that BENCHMARK.json marks so; a tie counts for neither), and whether the two
 medians differ by more than the parent's interquartile range. Every run's
-result line goes to ``perfbench/out/pairs-<PARENT>-<W>-seed<first
-seed>.jsonl``, which git ignores. A workload's run at ``--seconds 15``
-takes 3-5 s on a 2-vCPU x86-64 host (the benchmark fixes each workload's
-operation count from the seconds), so ten pairs of every workload take
-about 5 minutes.
+result line goes to ``perfbench/out/pairs-<parent short sha>-<W>-seed<first
+seed>.jsonl``, which git ignores. A workload's run takes 3-5 s on a 2-vCPU
+x86-64 host (the benchmark fixes each workload's operation count from the
+run length), so ten pairs of every workload take about 5 minutes.
 
 ``--trajectory`` runs nothing: it prints the committed ``BENCH_*.json``
-records in commit order, one row per record, with each workload's median of
-one end-to-end metric.
+records in commit order, one row per record, with each workload's median
+``op_p50_ms``.
 
 Standard library only.
 """
 
 import argparse
 import json
-import statistics
-import subprocess
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -44,10 +44,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "perfbench" / "out"
 
-
-def git(*args):
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
-                          check=True).stdout.strip()
+#: tools/bench_record.py: its git, bench and summary (median and quartiles).
+RECORD = runpy.run_path(str(ROOT / "tools" / "bench_record.py"), run_name="bench_record")
+git = RECORD["git"]
 
 
 def seed_list(text):
@@ -57,14 +56,6 @@ def seed_list(text):
         low, _, high = part.partition("-")
         seeds.extend(range(int(low), int(high or low) + 1))
     return seeds
-
-
-def quartiles(values):
-    """Median and inclusive quartiles of one metric's values."""
-    if len(values) == 1:
-        return {"median": values[0], "q1": values[0], "q3": values[0]}
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
 
 
 def directions():
@@ -92,10 +83,10 @@ def summary(runs, higher_is_better=None):
     for workload, metrics in values.items():
         for metric, by_pair in metrics.items():
             pairs = [(p["parent"], p["change"]) for p in by_pair.values() if len(p) == 2]
-            if not pairs:
+            if len(pairs) < 2:
                 continue
-            parent = quartiles([a for a, _ in pairs])
-            change = quartiles([b for _, b in pairs])
+            parent = RECORD["summary"]([a for a, _ in pairs])
+            change = RECORD["summary"]([b for _, b in pairs])
             higher = higher_is_better.get(metric, False)
             result.setdefault(workload, {})[metric] = {
                 "parent": parent,
@@ -120,38 +111,30 @@ def print_summary(table):
                   f"{row['wins']:>3}/{row['pairs']:<3}  {'yes' if row['beyond_iqr'] else 'no'}")
 
 
-def bench(checkout, workload, seed, seconds):
-    """One perfbench/run.py run in ``checkout``: its result line per workload."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
-    if done.returncode != 0:
-        sys.stderr.write(done.stderr)
-        raise SystemExit(f"{' '.join(argv[1:])} in {checkout} exited {done.returncode}")
-    lines = [json.loads(line) for line in done.stdout.splitlines() if line.startswith("{")]
-    return [dict(line, workload=line.get("workload", workload)) for line in lines]
-
-
-def pairs(parent, workload, seeds, seconds):
-    """Every run of the pairs, the parent's checked out in a temporary worktree."""
-    sha = git("rev-parse", "--short", parent)
+def pairs(parent, workload, seeds):
+    """Every run of the pairs, each side checked out in a temporary worktree."""
+    shas = {"parent": git("rev-parse", "--short", parent),
+            "change": git("rev-parse", "--short", git("stash", "create") or "HEAD")}
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        tree = Path(tmp) / sha
-        git("worktree", "add", "--detach", str(tree), sha)
+        trees = {side: Path(tmp) / side for side in shas}
         try:
+            for side, tree in trees.items():
+                git("worktree", "add", "--detach", str(tree), shas[side])
             for number, seed in enumerate(seeds, start=1):
-                sides = [("parent", tree), ("change", ROOT)]
-                for side, checkout in sides if number % 2 else sides[::-1]:
-                    for line in bench(checkout, workload, seed, seconds):
-                        runs.append(dict(line, pair=number, seed=seed, side=side))
+                sides = list(trees) if number % 2 else list(trees)[::-1]
+                for side in sides:
+                    for name, line in RECORD["bench"](seed, 0, workload, trees[side]).items():
+                        runs.append(dict(line, workload=name, pair=number, seed=seed, side=side))
                     print(f"pair {number} (seed {seed}): {side} done", file=sys.stderr)
         finally:
-            git("worktree", "remove", "--force", str(tree))
-    return sha, runs
+            for tree in trees.values():
+                if tree.exists():
+                    git("worktree", "remove", "--force", str(tree))
+    return shas, runs
 
 
-def trajectory(metric):
+def trajectory():
     """The committed records in commit order, one row per record."""
     order = {sha: i for i, sha in enumerate(git("rev-list", "--reverse", "HEAD").split())}
 
@@ -161,12 +144,12 @@ def trajectory(metric):
 
     records = sorted((json.loads(p.read_text()) for p in ROOT.glob("BENCH_*.json")), key=position)
     workloads = sorted({w for record in records for w in record["workloads"]})
-    print(f"{metric} medians")
+    print("op_p50_ms medians")
     print(f"{'sha':<9} {'recorded':<21}" + "".join(f" {w:>15}" for w in workloads))
     for record in records:
         cells = []
         for w in workloads:
-            value = record["workloads"].get(w, {}).get("metrics", {}).get(metric)
+            value = record["workloads"].get(w, {}).get("metrics", {}).get("op_p50_ms")
             cells.append(f" {value['median']:>15.4g}" if value else f" {'-':>15}")
         print(f"{record['sha']:<9} {record['recorded']:<21}" + "".join(cells))
 
@@ -176,27 +159,29 @@ def main():
     parser.add_argument("parent", nargs="?", help="the commit to compare against")
     parser.add_argument("--workload", default="all", help="a workload name, or 'all'")
     parser.add_argument("--seeds", type=seed_list, default=seed_list("1-10"),
-                        help="one pair per seed, e.g. 901-910 or 1,2,5 (default 1-10)")
-    parser.add_argument("--seconds", type=float, default=15)
+                        help="one pair per seed, at least two, e.g. 901-910 or 1,2,5 "
+                             "(default 1-10)")
     parser.add_argument("--trajectory", action="store_true",
                         help="print the committed BENCH_*.json records instead")
-    parser.add_argument("--metric", default="op_p50_ms", help="the metric of --trajectory")
     args = parser.parse_args()
     if args.trajectory:
-        trajectory(args.metric)
+        trajectory()
         return 0
     if not args.parent:
         parser.error("PARENT is required unless --trajectory is given")
-    sha, runs = pairs(args.parent, args.workload, args.seeds, args.seconds)
+    if len(args.seeds) < 2:
+        parser.error("--seeds needs at least two seeds")
+    shas, runs = pairs(args.parent, args.workload, args.seeds)
     OUT.mkdir(exist_ok=True)
-    raw = OUT / f"pairs-{sha}-{args.workload}-seed{args.seeds[0]}.jsonl"
+    raw = OUT / f"pairs-{shas['parent']}-{args.workload}-seed{args.seeds[0]}.jsonl"
     raw.write_text("".join(json.dumps(run) + "\n" for run in runs))
     bad = [run for run in runs if run["correct"] is not True or run["failed"]]
     for run in bad:
         print(f"pair {run['pair']} {run['side']} {run['workload']}: correct {run['correct']}, "
               f"failed {run['failed']}", file=sys.stderr)
     print(f"python3 tools/bench_pairs.py {' '.join(sys.argv[1:])}")
-    print(f"parent {sha} against the working tree, {len(args.seeds)} pairs, seeds "
+    print(f"parent {shas['parent']} against the working tree as {shas['change']}, "
+          f"{len(args.seeds)} pairs, seeds "
           f"{','.join(map(str, args.seeds))}, raw runs in {raw.relative_to(ROOT)}")
     print_summary(summary(runs, directions()))
     return 1 if bad else 0

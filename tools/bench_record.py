@@ -57,10 +57,9 @@ def env():
     return child
 
 
-def git_sha():
-    return subprocess.run(
-        ["git", "rev-parse", "--short", "HEAD"], cwd=ROOT, capture_output=True, text=True, check=True
-    ).stdout.strip()
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
 
 
 def versions():
@@ -78,16 +77,16 @@ def versions():
     }
 
 
-def bench(seed, trace):
-    """One ``perfbench/run.py --workload all`` run: its result line per workload."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
+def bench(seed, trace, workload="all", checkout=ROOT):
+    """One ``perfbench/run.py`` run in ``checkout``: its result line per workload."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(SECONDS), "--trace", str(trace)]
-    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         sys.stderr.write(done.stderr)
-        raise SystemExit(f"{' '.join(argv[1:])} exited {done.returncode}")
+        raise SystemExit(f"{' '.join(argv[1:])} in {checkout} exited {done.returncode}")
     lines = [json.loads(line) for line in done.stdout.splitlines() if line.startswith("{")]
-    return {line.pop("workload"): line for line in lines}
+    return {line.pop("workload", workload): line for line in lines}
 
 
 def summary(values):
@@ -133,7 +132,7 @@ def commands():
 
 
 def main():
-    sha = git_sha()
+    sha = git("rev-parse", "--short", "HEAD")
     record = {"sha": sha, "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
               "versions": versions(), "seeds": list(SEEDS), "seconds": SECONDS}
     record["workloads"] = end_to_end([bench(seed, 0) for seed in SEEDS])
