@@ -50,6 +50,22 @@ def _metadata(seed=None):
     return meta
 
 
+class _Streamed(list):
+    """A JSON array of function(item) for each of items, made one at a time
+    as json.dump reaches it. json.dump encodes in pure Python, which reads
+    an array only by its truth value and by iterating it, so the items
+    made are never all held at once."""
+
+    def __init__(self, function, items):
+        self._function, self._items = function, items
+
+    def __bool__(self):
+        return len(self._items) > 0
+
+    def __iter__(self):
+        return map(self._function, self._items)
+
+
 def _emit(args, payload, header, rows, lines, seed=None, notes=(), csv_tail=()):
     """Print the output --format selects: the JSON document of what the
     function payload returns, the CSV table of header and rows followed by
@@ -174,7 +190,7 @@ def cmd_matrix(args):
         lambda: {
             "kind": args.kind,
             "dim": matrix.dim,
-            "rows": [list(map(str, row)) for row in rows],
+            "rows": _Streamed(lambda row: list(map(str, row)), rows),
         },
         [f"c{j}" for j in range(1, matrix.dim + 1)],
         rows,
@@ -316,7 +332,7 @@ def cmd_simulate(args):
             "sigma": cfg.sigma,
             "dist": cfg.dist,
             "chunks": cfg.chunks,
-            "covariance": estimate.matrix.tolist(),
+            "covariance": _Streamed(lambda row: row.tolist(), estimate.matrix),
             "deviation": deviation,
         },
         [f"c{j}" for j in range(1, cfg.n + 1)],

@@ -46,6 +46,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, islice
 
 from . import METHODS
@@ -87,6 +88,28 @@ def symfun_closed(n, k):
     return binomial(n + k, n - k)
 
 
+@cache
+def _layout(b):
+    """Where a block of b rows keeps its entries, and how its children are
+    built from them.
+
+    A block is its upper triangle as one flat list, row by row: row r
+    starts at diag[r], its diagonal entry, and entry (r, c) is
+    diag[r] + c - r. children[i] lists, in the child's own flat order, one
+    triple (x, s, t) per entry of the child made on the pivot row i: the
+    parent entry x = (a, c) and its two leads s = (i, a), t = (i, c).
+    Blocks have at most BRUTE_FORCE_CAP rows, so the cache holds at most
+    15 layouts and C(16, 4) = 1,820 triples.
+    """
+    diag = [r * b - r * (r - 1) // 2 for r in range(b)]
+    children = [
+        [(diag[a] + c - a, diag[i] + a - i, diag[i] + c - i)
+         for a in range(i + 1, b) for c in range(a, b)]
+        for i in range(b)
+    ]
+    return diag, children
+
+
 def _minor_sums(n, k_max):
     """Principal-minor sums of the n x n min matrix A by one depth-first
     walk over its index sets of size <= k_max (see symfun_minor_sum).
@@ -95,6 +118,11 @@ def _minor_sums(n, k_max):
     S of {1, ..., n} whose largest index is m (sums[0][0] = 1 for the
     empty set). A minor does not depend on n once n >= max(S), so
     S(n', k) for every n' <= n is a prefix sum of sums[k].
+
+    Each block is one flat list, its upper triangle row by row, and a
+    child's is built in one comprehension over the triples that
+    _layout(b) gives for the parent's size b, cached per size: at most 15
+    layouts and 1,820 triples.
 
     A child that will have no children, at depth k_max or with one row,
     is read only on its diagonal, the minors of the sets one larger: each
@@ -109,26 +137,28 @@ def _minor_sums(n, k_max):
     sums = [[0] * (n + 1) for _ in range(k_max + 1)]
     sums[0][0] = 1
 
-    def visit(block, prev, top, depth):
-        # Node S: block is its upper triangle over the indices top+1..n
-        # (top = max(S)), prev its own minor det A[S, S], depth = |S| + 1.
+    def visit(block, b, prev, top, depth):
+        # Node S: block is its flat upper triangle of b rows over the
+        # indices top+1..n (top = max(S)), prev its own minor det A[S, S],
+        # depth = |S| + 1.
+        diag, children = _layout(b)
         level = sums[depth]
         leaves = depth == k_max
-        for i, row in enumerate(block):
-            pivot = row[0]
+        for i, d in enumerate(diag):
+            pivot = block[d]
             if pivot <= 0:
                 raise _non_positive(pivot, top + 1 + i)
             level[top + 1 + i] += pivot
-            if leaves or i + 1 == len(block):
+            if leaves or i + 1 == b:
                 continue
-            if i + 3 == len(block) and depth + 1 < k_max:
+            if i + 3 == b and depth + 1 < k_max:
                 # The child S+t will have two rows, u = t+1 and u+1, and
                 # one child: read inline its entries x0, x1, x2 and that
                 # child's minor det A[S+t+u+(u+1)], checked in the order a
                 # visit would. x2 > 0 follows from x0 > 0 and
                 # x0 * x2 - x1 * x1 > 0, so x2 is never the first failure.
-                _, lead, lead2 = row
-                (y0, y1), (y2,) = block[i + 1], block[i + 2]
+                # Rows i, i+1 and i+2 are the last six entries.
+                lead, lead2, y0, y1, y2 = block[d + 1 :]
                 x0 = (pivot * y0 - lead * lead) // prev
                 u = top + 2 + i
                 if x0 <= 0:
@@ -143,26 +173,23 @@ def _minor_sums(n, k_max):
                 below[u + 1] += x2
                 sums[depth + 2][u + 1] += minor
                 continue
-            tail = row[1:]
-            if depth + 1 == k_max or i + 2 == len(block):
+            if depth + 1 == k_max or i + 2 == b:
                 # The child S+t will have no children: only its diagonal,
                 # the minors det A[S+t+u, S+t+u], is read.
                 below = sums[depth + 1]
-                for a, lead in enumerate(tail, i + 1):
-                    minor = (pivot * block[a][0] - lead * lead) // prev
+                for a in range(i + 1, b):
+                    lead = block[d + a - i]
+                    minor = (pivot * block[diag[a]] - lead * lead) // prev
                     if minor <= 0:
                         raise _non_positive(minor, top + 1 + a)
                     below[top + 1 + a] += minor
                 continue
-            child = [
-                [(pivot * x - lead * y) // prev for x, y in zip(block[i + 1 + a], tail[a:])]
-                for a, lead in enumerate(tail)
-            ]
-            visit(child, pivot, top + 1 + i, depth + 1)
+            child = [(pivot * block[x] - block[s] * block[t]) // prev for x, s, t in children[i]]
+            visit(child, b - 1 - i, pivot, top + 1 + i, depth + 1)
 
     if k_max:
         rows = build_min_matrix(n).to_lists()
-        visit([row[i:] for i, row in enumerate(rows)], 1, 0, 1)
+        visit([x for i, row in enumerate(rows) for x in row[i:]], n, 1, 0, 1)
     return sums
 
 
@@ -188,9 +215,9 @@ def symfun_minor_sum(n, k):
     is the principal minor det A[S+t, S+t], and the child S+t costs one
     fraction-free update (pivot*x - lead*y) // prev of the block, every
     division exact. The block is symmetric, so only its upper triangle is
-    kept. A is positive definite, so every pivot is a positive principal
-    minor and no row swap is needed; a swap would change the principal
-    set. A pivot <= 0 raises ArithmeticError.
+    kept, as one flat list. A is positive definite, so every pivot is a
+    positive principal minor and no row swap is needed; a swap would
+    change the principal set. A pivot <= 0 raises ArithmeticError.
 
     Exponential in n; refuses n above BRUTE_FORCE_CAP.
     """

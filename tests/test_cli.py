@@ -77,11 +77,11 @@ class TestMatrixCommand:
         assert run(capsys, "matrix", "c", "--n", "4")[0] == 2
         assert run(capsys, "matrix", "delta")[0] == 2
 
-    @pytest.mark.parametrize("fmt", ["plain", "csv"])
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
     def test_rows_print_without_a_table_of_strings(self, fmt):
         # A_600's own rows take about 2.9 MB, and printing them one at a
         # time about 3.1 MB in all. A table of its 360,000 entries as
-        # strings took about 27 MB, for either format.
+        # strings took about 27 MB, for any format (about 25 MB for json).
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             tracemalloc.start()
             try:
@@ -639,6 +639,46 @@ class TestDisagreement:
             assert {"k": 2, "method": "rec6", "value": "71"} in payload["values"]
         else:
             assert "2,rec6,71" in out.splitlines()
+
+
+class TestJsonStreaming:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["matrix", "min", "--n", "7"],
+            ["matrix", "theta", "--inc", "2,-3,5,1"],
+            ["simulate", "--n", "5", "--m", "30", "--seed", "2"],
+            ["simulate", "--n", "1", "--m", "2", "--dist", "uniform"],
+        ],
+        ids=" ".join,
+    )
+    def test_streamed_document_is_the_materialized_one(self, capsys, monkeypatch, argv):
+        # The big array is written one row at a time. The bytes are those
+        # of json.dump, and of json.dumps, on the payload with every row
+        # materialized.
+        streamed = run(capsys, *argv, "--format", "json")
+        monkeypatch.setattr(cli, "_Streamed", lambda function, items: list(map(function, items)))
+        materialized = run(capsys, *argv, "--format", "json")
+        assert streamed == materialized
+        code, out, _ = streamed
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_covariance_prints_without_a_table_of_floats(self):
+        # The estimate and the product buffer, 8 * n * n bytes each, are all
+        # simulate holds at n = 400 besides one row of output: about 2.5 MB.
+        # The covariance as a list of lists of floats took about 5 MB more.
+        n = 400
+        main(["simulate", "--n", "2", "--m", "2"])  # numpy loads outside the trace
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(["simulate", "--n", str(n), "--m", "2", "--format", "json"])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 3 * 8 * n * n, peak
 
 
 class TestSimulateCommand:

@@ -1,5 +1,6 @@
 import math
 import operator
+import random
 import tracemalloc
 from itertools import accumulate, combinations
 
@@ -126,6 +127,27 @@ def enumerated_minor_sum(n, k):
 
 NOT_DEFINITE = [[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 SINGULAR_234 = [[1, 0, 0, 0], [0, 1, 1, 1], [0, 1, 2, 0], [0, 1, 0, 2]]
+# Leading minors 9, 29, 281, then det A[{1, 2, 3, 4}] = -534: A[4][4] = 6
+# would make the matrix positive definite.
+NOT_DEFINITE_1234 = [
+    [9, -5, 0, 3, -6, 4],
+    [-5, 6, -1, -2, 6, 0],
+    [0, -1, 10, 3, -4, 2],
+    [3, -2, 3, 0, -3, 2],
+    [-6, 6, -4, -3, 12, -2],
+    [4, 0, 2, 2, -2, 8],
+]
+
+
+def random_definite(n, seed):
+    """B * B^T + I for a seeded random B with entries in -3..3: symmetric
+    positive definite, its entries distinct enough that a misplaced entry
+    changes some minor."""
+    r = random.Random(seed)
+    b = [[r.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    return ExactMatrix([
+        [sum(x * y for x, y in zip(b[i], b[j])) + (i == j) for j in range(n)] for i in range(n)
+    ])
 
 
 class TestMinorWalk:
@@ -201,6 +223,34 @@ class TestMinorWalk:
         monkeypatch.setattr(symmetric, "build_min_matrix", lambda n: ExactMatrix(rows))
         with pytest.raises(ArithmeticError, match=rf"^non-positive principal minor {first}$"):
             symfun_minor_sum(4, k_max)
+
+    @pytest.mark.parametrize("k_max", [5, 6])
+    def test_non_positive_pivot_of_a_built_block(self, monkeypatch, k_max):
+        # The first pivot of the block of {1, 2, 3}, built at depth 4 from
+        # the block of {1, 2}, which was built at depth 3 from that of {1}:
+        # det A[{1, 2, 3, 4}] = -534 after the minors 9, 29 and 281.
+        import minmatrix.symmetric as symmetric
+
+        monkeypatch.setattr(symmetric, "build_min_matrix", lambda n: ExactMatrix(NOT_DEFINITE_1234))
+        with pytest.raises(ArithmeticError, match=r"^non-positive principal minor -534 at index 4$"):
+            symfun_minor_sum(6, k_max)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_sums_by_top_match_enumeration(self, monkeypatch, n):
+        # On a positive definite matrix with distinct entries, every
+        # sums[j][m] is the sum of det A[S, S] over the j-subsets S whose
+        # largest index is m, each by a fresh elimination.
+        import minmatrix.symmetric as symmetric
+
+        matrix = random_definite(n, seed=n)
+        monkeypatch.setattr(symmetric, "build_min_matrix", lambda size: matrix)
+        expected = [[0] * (n + 1) for _ in range(n + 1)]
+        expected[0][0] = 1
+        for j in range(1, n + 1):
+            for subset in combinations(range(1, n + 1), j):
+                expected[j][subset[-1]] += det_bareiss(matrix.submatrix(subset))
+        for k in range(n + 1):
+            assert symmetric._minor_sums(n, k) == expected[: k + 1]
 
 
 class TestNested:
