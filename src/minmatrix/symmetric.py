@@ -99,14 +99,14 @@ def _layout(b):
     triple (x, s, t) per entry of the child made on the pivot row i: the
     parent entry x = (a, c) and its two leads s = (i, a), t = (i, c).
     Blocks have at most BRUTE_FORCE_CAP rows, so the cache holds at most
-    15 layouts and C(16, 4) = 1,820 triples.
+    14 layouts, b = 1 to 14, and C(16, 4) = 1,820 triples.
     """
-    diag = [r * b - r * (r - 1) // 2 for r in range(b)]
-    children = [
-        [(diag[a] + c - a, diag[i] + a - i, diag[i] + c - i)
-         for a in range(i + 1, b) for c in range(a, b)]
+    diag = tuple(r * b - r * (r - 1) // 2 for r in range(b))
+    children = tuple(
+        tuple((diag[a] + c - a, diag[i] + a - i, diag[i] + c - i)
+              for a in range(i + 1, b) for c in range(a, b))
         for i in range(b)
-    ]
+    )
     return diag, children
 
 
@@ -121,7 +121,7 @@ def _minor_sums(n, k_max):
 
     Each block is one flat list, its upper triangle row by row, and a
     child's is built in one comprehension over the triples that
-    _layout(b) gives for the parent's size b, cached per size: at most 15
+    _layout(b) gives for the parent's size b, cached per size: at most 14
     layouts and 1,820 triples.
 
     A child that will have no children, at depth k_max or with one row,
