@@ -127,8 +127,8 @@ def enumerated_minor_sum(n, k):
 
 NOT_DEFINITE = [[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 SINGULAR_234 = [[1, 0, 0, 0], [0, 1, 1, 1], [0, 1, 2, 0], [0, 1, 0, 2]]
-# Leading minors 9, 29, 281, then det A[{1, 2, 3, 4}] = -534: A[4][4] = 6
-# would make the matrix positive definite.
+# Leading minors 9, 29, 281, then det A[{1, 2, 3, 4}] = -534; with
+# A[4][4] = 6 the matrix would be positive definite.
 NOT_DEFINITE_1234 = [
     [9, -5, 0, 3, -6, 4],
     [-5, 6, -1, -2, 6, 0],
@@ -213,6 +213,12 @@ class TestMinorWalk:
                 [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -2]], 4, "-3 at index 4",
                 id="inline-second-pivot-4",
             ),
+            # At n = 6, the first pivot of the block of {1, 2, 3}, built at
+            # depth 4 from the block of {1, 2}, which was built at depth 3
+            # from that of {1}: det A[{1, 2, 3, 4}] = -534 after the minors
+            # 9, 29 and 281.
+            pytest.param(NOT_DEFINITE_1234, 5, "-534 at index 4", id="built-pivot-5"),
+            pytest.param(NOT_DEFINITE_1234, 6, "-534 at index 4", id="built-pivot-6"),
         ],
     )
     def test_non_positive_minor_raises(self, monkeypatch, rows, k_max, first):
@@ -222,18 +228,7 @@ class TestMinorWalk:
 
         monkeypatch.setattr(symmetric, "build_min_matrix", lambda n: ExactMatrix(rows))
         with pytest.raises(ArithmeticError, match=rf"^non-positive principal minor {first}$"):
-            symfun_minor_sum(4, k_max)
-
-    @pytest.mark.parametrize("k_max", [5, 6])
-    def test_non_positive_pivot_of_a_built_block(self, monkeypatch, k_max):
-        # The first pivot of the block of {1, 2, 3}, built at depth 4 from
-        # the block of {1, 2}, which was built at depth 3 from that of {1}:
-        # det A[{1, 2, 3, 4}] = -534 after the minors 9, 29 and 281.
-        import minmatrix.symmetric as symmetric
-
-        monkeypatch.setattr(symmetric, "build_min_matrix", lambda n: ExactMatrix(NOT_DEFINITE_1234))
-        with pytest.raises(ArithmeticError, match=r"^non-positive principal minor -534 at index 4$"):
-            symfun_minor_sum(6, k_max)
+            symfun_minor_sum(len(rows), k_max)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_sums_by_top_match_enumeration(self, monkeypatch, n):
