@@ -50,32 +50,39 @@ def _metadata(seed=None):
     return meta
 
 
-class _Streamed(list):
-    """A JSON array of function(item) for each of items, made one at a time
-    as json.dump reaches it. json.dump encodes in pure Python, which reads
-    an array only by its truth value and by iterating it, so the items
-    made are never all held at once."""
-
-    def __init__(self, function, items):
-        self._function, self._items = function, items
-
-    def __bool__(self):
-        return len(self._items) > 0
-
-    def __iter__(self):
-        return map(self._function, self._items)
+# What a payload holds in place of its one big array, which _emit writes
+# row by row. No string that a command puts in a payload holds a NUL.
+_ARRAY = "\0array"
 
 
-def _emit(args, payload, header, rows, lines, seed=None, notes=(), csv_tail=()):
+def _emit(args, payload, header, rows, lines, seed=None, notes=(), csv_tail=(), array=()):
     """Print the output --format selects: the JSON document of what the
     function payload returns, the CSV table of header and rows followed by
     the csv_tail lines, or the plain lines with each note on stderr. Only
-    the selected format is made: rows and lines are iterables read once."""
+    the selected format is made: rows, lines and array are iterables read
+    once.
+
+    json.dumps(..., indent=2) makes the document. A payload whose value at
+    its top level is _ARRAY gets the rows of array there instead, each an
+    iterable of its entries' JSON text, in the layout that indent=2 gives at
+    that depth: rows indented by 6 spaces, entries by 8, one to a line. Each
+    row is written before the next is made, so the text of a 2**24-entry
+    array is never held at once."""
     if args.format == "json":
         import json
 
-        json.dump({"payload": payload(), "metadata": _metadata(seed)}, sys.stdout, indent=2)
-        print()
+        document = json.dumps({"payload": payload(), "metadata": _metadata(seed)}, indent=2)
+        head, found, tail = document.partition(json.dumps(_ARRAY))
+        write = sys.stdout.write
+        write(head)
+        if found:
+            write("[")
+            separator = "\n      "
+            for row in array:
+                write(separator + "[\n        " + ",\n        ".join(row) + "\n      ]")
+                separator = ",\n      "
+            write("\n    ]")
+        write(tail + "\n")
     elif args.format == "csv":
         import csv
 
@@ -190,11 +197,12 @@ def cmd_matrix(args):
         lambda: {
             "kind": args.kind,
             "dim": matrix.dim,
-            "rows": _Streamed(lambda row: list(map(str, row)), rows),
+            "rows": _ARRAY,
         },
         [f"c{j}" for j in range(1, matrix.dim + 1)],
         rows,
         (" ".join(map(str, row)) for row in rows),
+        array=([f'"{entry}"' for entry in row] for row in rows),
     )
     return EXIT_OK
 
@@ -324,6 +332,8 @@ def cmd_simulate(args):
     )
     estimate = simulate_covariance(cfg)
     deviation = covariance_deviation(estimate)
+    # A finite float's repr is its JSON text, and the estimate is finite.
+    entries = (map(repr, row.tolist()) for row in estimate.matrix)
     _emit(
         args,
         lambda: {
@@ -332,17 +342,18 @@ def cmd_simulate(args):
             "sigma": cfg.sigma,
             "dist": cfg.dist,
             "chunks": cfg.chunks,
-            "covariance": _Streamed(lambda row: row.tolist(), estimate.matrix),
+            "covariance": _ARRAY,
             "deviation": deviation,
         },
         [f"c{j}" for j in range(1, cfg.n + 1)],
-        (map(repr, row.tolist()) for row in estimate.matrix),
+        entries,
         chain(
             (" ".join(map("{:10.4f}".format, row.tolist())) for row in estimate.matrix),
             [f"deviation: {deviation:.6f}"],
         ),
         seed=cfg.seed,
         csv_tail=[f"# deviation,{deviation}"],
+        array=entries,
     )
     return EXIT_OK
 

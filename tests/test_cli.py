@@ -641,27 +641,100 @@ class TestDisagreement:
             assert "2,rec6,71" in out.splitlines()
 
 
+def _matrix_document(kind, matrix):
+    rows = [list(map(str, row)) for row in matrix.to_lists()]
+    return {
+        "payload": {"kind": kind, "dim": matrix.dim, "rows": rows},
+        "metadata": {"version": minmatrix.__version__},
+    }
+
+
+def _simulate_document(**options):
+    from minmatrix.simulation import SimConfig, covariance_deviation, simulate_covariance
+
+    cfg = SimConfig(**options)
+    estimate = simulate_covariance(cfg)
+    payload = {
+        "n": cfg.n,
+        "m": cfg.m,
+        "sigma": cfg.sigma,
+        "dist": cfg.dist,
+        "chunks": cfg.chunks,
+        "covariance": estimate.matrix.tolist(),
+        "deviation": covariance_deviation(estimate),
+    }
+    return {"payload": payload, "metadata": {"version": minmatrix.__version__, "seed": cfg.seed}}
+
+
+# Seven signed 64-bit increments whose prefix sums are all positive, with
+# one of 4,400 digits put in after the third: the prefix sums from the
+# fourth on have 4,401 digits, past the caller's limit that the test sets.
+_rng = random.Random(9)
+_LONG_INC = [str(_rng.choice((-1, 1)) * _rng.randrange(2**63, 2**64)) for _ in range(7)]
+_LONG_INC.insert(3, "9" * 4400)
+
+
+def _case(argv, document, id=None):
+    return pytest.param(argv, document, id=id or " ".join(argv))
+
+
 class TestJsonStreaming:
+    @pytest.fixture
+    def caller_limit(self):
+        # Enough digits to parse --inc's longest increment.
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4400)
+        yield
+        sys.set_int_max_str_digits(before)
+
     @pytest.mark.parametrize(
-        "argv",
+        "argv, document",
         [
-            ["matrix", "min", "--n", "7"],
-            ["matrix", "theta", "--inc", "2,-3,5,1"],
-            ["simulate", "--n", "5", "--m", "30", "--seed", "2"],
-            ["simulate", "--n", "1", "--m", "2", "--dist", "uniform"],
+            _case(["matrix", "min", "--n", "7"], lambda: _matrix_document("min", build_min_matrix(7))),
+            _case(
+                ["matrix", "theta", "--inc", "2,-3,5,1"],
+                lambda: _matrix_document("theta", minmatrix.build_theta_matrix([2, -3, 5, 1])),
+            ),
+            _case(
+                ["simulate", "--n", "5", "--m", "30", "--seed", "2"],
+                lambda: _simulate_document(n=5, m=30, seed=2),
+            ),
+            _case(
+                ["simulate", "--n", "1", "--m", "2", "--dist", "uniform"],
+                lambda: _simulate_document(n=1, m=2, dist="uniform"),
+            ),
+            _case(
+                ["matrix", "c", "--n", "9", "--k", "3"],
+                lambda: _matrix_document("c", minmatrix.build_c_matrix(9, 3)),
+            ),
+            _case(
+                ["matrix", "delta", f"--inc={','.join(_LONG_INC)}"],
+                lambda: _matrix_document("delta", build_delta_matrix(list(map(int, _LONG_INC)))),
+                id="matrix delta --inc <7 signed 64-bit, 1 of 4400 digits>",
+            ),
+            _case(
+                ["simulate", "--n", "6", "--m", "40", "--seed", "3", "--dist", "rademacher"],
+                lambda: _simulate_document(n=6, m=40, seed=3, dist="rademacher"),
+            ),
+            # Entries near 1e300 and 1e-6, which print in exponent form.
+            _case(
+                ["simulate", "--n", "4", "--m", "50", "--sigma", "1e150"],
+                lambda: _simulate_document(n=4, m=50, sigma=1e150),
+            ),
+            _case(
+                ["simulate", "--n", "4", "--m", "50", "--sigma", "1e-3"],
+                lambda: _simulate_document(n=4, m=50, sigma=1e-3),
+            ),
         ],
-        ids=" ".join,
     )
-    def test_streamed_document_is_the_materialized_one(self, capsys, monkeypatch, argv):
+    def test_streamed_document_is_the_materialized_one(self, capsys, caller_limit, argv, document):
         # The big array is written one row at a time. The bytes are those
-        # of json.dump, and of json.dumps, on the payload with every row
-        # materialized.
-        streamed = run(capsys, *argv, "--format", "json")
-        monkeypatch.setattr(cli, "_Streamed", lambda function, items: list(map(function, items)))
-        materialized = run(capsys, *argv, "--format", "json")
-        assert streamed == materialized
-        code, out, _ = streamed
-        assert code == 0
+        # of json.dumps on the document built from the library, with every
+        # row materialized, and of json.dumps on the parsed output.
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        sys.set_int_max_str_digits(0)
+        assert out == json.dumps(document(), indent=2) + "\n"
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
     def test_covariance_prints_without_a_table_of_floats(self):
